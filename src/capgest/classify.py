@@ -52,10 +52,6 @@ def _vote(labels_k: np.ndarray, dist_k: np.ndarray) -> int:
     return int(tied[order[0]])
 
 
-def knn_predict(model: KnnModel, x: np.ndarray) -> int:
-    return int(knn_predict_batch(model, np.atleast_2d(x))[0])
-
-
 def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.points.shape[1]:
@@ -67,13 +63,6 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     return np.array(
         [_vote(labels[i], dist[i]) for i in range(X.shape[0])], dtype=np.int64
     )
-
-
-def knn_regress(model: KnnModel, x: np.ndarray) -> float:
-    """Mean of the K nearest labels (labels must be numeric)."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, idx = neighbors.query_topk(model.points, X, model.k)
-    return float(np.asarray(model.labels, dtype=np.float64)[idx[0]].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +139,6 @@ def _centroid_distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
         )
     diff = X[:, None, :] - model.centroids[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def centroid_predict(model: CentroidModel, x: np.ndarray) -> int:
-    return int(centroid_predict_batch(model, np.atleast_2d(x))[0])
 
 
 def centroid_predict_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ class PipelineConfig:
     )
     corrector_classifiers: tuple[str, ...] = ("centroid", "lda")
     group_kernel: str = "pca:9"
-    group_classifier_kind: str = "centroid"   # or "lda_ovr"
     min_support: int = 10
     # splits
     user_counts: tuple[int, int, int, int] = (8, 3, 2, 2)
@@ -50,12 +49,10 @@ class PipelineConfig:
             raise FileFormatError("knn_k must be >= 1")
         if self.base_knn_fit not in ("validation", "train"):
             raise FileFormatError("base_knn_fit must be 'validation' or 'train'")
-        if self.group_classifier_kind not in ("centroid", "lda_ovr"):
-            raise FileFormatError("group_classifier_kind must be 'centroid' or 'lda_ovr'")
 
 
 _INT_KEYS = {"n_pcs", "knn_k", "min_support", "split_seed"}
-_STR_KEYS = {"base_knn_fit", "group_kernel", "group_classifier_kind"}
+_STR_KEYS = {"base_knn_fit", "group_kernel"}
 _STR_LIST_KEYS = {"corrector_kernels", "corrector_classifiers", "pinned_hold"}
 _INT_LIST_KEYS = {"user_counts"}
 

@@ -149,39 +149,29 @@ def select_threshold_zero_fp(
 class GroupClassifier:
     """Routes misclassified-looking samples to an error group.
 
-    Centroid-based by default; a one-vs-rest LDA variant is available since
-    multi-class outputs are needed but binary LDA is the primitive.
+    A nearest-centroid classifier over the group kernel's features, one
+    centroid per group id.
     """
 
     kernel: FittedKernel
-    kind: str                       # "centroid" | "lda_ovr"
     group_ids: tuple[int, ...]
-    centroid: CentroidModel | None = None
-    lda_models: tuple[tuple[int, LdaModel], ...] = ()
+    centroid: CentroidModel
 
-    def assign(self, features: np.ndarray, allowed_ids: Sequence[int]) -> int | None:
-        """Pick a group among ``allowed_ids`` for one kernel-feature row."""
-        allowed = [g for g in allowed_ids if g in self.group_ids]
-        if not allowed:
-            return None
-        if len(allowed) == 1:
-            return allowed[0]
-        features = np.atleast_2d(features)
-        if self.kind == "centroid":
-            cols = [int(np.where(self.centroid.classes == g)[0][0]) for g in allowed]
-            diff = features[:, None, :] - self.centroid.centroids[cols][None, :, :]
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[0]
-            return allowed[int(np.argmin(dist))]
-        scores = [lda_score(m, features[0]) for g, m in self.lda_models if g in allowed]
-        ids = [g for g, _ in self.lda_models if g in allowed]
-        return ids[int(np.argmax(scores))]
+    def assign(self, features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """Row of the nearest of ``centroids`` for each raw feature row.
+
+        ``centroids`` are rows of this classifier's centroid matrix, in group
+        id order, so a distance tie goes to the smaller group id.
+        """
+        feats = kernel_apply(self.kernel, features)
+        diff = feats[:, None, :] - centroids[None, :, :]
+        return np.argmin(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), axis=1)
 
 
 def train_group_classifier(
     error_features: np.ndarray,
     group_ids: np.ndarray,
     kernel: FittedKernel,
-    kind: str = "centroid",
     min_support: int = 10,
 ) -> GroupClassifier:
     """Fit the multiclass router on misclassified training samples.
@@ -198,25 +188,11 @@ def train_group_classifier(
         raise TooFewGroups(f"need >= 2 groups with support {min_support}, got {active}")
     keep = np.isin(group_ids, active)
     feats = kernel_apply(kernel, np.asarray(error_features)[keep])
-    labels = group_ids[keep]
-    if kind == "centroid":
-        return GroupClassifier(
-            kernel=kernel,
-            kind=kind,
-            group_ids=tuple(active),
-            centroid=centroid_fit(feats, labels),
-        )
-    if kind == "lda_ovr":
-        models = []
-        for g in active:
-            try:
-                models.append((g, lda_fit(feats, (labels == g).astype(np.int64))))
-            except SingleClass:
-                continue
-        return GroupClassifier(
-            kernel=kernel, kind=kind, group_ids=tuple(active), lda_models=tuple(models)
-        )
-    raise ValueError(f"unknown group classifier kind {kind!r}")
+    return GroupClassifier(
+        kernel=kernel,
+        group_ids=tuple(active),
+        centroid=centroid_fit(feats, group_ids[keep]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,88 +303,95 @@ def train_corrector(
 # Corrected inference
 # ---------------------------------------------------------------------------
 
-def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
-    """4-step cascade for one 100-feature sample.
+@dataclass(frozen=True)
+class Route:
+    """How the cascade treats the samples of one base label."""
 
-    Base prediction, group routing gated by that prediction, corrector
-    scoring, and override to the group's truth label when the score clears
-    the zero-FP threshold.  Any missing stage falls back to the base
-    prediction.
+    gated: tuple[int, ...]                     # group ids predicting this label, sorted
+    allowed: tuple[int, ...]                   # the ids among them a sample can be routed to
+    centroids: np.ndarray | None               # group-classifier centroid row per allowed id
+    correctors: tuple[Corrector | None, ...]   # enabled corrector per allowed id, or None
+
+
+@dataclass(frozen=True)
+class RoutingTable:
+    """Routing derived from a bundle's group classifier and correctors.
+
+    Built once per bundle and never serialized.  ``routes`` holds only the
+    base labels where some corrector can fire.
     """
-    fv = np.atleast_2d(np.asarray(feature_vector, dtype=np.float64))
-    z = pca_transform(bundle.base_pca, fv)
-    base = int(knn_predict_batch(bundle.base_knn, z)[0])
 
-    correctors = {c.group.group_id: c for c in bundle.correctors}
-    gated = [
-        g
-        for g in sorted(set(correctors) | set(_classifier_ids(bundle)))
-        if g % N_LABELS == base
-    ]
-    if not gated:
-        return GestureLabel(base)
-    if bundle.group_classifier is not None:
-        feats = kernel_apply(bundle.group_classifier.kernel, fv)
-        chosen = bundle.group_classifier.assign(feats[0], gated)
-    else:
-        chosen = gated[0] if len(gated) == 1 else None
-    if chosen is None:
-        return GestureLabel(base)
-    corrector = correctors.get(chosen)
-    if corrector is None or not corrector.enabled:
-        return GestureLabel(base)
-    kernel = bundle.corrector_kernels[corrector.kernel_name]
-    score = float(corrector.score(kernel_apply(kernel, fv))[0])
-    if score >= corrector.threshold:
-        return GestureLabel(corrector.group.truth)
-    return GestureLabel(base)
+    routes: Mapping[int, Route]           # base label -> route
+    correctors: Mapping[int, Corrector]   # group id -> corrector
 
 
-def _classifier_ids(bundle) -> tuple[int, ...]:
-    if bundle.group_classifier is None:
-        return ()
-    return bundle.group_classifier.group_ids
+def build_routing_table(
+    group_classifier: GroupClassifier | None, correctors: Sequence[Corrector]
+) -> RoutingTable:
+    """Gate group ids by their predicted label and fix the routing choices.
+
+    With a group classifier a sample is routed among the classifier's ids
+    that its base label gates, including ids without a corrector (picking
+    one keeps the base label).  Without one, a sample is routed only when
+    its base label gates exactly one group.
+    """
+    by_id = {c.group.group_id: c for c in correctors}
+    classifier_ids = () if group_classifier is None else group_classifier.group_ids
+    all_ids = sorted(set(by_id) | set(classifier_ids))
+    routes = {}
+    for label in range(N_LABELS):
+        gated = tuple(g for g in all_ids if g % N_LABELS == label)
+        centroids = None
+        if group_classifier is None:
+            allowed = gated if len(gated) == 1 else ()
+        else:
+            allowed = tuple(g for g in gated if g in classifier_ids)
+            model = group_classifier.centroid
+            centroids = model.centroids[np.searchsorted(model.classes, allowed)]
+        enabled = tuple(
+            by_id[g] if g in by_id and by_id[g].enabled else None for g in allowed
+        )
+        if any(c is not None for c in enabled):
+            routes[label] = Route(gated, allowed, centroids, enabled)
+    return RoutingTable(routes=routes, correctors=by_id)
+
+
+def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
+    """The cascade for one 100-feature sample: a batch of one."""
+    return GestureLabel(int(corrected_predict_batch(bundle, feature_vector)[0]))
 
 
 def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
-    """Vectorized cascade over an (n, 100) feature matrix."""
+    """4-step cascade over an (n, 100) feature matrix.
+
+    Base prediction, group routing gated by that prediction, corrector
+    scoring, and override to the group's truth label when the score clears
+    the zero-FP threshold.  A sample with no route, or routed to a group
+    without a corrector, keeps its base prediction.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     z = pca_transform(bundle.base_pca, features)
     base = knn_predict_batch(bundle.base_knn, z)
     out = base.copy()
-
-    correctors = {c.group.group_id: c for c in bundle.correctors}
-    all_ids = sorted(set(correctors) | set(_classifier_ids(bundle)))
-    if not all_ids:
-        return out
-
-    gc = bundle.group_classifier
-    gc_feats = kernel_apply(gc.kernel, features) if gc is not None else None
-    assigned = np.full(len(features), -1, dtype=np.int64)
-    for pred in np.unique(base):
-        rows = np.nonzero(base == pred)[0]
-        gated = [g for g in all_ids if g % N_LABELS == int(pred)]
-        if not gated:
+    # skip absent labels before the per-label scan: a batch of one has one
+    present = set(base.tolist())
+    for label, route in bundle.routing.routes.items():
+        if label not in present:
             continue
-        if gc is not None:
-            for i in rows:
-                g = gc.assign(gc_feats[i], gated)
-                if g is not None:
-                    assigned[i] = g
-        elif len(gated) == 1:
-            assigned[rows] = gated[0]
-
-    for group_id in np.unique(assigned):
-        if group_id < 0:
-            continue
-        corrector = correctors.get(int(group_id))
-        if corrector is None or not corrector.enabled:
-            continue
-        rows = np.nonzero(assigned == group_id)[0]
-        kernel = bundle.corrector_kernels[corrector.kernel_name]
-        scores = corrector.score(kernel_apply(kernel, features[rows]))
-        fire = rows[scores >= corrector.threshold]
-        out[fire] = int(corrector.group.truth)
+        rows = np.flatnonzero(base == label)
+        if len(route.allowed) == 1:
+            picks = np.zeros(len(rows), dtype=np.int64)
+        else:
+            picks = bundle.group_classifier.assign(features[rows], route.centroids)
+        for pick, corrector in enumerate(route.correctors):
+            if corrector is None:
+                continue
+            routed = rows[picks == pick]
+            if not len(routed):
+                continue
+            kernel = bundle.corrector_kernels[corrector.kernel_name]
+            scores = corrector.score(kernel_apply(kernel, features[routed]))
+            out[routed[scores >= corrector.threshold]] = int(corrector.group.truth)
     return out
 
 

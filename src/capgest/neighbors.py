@@ -1,29 +1,49 @@
-"""Backend selection for exact nearest-neighbor search.
+"""Exact nearest-neighbor search in numpy.
 
-The compiled extension is used when importable; otherwise the numpy
-implementation takes over.  ``CAPGEST_NEIGHBOR_BACKEND=numpy|cython`` forces
-a backend (forcing ``cython`` fails loudly when the extension is missing).
+Chunked so the (m, n) distance block never exceeds a few MB regardless of
+query count.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _neighbors_np
+BACKEND = "numpy"
 
-_forced = os.environ.get("CAPGEST_NEIGHBOR_BACKEND", "").strip().lower()
+_CHUNK = 256
 
-if _forced == "numpy":
-    BACKEND = "numpy"
-    query_topk = _neighbors_np.query_topk
-else:
-    try:
-        from . import _neighbors_cy
 
-        BACKEND = "cython"
-        query_topk = _neighbors_cy.query_topk
-    except ImportError:
-        if _forced == "cython":
-            raise
-        BACKEND = "numpy"
-        query_topk = _neighbors_np.query_topk
+def query_topk(
+    refs: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and indices of the k nearest refs per query, ascending.
+
+    Ties on distance are broken by lower reference index.
+    """
+    refs = np.ascontiguousarray(refs, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    n = refs.shape[0]
+    m = queries.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} reference points")
+    ref_sq = np.einsum("ij,ij->i", refs, refs)
+    dist = np.empty((m, k))
+    idx = np.empty((m, k), dtype=np.int64)
+    for lo in range(0, m, _CHUNK):
+        q = queries[lo : lo + _CHUNK]
+        d2 = ref_sq[None, :] - 2.0 * (q @ refs.T)
+        d2 += np.einsum("ij,ij->i", q, q)[:, None]
+        np.maximum(d2, 0.0, out=d2)
+        # argpartition alone breaks ties at the k-th boundary arbitrarily, so
+        # gather every candidate tied with the boundary before sorting
+        if k < n:
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        else:
+            kth = d2.max(axis=1)
+        for row in range(q.shape[0]):
+            cand = np.nonzero(d2[row] <= kth[row])[0]
+            order = cand[np.argsort(d2[row, cand], kind="stable")][:k]
+            idx[lo + row] = order
+            dist[lo + row] = d2[row, order]
+    np.sqrt(dist, out=dist)
+    return dist, idx

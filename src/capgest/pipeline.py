@@ -12,7 +12,7 @@ import pickle
 import platform
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +31,8 @@ from .corrector import (
     Corrector,
     ErrorGroup,
     GroupClassifier,
+    RoutingTable,
+    build_routing_table,
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
@@ -67,7 +69,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -84,6 +86,13 @@ class ModelBundle:
     corrector_kernels: Mapping[str, FittedKernel]
     discovered_group_ids: tuple[int, ...]
     metadata: Mapping[str, object]
+    routing: RoutingTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # derived from the fields above on every construction, never serialized
+        object.__setattr__(
+            self, "routing", build_routing_table(self.group_classifier, self.correctors)
+        )
 
     def predict(self, feature_vector: np.ndarray) -> GestureLabel:
         return corrected_predict(self, feature_vector)
@@ -144,7 +153,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
                 x_train[err_mask],
                 err_group_ids,
                 kernels[config.group_kernel],
-                kind=config.group_classifier_kind,
                 min_support=config.min_support,
             )
         except TooFewGroups:
@@ -245,7 +253,7 @@ def evaluate(bundle: ModelBundle, samples: Sequence[Sample]) -> EvalReport:
     corrected = bundle.predict_batch(x)
 
     per_group = []
-    correctors = {c.group.group_id: c for c in bundle.correctors}
+    correctors = bundle.routing.correctors
     for group_id in bundle.discovered_group_ids:
         group = ErrorGroup.from_id(group_id)
         mask = base == int(group.predicted)
@@ -422,15 +430,8 @@ def bundle_state(bundle: ModelBundle) -> dict:
         if gc is None
         else {
             "kernel": _kernel_state(gc.kernel),
-            "kind": gc.kind,
             "group_ids": gc.group_ids,
-            "centroid": None
-            if gc.centroid is None
-            else {"classes": gc.centroid.classes, "centroids": gc.centroid.centroids},
-            "lda_models": [
-                (g, {"w": m.w, "bias": m.bias, "mu0": m.mu0, "mu1": m.mu1, "s_w": m.s_w, "s_b": m.s_b})
-                for g, m in gc.lda_models
-            ],
+            "centroid": {"classes": gc.centroid.classes, "centroids": gc.centroid.centroids},
         },
         "correctors": [_corrector_state(c) for c in bundle.correctors],
         "corrector_kernels": {
@@ -447,14 +448,8 @@ def bundle_from_state(state: dict) -> ModelBundle:
     if gc_state is not None:
         gc = GroupClassifier(
             kernel=_kernel_from_state(gc_state["kernel"]),
-            kind=gc_state["kind"],
             group_ids=tuple(gc_state["group_ids"]),
-            centroid=None
-            if gc_state["centroid"] is None
-            else CentroidModel(**gc_state["centroid"]),
-            lda_models=tuple(
-                (g, LdaModel(**m)) for g, m in gc_state["lda_models"]
-            ),
+            centroid=CentroidModel(**gc_state["centroid"]),
         )
     return ModelBundle(
         config=PipelineConfig(**state["config"]),
@@ -526,18 +521,21 @@ def bench_latency(
 ) -> dict:
     """Single-threaded per-sample latency of the corrected cascade.
 
-    Each timed call runs the full single-sample path end to end; stats are
-    reported in milliseconds.
+    Rows are visited in a fixed-seed random permutation of all of ``features``,
+    cycling when ``iters`` exceeds the row count, so every part of the
+    probe set is equally likely to be timed.  Each timed call runs the full
+    single-sample path end to end; stats are reported in milliseconds.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0 or iters == 0:
         return {"n_timed": 0, "hardware": platform.processor() or platform.machine()}
     n = features.shape[0]
+    order = np.random.default_rng(0).permutation(n)
     for i in range(min(warmup, n * 2)):
-        corrected_predict(bundle, features[i % n])
+        corrected_predict(bundle, features[order[i % n]])
     timings = np.empty(iters)
     for i in range(iters):
-        fv = features[i % n]
+        fv = features[order[i % n]]
         start = time.perf_counter_ns()
         corrected_predict(bundle, fv)
         timings[i] = time.perf_counter_ns() - start
@@ -546,6 +544,7 @@ def bench_latency(
         "n_timed": iters,
         "p50_ms": float(np.percentile(ms, 50)),
         "p95_ms": float(np.percentile(ms, 95)),
+        "p99_ms": float(np.percentile(ms, 99)),
         "max_ms": float(ms.max()),
         "mean_ms": float(ms.mean()),
         "hardware": platform.processor() or platform.machine(),

@@ -157,19 +157,6 @@ class CalibrationTable:
     def __len__(self) -> int:
         return len(self._ranges)
 
-    @classmethod
-    def from_recording(cls, recording: Recording) -> "CalibrationTable":
-        """Fallback calibration: per-channel min/max observed in the recording."""
-        table = cls()
-        for ch in range(N_CHANNELS):
-            lo = float(recording.channels[ch].min())
-            hi = float(recording.channels[ch].max())
-            if hi <= lo:
-                hi = lo + 1.0
-            table.set(recording.user_id, ch, CalibrationRange(lo, hi))
-        return table
-
-
 @dataclass(frozen=True)
 class Sample:
     """A normalized 5x20 signal window with its gesture label."""
@@ -241,28 +228,6 @@ def extract_exact(recording: Recording, mark: GestureMark) -> Sample:
 def _eligible_start(mark: GestureMark) -> int:
     # window end must trail the gesture: from 2/3 of its span to its end
     return mark.start + math.ceil(2.0 / 3.0 * (mark.end - mark.start))
-
-
-def extract_sliding(recording: Recording, stride_frames: int = 1) -> list[Sample]:
-    """Emit every 20-frame window, labeled by the gesture it trails.
-
-    A window ending at frame ``e`` inherits a mark's label when ``e`` lies in
-    [start + ceil(2/3 * (end - start)), end]; all other windows (including
-    ones that only partially overlap a mark) are labeled NONE.
-    """
-    if stride_frames < 1:
-        raise ValueError("stride_frames must be >= 1")
-    n = recording.n_frames
-    samples: list[Sample] = []
-    for end in range(WINDOW_FRAMES - 1, n, stride_frames):
-        label = GestureLabel.NONE
-        for mark in recording.gesture_marks:
-            if _eligible_start(mark) <= end <= mark.end:
-                label = mark.label
-                break
-        matrix = recording.channels[:, end - WINDOW_FRAMES + 1 : end + 1]
-        samples.append(Sample(matrix=matrix, label=label, user_id=recording.user_id))
-    return samples
 
 
 def flatten(sample: Sample) -> np.ndarray:
@@ -343,6 +308,9 @@ def assemble_sliding(
 ) -> list[Sample]:
     """Build the sliding dataset from normalized-or-raw recordings.
 
+    Every ``stride_frames``-th 20-frame window is cut.  A window ending at
+    frame ``e`` inherits a mark's label when ``e`` lies in
+    [start + ceil(2/3 * (end - start)), end]; all other windows are NONE.
     Gesture-labeled windows are kept as-is.  NONE windows overlapping a mark
     by more than ``max_mark_overlap`` of the window are dropped (they are
     near-duplicates of gesture windows), and the rest are subsampled so the

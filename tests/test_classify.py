@@ -3,13 +3,10 @@ import pytest
 
 from capgest.classify import (
     centroid_fit,
-    centroid_predict,
     centroid_predict_batch,
     centroid_score,
     knn_fit,
-    knn_predict,
     knn_predict_batch,
-    knn_regress,
     lda_fit,
     lda_score,
 )
@@ -23,41 +20,26 @@ class TestKnn:
         X = np.array([[0.0], [0.1], [0.2], [5.0], [5.1]])
         y = np.array([0, 0, 0, 1, 1])
         model = knn_fit(X, y, k=3)
-        assert knn_predict(model, np.array([0.05])) == 0
-        assert knn_predict(model, np.array([5.05])) == 1
+        assert knn_predict_batch(model, np.array([[0.05], [5.05]])).tolist() == [0, 1]
 
     def test_distance_tie_prefers_lower_index(self):
         # query equidistant from refs 0 and 1; k=1 must pick ref 0
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         model = knn_fit(X, np.array([7, 3]), k=1)
-        assert knn_predict(model, np.array([0.0, 2.0])) == 7
+        assert knn_predict_batch(model, np.array([[0.0, 2.0]])).tolist() == [7]
 
     def test_vote_tie_prefers_smaller_summed_distance(self):
         X = np.array([[0.0], [1.0], [10.0], [11.5]])
         y = np.array([0, 0, 1, 1])
         model = knn_fit(X, y, k=4)
         # both classes have 2 votes; class 0 neighbors are nearer
-        assert knn_predict(model, np.array([0.5])) == 0
+        assert knn_predict_batch(model, np.array([[0.5]])).tolist() == [0]
 
     def test_vote_tie_label_order_fallback(self):
         # perfectly symmetric: summed distances equal, smaller label wins
         X = np.array([[-1.0], [1.0]])
         model = knn_fit(X, np.array([4, 2]), k=2)
-        assert knn_predict(model, np.array([0.0])) == 2
-
-    def test_batch_matches_single(self):
-        X = RNG.normal(0, 1, (60, 3))
-        y = RNG.integers(0, 4, 60)
-        model = knn_fit(X, y, k=5)
-        Q = RNG.normal(0, 1, (20, 3))
-        batch = knn_predict_batch(model, Q)
-        assert all(knn_predict(model, q) == p for q, p in zip(Q, batch))
-
-    def test_regress_is_neighbor_mean(self):
-        X = np.array([[0.0], [1.0], [2.0], [10.0]])
-        y = np.array([1.0, 2.0, 3.0, 100.0])
-        model = knn_fit(X, y, k=3)
-        assert knn_regress(model, np.array([1.0])) == pytest.approx(2.0)
+        assert knn_predict_batch(model, np.array([[0.0]])).tolist() == [2]
 
     def test_validation(self):
         with pytest.raises(EmptyModel):
@@ -111,12 +93,12 @@ class TestCentroid:
         X = np.array([[0.0, 0.0], [0.2, 0.0], [4.0, 4.0], [4.2, 4.0]])
         y = np.array([3, 3, 8, 8])
         model = centroid_fit(X, y)
-        assert centroid_predict(model, np.array([0.0, 0.1])) == 3
-        assert centroid_predict(model, np.array([4.0, 4.1])) == 8
+        Q = np.array([[0.0, 0.1], [4.0, 4.1]])
+        assert centroid_predict_batch(model, Q).tolist() == [3, 8]
 
     def test_tie_prefers_lower_class(self):
         model = centroid_fit(np.array([[-1.0], [1.0]]), np.array([9, 2]))
-        assert centroid_predict(model, np.array([0.0])) == 2
+        assert centroid_predict_batch(model, np.array([[0.0]])).tolist() == [2]
 
     def test_score_bounds_and_midpoint(self):
         model = centroid_fit(np.array([[-1.0], [1.0]]), np.array([0, 1]))
@@ -138,11 +120,3 @@ class TestCentroid:
         two = centroid_fit(np.eye(2), np.array([0, 1]))
         with pytest.raises(EmptyModel):
             centroid_score(two, np.zeros(2), 5)
-
-    def test_batch_matches_single(self):
-        X = RNG.normal(0, 1, (50, 4))
-        y = RNG.integers(0, 3, 50)
-        model = centroid_fit(X, y)
-        Q = RNG.normal(0, 1, (15, 4))
-        batch = centroid_predict_batch(model, Q)
-        assert all(centroid_predict(model, q) == p for q, p in zip(Q, batch))

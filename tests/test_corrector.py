@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgest.corrector import (
+    Corrector,
     ErrorGroup,
     RocPoint,
+    build_routing_table,
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
@@ -169,6 +171,22 @@ class TestTrainCorrector:
         )
 
 
+def stub_corrector(group_id):
+    return Corrector(
+        group=ErrorGroup.from_id(group_id),
+        kernel_name="pca:9",
+        classifier_kind="centroid",
+        centroid=None,
+        lda=None,
+        threshold=0.5,
+        enabled=True,
+        train_tp=1,
+        train_positives=1,
+        holdout_tp=0,
+        holdout_positives=0,
+    )
+
+
 class TestGroupClassifier:
     def test_needs_two_groups(self):
         X = np.clip(np.random.default_rng(0).normal(0.3, 0.1, (40, 100)), 0, 1)
@@ -184,10 +202,19 @@ class TestGroupClassifier:
         ids = np.array([21] * 30 + [1] * 30)
         kernel = kernel_fit(parse_kernel_spec("pca:9"), X)
         gc = train_group_classifier(X, ids, kernel)
-        feats = kernel.apply(X[:1])[0]
-        assert gc.assign(feats, [21]) == 21
-        assert gc.assign(feats, [99]) is None
-        assert gc.assign(feats, [1, 21]) in (1, 21)
+        # groups 1 (index_bend->shoot) and 21 (none->shoot) are gated by
+        # base label 1; group 9 (shoot->none) by label 4, but the classifier
+        # never learned it, so label 4 has no route
+        correctors = [stub_corrector(g) for g in (1, 9, 21)]
+        table = build_routing_table(gc, correctors)
+        assert sorted(table.routes) == [1]
+        route = table.routes[1]
+        assert route.gated == route.allowed == (1, 21)
+        assert [c.group.group_id for c in route.correctors] == [1, 21]
+        picks = gc.assign(X, route.centroids)
+        assert picks.tolist() == [1] * 30 + [0] * 30
+        # without a classifier a label routes only when it gates one group
+        assert sorted(build_routing_table(None, correctors).routes) == [4]
 
 
 class TestCascade:

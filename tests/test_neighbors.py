@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from capgest import _neighbors_np, neighbors
+from capgest import neighbors
+from capgest.neighbors import query_topk
 
 
 def brute_oracle(refs, queries, k):
@@ -16,18 +17,8 @@ def brute_oracle(refs, queries, k):
     return out_d, out_i
 
 
-BACKENDS = [("numpy", _neighbors_np.query_topk)]
-try:
-    from capgest import _neighbors_cy
-
-    BACKENDS.append(("cython", _neighbors_cy.query_topk))
-except ImportError:
-    pass
-
-
-@pytest.mark.parametrize("name,query_topk", BACKENDS, ids=[b[0] for b in BACKENDS])
-class TestBackends:
-    def test_matches_oracle_random(self, name, query_topk):
+class TestQueryTopk:
+    def test_matches_oracle_random(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
             n = int(rng.integers(5, 400))
@@ -40,7 +31,7 @@ class TestBackends:
             assert np.array_equal(i_got, i_exp), (trial, n, d, k)
             assert np.allclose(d_got, d_exp, atol=1e-9)
 
-    def test_tie_break_lower_index(self, name, query_topk):
+    def test_tie_break_lower_index(self):
         # integer lattice forces exact distance ties
         rng = np.random.default_rng(1)
         refs = rng.integers(0, 3, (120, 4)).astype(float)
@@ -50,14 +41,14 @@ class TestBackends:
             _, i_exp = brute_oracle(refs, queries, k)
             assert np.array_equal(i_got, i_exp)
 
-    def test_k_out_of_range(self, name, query_topk):
+    def test_k_out_of_range(self):
         refs = np.zeros((3, 2))
         with pytest.raises(ValueError):
             query_topk(refs, refs, 0)
         with pytest.raises(ValueError):
             query_topk(refs, refs, 4)
 
-    def test_chunk_boundary(self, name, query_topk):
+    def test_chunk_boundary(self):
         rng = np.random.default_rng(2)
         refs = rng.normal(0, 1, (30, 3))
         queries = rng.normal(0, 1, (300, 3))  # spans multiple numpy chunks
@@ -68,15 +59,4 @@ class TestBackends:
 
 
 def test_selected_backend_is_known():
-    assert neighbors.BACKEND in ("cython", "numpy")
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled extension not built")
-def test_backends_agree():
-    rng = np.random.default_rng(3)
-    refs = rng.integers(0, 4, (200, 6)).astype(float)
-    queries = rng.integers(0, 4, (100, 6)).astype(float)
-    d_np, i_np = BACKENDS[0][1](refs, queries, 9)
-    d_cy, i_cy = BACKENDS[1][1](refs, queries, 9)
-    assert np.array_equal(i_np, i_cy)
-    assert np.allclose(d_np, d_cy, atol=1e-12)
+    assert neighbors.BACKEND == "numpy"

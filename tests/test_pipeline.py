@@ -122,6 +122,16 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_bundle(path)
 
+    def test_format_1_rejected(self, small_bundle, tmp_path):
+        # format 1 carried the removed one-vs-rest LDA router fields
+        assert BUNDLE_FORMAT_VERSION == 2
+        path = tmp_path / "m.capgest"
+        save_bundle(small_bundle, path)
+        blob = path.read_bytes()
+        path.write_bytes(BUNDLE_MAGIC + bytes([1, 0, 0, 0]) + blob[8:])
+        with pytest.raises(VersionMismatch, match="version 1"):
+            load_bundle(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptFile):
             load_bundle(tmp_path / "absent.capgest")
@@ -142,7 +152,7 @@ class TestBench:
         X = feature_matrix(small_split.test[:20])
         stats = bench_latency(small_bundle, X, warmup=5, iters=30)
         assert stats["n_timed"] == 30
-        assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["max_ms"]
+        assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"] <= stats["max_ms"]
 
     def test_empty_probe(self, small_bundle):
         assert bench_latency(small_bundle, np.empty((0, 100)), iters=0)["n_timed"] == 0

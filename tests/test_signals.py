@@ -21,7 +21,6 @@ from capgest.signals import (
     Sample,
     assemble_sliding,
     extract_exact,
-    extract_sliding,
     feature_matrix,
     flatten,
     label_array,
@@ -127,9 +126,14 @@ class TestExtract:
     def test_sliding_label_rule(self):
         # mark [20, 50]: span 30, eligible window ends are [40, 50]
         mark = GestureMark(20, 50, GestureLabel.FLICK_INDEX)
-        rec = make_recording(70, marks=(mark,))
-        samples = extract_sliding(rec)
-        ends = range(WINDOW_FRAMES - 1, 70)
+        values = np.tile(np.arange(70) / 100.0, (N_CHANNELS, 1))
+        rec = make_recording(values=values, marks=(mark,))
+        samples = assemble_sliding(
+            [rec], flat_calib(), none_ratio=1e9, max_mark_overlap=1.0
+        )
+        # every window is kept; its last frame value tells where it ends
+        ends = [round(s.matrix[0, -1] * 100) for s in samples]
+        assert sorted(ends) == list(range(WINDOW_FRAMES - 1, 70))
         for end, sample in zip(ends, samples):
             expected = (
                 GestureLabel.FLICK_INDEX if 40 <= end <= 50 else GestureLabel.NONE
@@ -137,8 +141,13 @@ class TestExtract:
             assert sample.label is expected, end
 
     def test_sliding_stride(self):
-        rec = make_recording(60)
-        assert len(extract_sliding(rec, stride_frames=5)) == len(range(19, 60, 5))
+        # NONE windows are kept up to a multiple of the gesture windows, so
+        # the recording needs one gesture to keep any
+        rec = make_recording(60, marks=(GestureMark(25, 45, GestureLabel.SHOOT),))
+        samples = assemble_sliding(
+            [rec], flat_calib(), stride_frames=5, none_ratio=1e9, max_mark_overlap=1.0
+        )
+        assert len(samples) == len(range(19, 60, 5))
 
 
 class TestFlatten:
