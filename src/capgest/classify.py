@@ -9,7 +9,7 @@ with the smaller summed distance and then the smaller label value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,16 @@ class KnnModel:
     points: np.ndarray   # (n, d) reference points
     labels: np.ndarray   # (n,) numeric labels
     k: int
+    # derived from the fields above on every construction, never serialized
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
+    classes: np.ndarray = field(init=False, repr=False, compare=False)   # sorted labels
+    codes: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) into classes
+
+    def __post_init__(self) -> None:
+        classes, codes = np.unique(self.labels, return_inverse=True)
+        object.__setattr__(self, "sq_norms", neighbors.sq_norms(self.points))
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "codes", codes.ravel())
 
 
 def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
@@ -40,29 +50,27 @@ def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     return KnnModel(points=X, labels=y.copy(), k=k)
 
 
-def _vote(labels_k: np.ndarray, dist_k: np.ndarray) -> int:
-    classes, counts = np.unique(labels_k, return_counts=True)
-    best = counts.max()
-    tied = classes[counts == best]
-    if len(tied) == 1:
-        return int(tied[0])
-    # nearer tied neighbor set wins: lowest summed distance, then label order
-    sums = [dist_k[labels_k == c].sum() for c in tied]
-    order = np.lexsort((tied, sums))
-    return int(tied[order[0]])
-
-
 def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
+    """Majority vote of the k nearest references per row.
+
+    Among classes tied on votes, the smallest summed neighbor distance wins
+    (summed in neighbor order), then the smallest label.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.points.shape[1]:
         raise DimensionMismatch(
             f"model expects {model.points.shape[1]} features, got {X.shape[1]}"
         )
-    dist, idx = neighbors.query_topk(model.points, X, model.k)
-    labels = np.asarray(model.labels)[idx]
-    return np.array(
-        [_vote(labels[i], dist[i]) for i in range(X.shape[0])], dtype=np.int64
-    )
+    if not len(X):
+        return np.empty(0, dtype=np.int64)
+    dist, idx = neighbors.query_topk(model.points, X, model.k, ref_sq=model.sq_norms)
+    m, c = idx.shape[0], len(model.classes)
+    cells = (np.arange(m)[:, None] * c + model.codes[idx]).ravel()
+    counts = np.bincount(cells, minlength=m * c).reshape(m, c)
+    sums = np.bincount(cells, weights=dist.ravel(), minlength=m * c).reshape(m, c)
+    sums[counts < counts.max(axis=1, keepdims=True)] = np.inf
+    # argmin takes the first minimum and classes are sorted: ties follow label order
+    return model.classes[np.argmin(sums, axis=1)].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +163,16 @@ def centroid_score(
     Requires a two-class model; 0.5 means equidistant (both distances zero
     included), values toward 1 mean nearer the positive centroid.
     """
-    if len(model.classes) != 2:
+    classes = model.classes.tolist()
+    if len(classes) != 2:
         raise EmptyModel("centroid_score needs a two-class model")
-    if positive_class not in model.classes:
+    if positive_class not in classes:
         raise EmptyModel(f"class {positive_class} not in model")
     scalar = np.asarray(x).ndim == 1
     dist = _centroid_distances(model, x)
-    pos_col = int(np.where(model.classes == positive_class)[0][0])
+    pos_col = int(positive_class == classes[1])
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg
-    score = np.where(total > 0, d_neg / np.where(total > 0, total, 1.0), 0.5)
+    score = np.divide(d_neg, total, out=np.full(len(total), 0.5), where=total > 0)
     return float(score[0]) if scalar else score

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, neighbors
+from . import dataio
 from .config import PipelineConfig, format_config, load_config
 from .corrector import format_audit
 from .errors import BudgetError, CapgestError
@@ -144,7 +144,6 @@ def cmd_bench(args) -> int:
     samples = _load_samples(Path(args.data), GenConfig(), args.assembly_seed)
     x = feature_matrix(samples[: args.max_samples])
     stats = bench_latency(bundle, x, warmup=args.warmup, iters=args.iters)
-    print(f"neighbor backend: {neighbors.BACKEND}")
     for key, value in stats.items():
         print(f"{key}: {value}")
     if stats.get("n_timed", 0) and stats["p95_ms"] >= args.budget_ms:
@@ -160,11 +159,16 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(Path(args.bundle))
     if args.features:
         rows = []
-        for line in Path(args.features).read_text(encoding="utf-8").splitlines():
+        lines = Path(args.features).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            values = [float(p) for p in line.split(",")]
+            try:
+                values = [float(p) for p in line.split(",")]
+            except ValueError:
+                print(f"line {number}: feature values must be numbers", file=sys.stderr)
+                return EXIT_DATA
             if len(values) != N_FEATURES:
                 print(f"expected {N_FEATURES} features per line", file=sys.stderr)
                 return EXIT_DATA

@@ -25,7 +25,13 @@ from .classify import (
     lda_score,
 )
 from .embed import FittedKernel, kernel_apply, pca_transform
-from .errors import EmptyCandidateSet, NoPositives, SingleClass, TooFewGroups
+from .errors import (
+    EmptyCandidateSet,
+    NoPositives,
+    NonFiniteInput,
+    SingleClass,
+    TooFewGroups,
+)
 from .signals import GestureLabel
 
 N_LABELS = len(GestureLabel)
@@ -356,6 +362,15 @@ def build_routing_table(
     return RoutingTable(routes=routes, correctors=by_id)
 
 
+def feature_rows(features: np.ndarray) -> np.ndarray:
+    """``features`` as a float (n, d) matrix; raises NonFiniteInput on NaN or inf."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if not np.isfinite(features).all():
+        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
+        raise NonFiniteInput(f"feature row {row} contains NaN or inf")
+    return features
+
+
 def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
     """The cascade for one 100-feature sample: a batch of one."""
     return GestureLabel(int(corrected_predict_batch(bundle, feature_vector)[0]))
@@ -369,7 +384,7 @@ def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
     the zero-FP threshold.  A sample with no route, or routed to a group
     without a corrector, keeps its base prediction.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = feature_rows(features)
     z = pca_transform(bundle.base_pca, features)
     base = knn_predict_batch(bundle.base_knn, z)
     out = base.copy()

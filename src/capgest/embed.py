@@ -8,6 +8,7 @@ intrinsic-dimension estimate characterizes the resulting feature spaces.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -233,13 +234,49 @@ def parse_kernel_spec(text: str) -> KernelSpec:
     raise ParamOutOfRange(f"cannot parse kernel spec {text!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_plan(
+    n_features: int, degree: int
+) -> tuple[np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
+    """Gather plan that builds each degree's monomials from the degree below.
+
+    Returns the variable index of the last factor of every monomial of
+    degree 2..degree, and per degree its output columns together with the
+    output column of each monomial's parent (the monomial without its last
+    factor).  Within a degree, monomials follow
+    ``combinations_with_replacement`` order.
+    """
+    factors, steps = [], []
+    column = {(i,): i for i in range(n_features)}
+    start = n_features
+    for deg in range(2, degree + 1):
+        combos = list(combinations_with_replacement(range(n_features), deg))
+        factors += [c[-1] for c in combos]
+        parent = np.array([column[c[:-1]] for c in combos], dtype=np.intp)
+        parent.flags.writeable = False
+        steps.append((slice(start, start + len(combos)), parent))
+        column = {c: start + j for j, c in enumerate(combos)}
+        start += len(combos)
+    factor = np.array(factors, dtype=np.intp)
+    factor.flags.writeable = False
+    return factor, tuple(steps)
+
+
 def _monomials(B: np.ndarray, degree: int) -> np.ndarray:
-    """All monomials of total degree 1..degree over B's columns, no constant."""
-    cols = []
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(B.shape[1]), deg):
-            cols.append(np.prod(B[:, combo], axis=1))
-    return np.column_stack(cols)
+    """All monomials of total degree 1..degree over B's columns, no constant.
+
+    Columns are ordered by degree, then by ``combinations_with_replacement``;
+    each product equals b_i * b_j * ... taken left to right in index order.
+    """
+    n, p = B.shape
+    factor, steps = _monomial_plan(p, degree)
+    out = np.empty((n, p + len(factor)))
+    out[:, :p] = B
+    out[:, p:] = B.take(factor, axis=1)
+    # IEEE products commute: last factor * parent is bit-equal to parent * last factor
+    for cols, parent in steps:
+        out[:, cols] *= out.take(parent, axis=1)
+    return out
 
 
 def monomial_count(n_features: int, degree: int) -> int:

@@ -78,6 +78,10 @@ class TooFewGroups(DataError):
     """Group classifier needs at least two trainable groups."""
 
 
+class NonFiniteInput(DataError):
+    """A feature row given for prediction contains NaN or inf."""
+
+
 # --- pipeline / persistence -------------------------------------------------
 
 class EmptySplit(DataError):

@@ -13,12 +13,20 @@ BACKEND = "numpy"
 _CHUNK = 256
 
 
+def sq_norms(refs: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each reference row, as ``query_topk`` uses it."""
+    refs = np.ascontiguousarray(refs, dtype=np.float64)
+    return np.einsum("ij,ij->i", refs, refs)
+
+
 def query_topk(
-    refs: np.ndarray, queries: np.ndarray, k: int
+    refs: np.ndarray, queries: np.ndarray, k: int, ref_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of the k nearest refs per query, ascending.
 
-    Ties on distance are broken by lower reference index.
+    Ties on distance are broken by lower reference index.  ``ref_sq`` is
+    ``sq_norms(refs)``, precomputed by callers that query one reference set
+    many times.
     """
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -26,7 +34,8 @@ def query_topk(
     m = queries.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} reference points")
-    ref_sq = np.einsum("ij,ij->i", refs, refs)
+    if ref_sq is None:
+        ref_sq = sq_norms(refs)
     dist = np.empty((m, k))
     idx = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, _CHUNK):

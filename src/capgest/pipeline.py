@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import corrector as corr
+from . import neighbors
 from .classify import (
     CentroidModel,
     KnnModel,
@@ -36,6 +37,7 @@ from .corrector import (
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
+    feature_rows,
     train_corrector,
     train_group_classifier,
 )
@@ -101,7 +103,7 @@ class ModelBundle:
         return corrected_predict_batch(self, features)
 
     def predict_base_batch(self, features: np.ndarray) -> np.ndarray:
-        z = pca_transform(self.base_pca, np.atleast_2d(features))
+        z = pca_transform(self.base_pca, feature_rows(features))
         return knn_predict_batch(self.base_knn, z)
 
 
@@ -528,7 +530,11 @@ def bench_latency(
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0 or iters == 0:
-        return {"n_timed": 0, "hardware": platform.processor() or platform.machine()}
+        return {
+            "n_timed": 0,
+            "backend": neighbors.BACKEND,
+            "hardware": platform.processor() or platform.machine(),
+        }
     n = features.shape[0]
     order = np.random.default_rng(0).permutation(n)
     for i in range(min(warmup, n * 2)):
@@ -547,6 +553,7 @@ def bench_latency(
         "p99_ms": float(np.percentile(ms, 99)),
         "max_ms": float(ms.max()),
         "mean_ms": float(ms.mean()),
+        "backend": neighbors.BACKEND,
         "hardware": platform.processor() or platform.machine(),
     }
 

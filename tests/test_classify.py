@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capgest import neighbors
 from capgest.classify import (
+    _centroid_distances,
     centroid_fit,
     centroid_predict_batch,
     centroid_score,
@@ -13,6 +17,61 @@ from capgest.classify import (
 from capgest.errors import DimensionMismatch, EmptyModel, SingleClass
 
 RNG = np.random.default_rng(99)
+
+
+def reference_vote(labels_k: np.ndarray, dist_k: np.ndarray) -> int:
+    """The former per-row KNN vote, kept as the oracle for the batch vote."""
+    classes, counts = np.unique(labels_k, return_counts=True)
+    best = counts.max()
+    tied = classes[counts == best]
+    if len(tied) == 1:
+        return int(tied[0])
+    # nearer tied neighbor set wins: lowest summed distance, then label order
+    sums = [dist_k[labels_k == c].sum() for c in tied]
+    order = np.lexsort((tied, sums))
+    return int(tied[order[0]])
+
+
+def reference_knn_predict(model, X: np.ndarray) -> list[int]:
+    dist, idx = neighbors.query_topk(model.points, X, model.k)
+    labels = model.labels[idx]
+    return [reference_vote(labels[i], dist[i]) for i in range(len(X))]
+
+
+@st.composite
+def knn_problems(draw):
+    """References, labels, queries and k; half of them on a coarse lattice,
+    where distance and vote ties are common."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        coord = st.sampled_from([0.0, 0.5, 1.0])
+    else:
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+    def rows(count):
+        return st.lists(
+            st.lists(coord, min_size=d, max_size=d), min_size=count, max_size=count
+        )
+
+    classes = draw(st.sampled_from([(4,), (0, 1), (-3, 2, 7), (0, 1, 2, 3, 4)]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    queries = draw(rows(draw(st.integers(1, 8))))
+    # np.sum switches to pairwise summation at 8 terms while the batch vote
+    # sums in neighbor order, so k stays below 16: a tied class then never
+    # has 8 neighbors and the two distance sums agree to the bit
+    k = draw(st.integers(1, min(n, 15)))
+    return np.array(draw(rows(n))), np.array(labels), np.array(queries), k
+
+
+def reference_centroid_score(model, x, positive_class):
+    """The former score formula, kept to check the fast path bit for bit."""
+    dist = _centroid_distances(model, x)
+    pos_col = int(np.where(model.classes == positive_class)[0][0])
+    d_pos = dist[:, pos_col]
+    d_neg = dist[:, 1 - pos_col]
+    total = d_pos + d_neg
+    return np.where(total > 0, d_neg / np.where(total > 0, total, 1.0), 0.5)
 
 
 class TestKnn:
@@ -40,6 +99,31 @@ class TestKnn:
         X = np.array([[-1.0], [1.0]])
         model = knn_fit(X, np.array([4, 2]), k=2)
         assert knn_predict_batch(model, np.array([[0.0]])).tolist() == [2]
+
+    @given(knn_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_vote_matches_reference(self, problem):
+        points, labels, queries, k = problem
+        model = knn_fit(points, labels, k)
+        got = knn_predict_batch(model, queries)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_knn_predict(model, queries)
+
+    def test_k1_and_single_class_neighborhoods(self):
+        X = np.array([[0.0], [0.0], [1.0], [3.0], [3.0], [3.0]])
+        y = np.array([5, 2, 2, 9, 9, 9])
+        Q = np.array([[0.0], [0.9], [3.1], [2.0]])
+        for k in (1, 2, 3, 6):
+            model = knn_fit(X, y, k)
+            assert knn_predict_batch(model, Q).tolist() == reference_knn_predict(model, Q)
+        # k=1 takes the lower-index reference among equidistant ones
+        assert knn_predict_batch(knn_fit(X, y, 1), Q[:1]).tolist() == [5]
+        assert knn_predict_batch(knn_fit(X, y, 3), Q[2:3]).tolist() == [9]
+
+    def test_empty_query_batch(self):
+        model = knn_fit(np.zeros((3, 2)), np.array([0, 1, 1]), k=2)
+        out = knn_predict_batch(model, np.empty((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.int64
 
     def test_validation(self):
         with pytest.raises(EmptyModel):
@@ -120,3 +204,28 @@ class TestCentroid:
         two = centroid_fit(np.eye(2), np.array([0, 1]))
         with pytest.raises(EmptyModel):
             centroid_score(two, np.zeros(2), 5)
+
+    @pytest.mark.parametrize("positive_class", [3, 8])
+    def test_score_bitwise_equal_to_reference(self, positive_class):
+        for _ in range(50):
+            d = int(RNG.integers(1, 6))
+            model = centroid_fit(RNG.normal(0, 1, (6, d)), np.array([3, 3, 3, 8, 8, 8]))
+            Q = np.vstack([RNG.normal(0, 2, (20, d)), model.centroids])
+            got = centroid_score(model, Q, positive_class)
+            want = reference_centroid_score(model, Q, positive_class)
+            assert got.tobytes() == want.tobytes()
+            assert centroid_score(model, Q[0], positive_class) == want[0]
+
+    def test_score_bitwise_equal_at_zero_distance(self):
+        # identical centroids give zero total distance at the centroid itself;
+        # a query on one centroid gives one zero distance
+        same = centroid_fit(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]))
+        apart = centroid_fit(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([0, 1]))
+        for model in (same, apart):
+            Q = np.vstack([model.centroids, [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]])
+            for positive_class in (0, 1):
+                got = centroid_score(model, Q, positive_class)
+                want = reference_centroid_score(model, Q, positive_class)
+                assert got.tobytes() == want.tobytes()
+        assert centroid_score(same, np.array([1.0, 2.0]), 1) == 0.5
+        assert centroid_score(apart, np.array([3.0, 4.0]), 1) == 1.0

@@ -45,7 +45,9 @@ class TestHappyPaths:
              "--budget-ms", "1000"]
         )
         assert code == 0
-        assert "p95_ms" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "p95_ms" in out
+        assert "backend: numpy" in out
 
     def test_bench_budget_violation_exits_3(self, workspace, capsys):
         code = main(
@@ -108,6 +110,26 @@ class TestExitCodes:
     def test_data_error_is_2(self, tmp_path, capsys):
         assert main(["eval", "--data", str(tmp_path), "--bundle", "nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_features_is_2(self, workspace, tmp_path, capsys, bad):
+        path = tmp_path / "nan.csv"
+        row = ["0.25"] * N_FEATURES
+        path.write_text(",".join(row) + "\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8")
+        assert main(
+            ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "NaN or inf" in captured.err
+        assert captured.out == ""
+
+    def test_non_numeric_feature_is_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "text.csv"
+        path.write_text("# probe\n" + ",".join(["0.25"] * 99 + ["x"]) + "\n", encoding="utf-8")
+        assert main(
+            ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
+        ) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_bad_feature_width_is_2(self, workspace, tmp_path):
         path = tmp_path / "bad.csv"

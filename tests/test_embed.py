@@ -1,13 +1,16 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgest.config import PipelineConfig
 from capgest.embed import (
     KernelSpec,
     Standardizer,
+    _monomials,
     dataset_intrinsic_dimension,
     intrinsic_dimension,
     kernel_apply,
@@ -152,8 +155,6 @@ class TestKernels:
         assert k.apply(small_train(10)).shape[1] == k.n_output_features
 
     def test_monomial_count_matches_expansion(self):
-        from capgest.embed import _monomials
-
         B = RNG.normal(0, 1, (20, 5))
         assert _monomials(B, 3).shape[1] == monomial_count(5, 3)
 
@@ -189,6 +190,49 @@ class TestKernels:
         Z = kernel_fit(parse_kernel_spec(text), X).apply(X)
         C = np.cov(Z, rowvar=False, ddof=1)
         assert np.abs(C - np.eye(C.shape[0])).max() < 1e-8
+
+
+def reference_monomials(B: np.ndarray, degree: int) -> np.ndarray:
+    """The former per-column ``_monomials`` body, kept as the oracle."""
+    cols = []
+    for deg in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(B.shape[1]), deg):
+            cols.append(np.prod(B[:, combo], axis=1))
+    return np.column_stack(cols)
+
+
+def _poly_specs(spec: KernelSpec) -> list[KernelSpec]:
+    if spec.kind == "concat":
+        return [p for child in spec.children for p in _poly_specs(child)]
+    return [spec] if spec.kind == "poly" else []
+
+
+CONFIGURED_POLY = sorted(
+    {
+        (p.n_pc, p.n_poly)
+        for name in PipelineConfig().corrector_kernels
+        for p in _poly_specs(parse_kernel_spec(name))
+    }
+)
+
+
+class TestMonomials:
+    def test_configured_specs_are_covered(self):
+        assert {(5, 4), (8, 3)} <= set(CONFIGURED_POLY)
+
+    @pytest.mark.parametrize(
+        "n_pc, degree",
+        [*CONFIGURED_POLY, (2, 2), (20, 2), (2, 7)],
+    )
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    def test_byte_equal_to_reference(self, n_pc, degree, n_rows):
+        # a strided column slice, as kernel_apply passes it
+        B = RNG.normal(0.0, 1.5, (n_rows, n_pc + 3))[:, :n_pc]
+        got = _monomials(B, degree)
+        want = reference_monomials(B, degree)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestIntrinsicDimension:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from capgest import neighbors
 from capgest.config import PipelineConfig, format_config, load_config, parse_config_text
-from capgest.errors import CorruptFile, EmptyEvalSet, EmptySplit, FileFormatError, VersionMismatch
+from capgest.errors import (
+    CorruptFile,
+    DataError,
+    EmptyEvalSet,
+    EmptySplit,
+    FileFormatError,
+    NonFiniteInput,
+    VersionMismatch,
+)
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
@@ -86,6 +95,18 @@ class TestEvaluate:
         assert [int(small_bundle.predict(x)) for x in X] == batch.tolist()
         assert isinstance(small_bundle.predict(X[0]), GestureLabel)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, small_bundle, small_split, bad):
+        X = feature_matrix(small_split.hold[:5])
+        X[3, 17] = bad
+        assert issubclass(NonFiniteInput, DataError)
+        with pytest.raises(NonFiniteInput, match="row 0"):
+            small_bundle.predict(X[3])
+        with pytest.raises(NonFiniteInput, match="row 3"):
+            small_bundle.predict_batch(X)
+        with pytest.raises(NonFiniteInput, match="row 3"):
+            small_bundle.predict_base_batch(X)
+
 
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, small_bundle, small_split, tmp_path):
@@ -97,6 +118,16 @@ class TestPersistence:
         assert np.array_equal(loaded.predict_batch(X), small_bundle.predict_batch(X))
         assert loaded.config == small_bundle.config
         assert loaded.discovered_group_ids == small_bundle.discovered_group_ids
+
+    def test_knn_derived_fields_rebuilt_not_serialized(self, small_bundle, tmp_path):
+        path = tmp_path / "m.capgest"
+        save_bundle(small_bundle, path)
+        knn, loaded = small_bundle.base_knn, load_bundle(path).base_knn
+        for name in ("sq_norms", "classes", "codes"):
+            assert np.array_equal(getattr(loaded, name), getattr(knn, name))
+            assert name not in bundle_state(small_bundle)["base_knn"]
+        assert np.array_equal(knn.sq_norms, neighbors.sq_norms(knn.points))
+        assert np.array_equal(knn.classes[knn.codes], knn.labels)
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -153,9 +184,12 @@ class TestBench:
         stats = bench_latency(small_bundle, X, warmup=5, iters=30)
         assert stats["n_timed"] == 30
         assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"] <= stats["max_ms"]
+        assert stats["backend"] == neighbors.BACKEND
 
     def test_empty_probe(self, small_bundle):
-        assert bench_latency(small_bundle, np.empty((0, 100)), iters=0)["n_timed"] == 0
+        stats = bench_latency(small_bundle, np.empty((0, 100)), iters=0)
+        assert stats["n_timed"] == 0
+        assert stats["backend"] == neighbors.BACKEND
 
     def test_audit_report_sorted(self, small_bundle):
         records = audit_report(small_bundle)
