@@ -83,9 +83,6 @@ class LdaModel:
     bias: float
     mu0: np.ndarray
     mu1: np.ndarray
-    # scatter matrices kept for diagnostics
-    s_w: np.ndarray
-    s_b: np.ndarray
 
 
 def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
@@ -103,13 +100,12 @@ def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
     d = X.shape[1]
     s_w = (x0 - mu0).T @ (x0 - mu0) + (x1 - mu1).T @ (x1 - mu1)
     diff = mu1 - mu0
-    s_b = np.outer(diff, diff)
     lam = 1e-6 * np.trace(s_w) / d
     if lam <= 0:
         lam = 1e-12
     w = np.linalg.solve(s_w + lam * np.eye(d), diff)
     bias = float(w @ (mu0 + mu1) / 2.0)
-    return LdaModel(w=w, bias=bias, mu0=mu0, mu1=mu1, s_w=s_w, s_b=s_b)
+    return LdaModel(w=w, bias=bias, mu0=mu0, mu1=mu1)
 
 
 def lda_score(model: LdaModel, x: np.ndarray) -> np.ndarray | float:

@@ -25,13 +25,7 @@ from .classify import (
     lda_score,
 )
 from .embed import FittedKernel, kernel_apply, pca_transform
-from .errors import (
-    EmptyCandidateSet,
-    NoPositives,
-    NonFiniteInput,
-    SingleClass,
-    TooFewGroups,
-)
+from .errors import NonFiniteInput, SingleClass, TooFewGroups
 from .signals import GestureLabel
 
 N_LABELS = len(GestureLabel)
@@ -60,13 +54,6 @@ class ErrorGroup:
         return f"{self.truth.text}->{self.predicted.text}"
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    tp_count: int
-    fp_count: int
-
-
 def discover_groups(
     truths: np.ndarray, base_preds: np.ndarray, min_support: int = 10
 ) -> list[ErrorGroup]:
@@ -86,65 +73,26 @@ def discover_groups(
     return sorted(groups, key=lambda g: g.group_id)
 
 
-def label_group_binary(
-    truths: np.ndarray, base_preds: np.ndarray, group: ErrorGroup
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate mask and binary labels for one error group.
-
-    Candidates are samples the base model assigned the group's predicted
-    label; a candidate is positive iff its ground truth is the group's truth.
-    """
-    truths = np.asarray(truths)
-    base_preds = np.asarray(base_preds)
-    mask = base_preds == int(group.predicted)
-    if not np.any(mask):
-        raise EmptyCandidateSet(f"group {group.describe()} has no candidates")
-    labels = (truths[mask] == int(group.truth)).astype(np.int64)
-    return mask, labels
-
-
-def roc_counts(scores: np.ndarray, labels: np.ndarray) -> list[RocPoint]:
-    """TP/FP counts at every distinct score, predicting positive at >= threshold."""
-    labels = np.asarray(labels).astype(np.int64)
-    if int(labels.sum()) < 1:
-        raise NoPositives("roc_counts needs at least one positive sample")
-    return _roc_counts_unchecked(scores, labels)
-
-
-def _roc_counts_unchecked(scores: np.ndarray, labels: np.ndarray) -> list[RocPoint]:
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.int64)
-    if len(scores) != len(labels):
-        raise ValueError("scores and labels must have equal length")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    pos = np.cumsum(labels[order] == 1)
-    neg = np.cumsum(labels[order] == 0)
-    # last occurrence of each distinct score carries the cumulative counts
-    last = np.nonzero(np.diff(np.append(s, -np.inf)) != 0)[0]
-    return [RocPoint(float(s[i]), int(pos[i]), int(neg[i])) for i in last]
-
-
 def select_threshold_zero_fp(
-    train_roc: Sequence[RocPoint], holdout_roc: Sequence[RocPoint]
+    train_scores: np.ndarray,
+    train_labels: np.ndarray,
+    holdout_scores: np.ndarray,
+    holdout_labels: np.ndarray,
 ) -> float | None:
-    """Threshold maximizing train TP with zero FP on BOTH sweeps, if any."""
+    """Threshold with the most train TP and zero FP on BOTH sweeps, if any.
 
-    def fp_at(roc: Sequence[RocPoint], threshold: float) -> int:
-        worst = 0
-        for point in roc:
-            if point.threshold >= threshold:
-                worst = max(worst, point.fp_count)
-        return worst
-
-    best: float | None = None
-    best_tp = 0
-    for point in train_roc:
-        if point.fp_count == 0 and point.tp_count >= 1:
-            if fp_at(holdout_roc, point.threshold) == 0 and point.tp_count > best_tp:
-                best = point.threshold
-                best_tp = point.tp_count
-    return best
+    A corrector fires at ``score >= threshold``, so a threshold is safe iff it
+    lies above every negative score of the train and holdout sweeps.  Above
+    that floor every train score is a positive's, so the smallest one there
+    detects the most train positives, and any higher threshold strictly fewer.
+    Returns None when no train score lies above the floor.
+    """
+    negatives = np.concatenate(
+        (train_scores[train_labels == 0], holdout_scores[holdout_labels == 0])
+    )
+    floor = negatives.max() if len(negatives) else -np.inf
+    safe = train_scores[train_scores > floor]
+    return float(safe.min()) if len(safe) else None
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +175,15 @@ class Corrector:
 
 
 def _fit_and_score(kind, feats_train, y_train, feats_holdout):
+    """Fit one binary classifier: (centroid, lda, train scores, holdout scores)."""
     if kind == "centroid":
         model = centroid_fit(feats_train, y_train)
         if len(model.classes) != 2:
             raise SingleClass("both binary classes required")
-        return model, None, np.asarray(centroid_score(model, feats_train, 1)), np.asarray(
-            centroid_score(model, feats_holdout, 1)
-        ) if len(feats_holdout) else np.empty(0)
+        s_train = centroid_score(model, feats_train, 1)
+        return model, None, s_train, centroid_score(model, feats_holdout, 1)
     model = lda_fit(feats_train, y_train)
-    return None, model, np.asarray(lda_score(model, feats_train)), (
-        np.asarray(lda_score(model, feats_holdout)) if len(feats_holdout) else np.empty(0)
-    )
+    return None, model, lda_score(model, feats_train), lda_score(model, feats_holdout)
 
 
 def train_corrector(
@@ -257,17 +203,15 @@ def train_corrector(
     zero false positives on both the train and holdout candidate sweeps, or
     None when no combination can detect a single error safely.
     """
-    try:
-        train_mask, y_train = label_group_binary(train_truths, train_preds, group)
-    except EmptyCandidateSet:
+    def candidates(truths, preds):
+        # the base model said the group's label; positive iff the truth is the group's
+        mask = np.asarray(preds) == int(group.predicted)
+        return mask, (np.asarray(truths)[mask] == int(group.truth)).astype(np.int64)
+
+    train_mask, y_train = candidates(train_truths, train_preds)
+    holdout_mask, y_holdout = candidates(holdout_truths, holdout_preds)
+    if not y_train.any():
         return None
-    if int(y_train.sum()) < 1:
-        return None
-    holdout_preds = np.asarray(holdout_preds)
-    holdout_mask = holdout_preds == int(group.predicted)
-    y_holdout = (
-        np.asarray(holdout_truths)[holdout_mask] == int(group.truth)
-    ).astype(np.int64)
 
     best: Corrector | None = None
     for kernel_name in kernels:
@@ -280,24 +224,21 @@ def train_corrector(
                 )
             except SingleClass:
                 continue
-            train_roc = roc_counts(s_train, y_train)
-            holdout_roc = _roc_counts_unchecked(s_holdout, y_holdout)
-            threshold = select_threshold_zero_fp(train_roc, holdout_roc)
+            threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
             if threshold is None:
                 continue
-            train_tp = int(((s_train >= threshold) & (y_train == 1)).sum())
-            holdout_tp = int(((s_holdout >= threshold) & (y_holdout == 1)).sum())
             candidate = Corrector(
                 group=group,
                 kernel_name=kernel_name,
                 classifier_kind=kind,
                 centroid=cen,
                 lda=lda,
-                threshold=float(threshold),
+                threshold=threshold,
                 enabled=True,
-                train_tp=train_tp,
+                # at or above the threshold every score on both sweeps is a positive's
+                train_tp=int((s_train >= threshold).sum()),
                 train_positives=int(y_train.sum()),
-                holdout_tp=holdout_tp,
+                holdout_tp=int((s_holdout >= threshold).sum()),
                 holdout_positives=int(y_holdout.sum()),
             )
             if best is None or candidate.train_tp > best.train_tp:

@@ -66,14 +66,6 @@ class SingleClass(DataError):
 
 # --- corrector cascade ------------------------------------------------------
 
-class EmptyCandidateSet(DataError):
-    """An error group has no candidate samples to train on."""
-
-
-class NoPositives(DataError):
-    """ROC sweep requested with no positive samples."""
-
-
 class TooFewGroups(DataError):
     """Group classifier needs at least two trainable groups."""
 

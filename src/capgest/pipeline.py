@@ -71,7 +71,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -175,6 +175,9 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         )
         if trained is not None:
             correctors.append(trained)
+    # the bundle keeps only the kernels inference reads
+    used = {c.kernel_name for c in correctors}
+    corrector_kernels = {n: k for n, k in corrector_kernels.items() if n in used}
 
     metadata = {
         "n_train": len(split.train),
@@ -388,8 +391,6 @@ def _corrector_state(c: Corrector) -> dict:
             "bias": c.lda.bias,
             "mu0": c.lda.mu0,
             "mu1": c.lda.mu1,
-            "s_w": c.lda.s_w,
-            "s_b": c.lda.s_b,
         },
         "threshold": c.threshold,
         "enabled": c.enabled,

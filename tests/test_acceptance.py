@@ -14,7 +14,7 @@ import numpy as np
 
 from capgest.classify import centroid_fit, centroid_predict_batch, centroid_score, knn_fit, knn_predict_batch, lda_fit
 from capgest.config import PipelineConfig
-from capgest.corrector import RocPoint, roc_counts
+from capgest.corrector import select_threshold_zero_fp
 from capgest.embed import dataset_intrinsic_dimension, intrinsic_dimension, kernel_fit, parse_kernel_spec, pca_fit
 from capgest.pipeline import (
     BUNDLE_SIZE_BUDGET,
@@ -113,8 +113,19 @@ def _oracle_roc(scores, labels):
     for t in sorted(set(scores.tolist()), reverse=True):
         tp = int(((scores >= t) & (labels == 1)).sum())
         fp = int(((scores >= t) & (labels == 0)).sum())
-        points.append(RocPoint(float(t), tp, fp))
+        points.append((float(t), tp, fp))
     return points
+
+
+def _oracle_zero_fp(train_roc, holdout_roc):
+    """Highest train TP with no FP on either sweep; strict > keeps the
+    highest threshold among equals."""
+    best, best_tp = None, 0
+    for t, tp, fp in train_roc:
+        holdout_fp = max((f for h, _, f in holdout_roc if h >= t), default=0)
+        if fp == 0 and holdout_fp == 0 and tp > best_tp:
+            best, best_tp = t, tp
+    return best
 
 
 def test_criterion_6_oracle_equivalence(record):
@@ -136,19 +147,29 @@ def test_criterion_6_oracle_equivalence(record):
         expected = [_oracle_knn_predict(refs, labels, k, q) for q in queries]
         knn_ok = knn_ok and got.tolist() == expected
 
-    roc_ok = True
+    threshold_ok = True
+    found = 0
+    empty = np.empty(0)
     for _ in range(20):
         n = int(rng.integers(2, 120))
         scores = rng.integers(-4, 5, n).astype(float)  # repeats guaranteed
         labels = rng.integers(0, 2, n)
         labels[int(rng.integers(0, n))] = 1
-        roc_ok = roc_ok and roc_counts(scores, labels) == _oracle_roc(scores, labels)
+        m = int(rng.integers(0, 60))
+        h_scores = rng.integers(-4, 5, m).astype(float)
+        h_labels = rng.integers(0, 2, m)
+        # with the drawn holdout sweep and with none, so that not every case is None
+        for hs, hl in ((h_scores, h_labels), (empty, empty)):
+            expected = _oracle_zero_fp(_oracle_roc(scores, labels), _oracle_roc(hs, hl))
+            got = select_threshold_zero_fp(scores, labels, hs, hl)
+            threshold_ok = threshold_ok and got == expected
+            found += expected is not None
 
     record(
         6,
-        knn_ok and roc_ok,
-        "KNN matches brute-force oracle on 50 instances; "
-        "roc_counts matches quadratic oracle on 20 score sets",
+        knn_ok and threshold_ok and found > 0,
+        "KNN matches brute-force oracle on 50 instances; zero-FP threshold matches "
+        f"quadratic ROC oracle on 20 score sets x 2 holdouts ({found} with a threshold)",
     )
 
 

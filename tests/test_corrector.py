@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,17 @@ from hypothesis import strategies as st
 from capgest.corrector import (
     Corrector,
     ErrorGroup,
-    RocPoint,
     build_routing_table,
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
     format_audit,
-    label_group_binary,
-    roc_counts,
     select_threshold_zero_fp,
     train_corrector,
     train_group_classifier,
 )
 from capgest.embed import kernel_fit, parse_kernel_spec
-from capgest.errors import EmptyCandidateSet, NoPositives, TooFewGroups
+from capgest.errors import TooFewGroups
 from capgest.signals import GestureLabel
 
 
@@ -53,81 +52,97 @@ class TestDiscovery:
         truths = preds = np.zeros(100, dtype=int)
         assert discover_groups(truths, preds, min_support=1) == []
 
-    def test_label_group_binary(self):
-        truths = np.array([4, 4, 1, 0])
-        preds = np.array([1, 1, 1, 0])
-        group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
-        mask, labels = label_group_binary(truths, preds, group)
-        assert mask.tolist() == [True, True, True, False]
-        assert labels.tolist() == [1, 1, 0]
 
-    def test_empty_candidates(self):
-        group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
-        with pytest.raises(EmptyCandidateSet):
-            label_group_binary(np.array([0]), np.array([0]), group)
+@dataclass(frozen=True)
+class RocPoint:
+    threshold: float
+    tp_count: int
+    fp_count: int
 
 
-def roc_oracle(scores, labels):
-    """Quadratic reference: counts at every distinct threshold."""
-    points = []
-    for t in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
-        fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
-        points.append(RocPoint(float(t), tp, fp))
-    return points
+def reference_roc(scores, labels):
+    """TP/FP counts at every distinct score, predicting positive at >= threshold."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    pos = np.cumsum(labels[order] == 1)
+    neg = np.cumsum(labels[order] == 0)
+    # last occurrence of each distinct score carries the cumulative counts
+    last = np.nonzero(np.diff(np.append(s, -np.inf)) != 0)[0]
+    return [RocPoint(float(s[i]), int(pos[i]), int(neg[i])) for i in last]
 
 
-class TestRoc:
-    def test_hand_example(self):
-        scores = np.array([0.9, 0.8, 0.8, 0.1])
-        labels = np.array([1, 0, 1, 0])
-        points = roc_counts(scores, labels)
-        assert points == [RocPoint(0.9, 1, 0), RocPoint(0.8, 2, 1), RocPoint(0.1, 2, 2)]
+def reference_select(train_roc, holdout_roc):
+    """The former O(n*m) scan: maximal train TP with zero FP on both sweeps;
+    strict > on TP, so the highest threshold wins among equals."""
 
-    def test_needs_positives(self):
-        with pytest.raises(NoPositives):
-            roc_counts(np.array([0.5, 0.2]), np.array([0, 0]))
+    def fp_at(roc, threshold):
+        worst = 0
+        for point in roc:
+            if point.threshold >= threshold:
+                worst = max(worst, point.fp_count)
+        return worst
 
-    @given(
-        st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=40),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_with_ties(self, raw_scores, rnd):
-        scores = np.array(raw_scores, dtype=float)
-        labels = np.array([rnd.randint(0, 1) for _ in raw_scores])
-        if labels.sum() == 0:
-            labels[0] = 1
-        assert roc_counts(scores, labels) == roc_oracle(scores, labels)
+    best = None
+    best_tp = 0
+    for point in train_roc:
+        if point.fp_count == 0 and point.tp_count >= 1:
+            if fp_at(holdout_roc, point.threshold) == 0 and point.tp_count > best_tp:
+                best = point.threshold
+                best_tp = point.tp_count
+    return best
 
-    def test_counts_monotone_in_threshold(self):
-        rng = np.random.default_rng(1)
-        scores = rng.normal(0, 1, 200)
-        labels = rng.integers(0, 2, 200)
-        labels[0] = 1
-        points = roc_counts(scores, labels)
-        thresholds = [p.threshold for p in points]
-        assert thresholds == sorted(thresholds, reverse=True)
-        assert all(a.tp_count <= b.tp_count for a, b in zip(points, points[1:]))
-        assert all(a.fp_count <= b.fp_count for a, b in zip(points, points[1:]))
+
+@st.composite
+def sweeps(draw):
+    """Up to 40 scores, lattice in [-5, 5] (heavy ties) or normal, with labels
+    mixed, all positive or all negative."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    if draw(st.booleans()):
+        lattice = st.integers(min_value=-5, max_value=5)
+        scores = np.array(draw(st.lists(lattice, min_size=n, max_size=n)), dtype=float)
+    else:
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        scores = np.random.default_rng(seed).normal(0, 1, n)
+    mix = draw(st.sampled_from(("mixed", "positive", "negative")))
+    if mix == "mixed":
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        labels = np.full(n, int(mix == "positive"))
+    return scores, labels.astype(np.int64)
 
 
 class TestThresholdSelection:
     def test_perfect_separation(self):
-        train = [RocPoint(0.9, 2, 0), RocPoint(0.6, 3, 0), RocPoint(0.2, 3, 4)]
-        assert select_threshold_zero_fp(train, []) == 0.6
+        scores = np.array([0.9, 0.9, 0.6, 0.2, 0.2, 0.2, 0.2])
+        labels = np.array([1, 1, 1, 0, 0, 0, 0])
+        assert select_threshold_zero_fp(scores, labels, np.empty(0), np.empty(0)) == 0.6
 
     def test_no_safe_threshold(self):
-        train = [RocPoint(0.9, 1, 1), RocPoint(0.2, 3, 4)]
-        assert select_threshold_zero_fp(train, []) is None
+        scores = np.array([0.9, 0.9, 0.2, 0.2, 0.2, 0.2, 0.2])
+        labels = np.array([1, 0, 1, 1, 0, 0, 0])
+        assert select_threshold_zero_fp(scores, labels, np.empty(0), np.empty(0)) is None
 
     def test_holdout_vetoes(self):
-        train = [RocPoint(0.9, 2, 0), RocPoint(0.6, 3, 0)]
-        holdout = [RocPoint(0.7, 0, 1)]  # a holdout FP fires at 0.6 but not 0.9
-        assert select_threshold_zero_fp(train, holdout) == 0.9
+        scores = np.array([0.9, 0.9, 0.6])
+        labels = np.array([1, 1, 1])
+        # a holdout negative at 0.7 fires at 0.6 but not at 0.9
+        got = select_threshold_zero_fp(scores, labels, np.array([0.7]), np.array([0]))
+        assert got == 0.9
+
+    def test_needs_positives(self):
+        empty = np.empty(0)
+        scores, labels = np.array([0.5, 0.2]), np.array([0, 0])
+        assert select_threshold_zero_fp(scores, labels, empty, empty) is None
 
     def test_empty_train(self):
-        assert select_threshold_zero_fp([], []) is None
+        empty = np.empty(0)
+        assert select_threshold_zero_fp(empty, empty, empty, empty) is None
+
+    @given(sweeps(), sweeps())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, train, holdout):
+        expected = reference_select(reference_roc(*train), reference_roc(*holdout))
+        assert select_threshold_zero_fp(*train, *holdout) == expected
 
 
 def separable_group_data(n=200, seed=0):

@@ -39,7 +39,9 @@ class TestTraining:
         assert small_bundle.correctors  # at least one corrector trains
         for c in small_bundle.correctors:
             assert c.group.group_id in small_bundle.discovered_group_ids
-            assert c.kernel_name in small_bundle.corrector_kernels
+        # the bundle keeps exactly the kernels some corrector reads
+        used = {c.kernel_name for c in small_bundle.correctors}
+        assert set(small_bundle.corrector_kernels) == used
 
     def test_knn_references_come_from_validation(self, small_bundle, small_split):
         assert small_bundle.base_knn.points.shape[0] == len(small_split.validation)
@@ -60,6 +62,15 @@ class TestTraining:
         # every override fixed a sample the base model got wrong
         changed = corrected != base
         assert np.all(base[changed] != y[changed])
+
+    def test_zero_fp_on_validation(self, small_bundle, small_split):
+        # the validation partition is the holdout sweep of every threshold
+        X = feature_matrix(small_split.validation)
+        y = label_array(small_split.validation)
+        base = small_bundle.predict_base_batch(X)
+        right = base == y
+        assert right.any()
+        assert np.array_equal(small_bundle.predict_batch(X)[right], base[right])
 
     def test_empty_split_rejected(self):
         with pytest.raises(EmptySplit):
@@ -154,14 +165,16 @@ class TestPersistence:
             load_bundle(path)
 
     def test_format_1_rejected(self, small_bundle, tmp_path):
-        # format 1 carried the removed one-vs-rest LDA router fields
-        assert BUNDLE_FORMAT_VERSION == 2
+        # format 1 carried the removed one-vs-rest LDA router fields; format 2
+        # every configured corrector kernel and the LDA scatter matrices
+        assert BUNDLE_FORMAT_VERSION == 3
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        path.write_bytes(BUNDLE_MAGIC + bytes([1, 0, 0, 0]) + blob[8:])
-        with pytest.raises(VersionMismatch, match="version 1"):
-            load_bundle(path)
+        for old in (1, 2):
+            path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
+            with pytest.raises(VersionMismatch, match=f"version {old}"):
+                load_bundle(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptFile):
