@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -307,19 +307,51 @@ class FittedKernel:
         return self.whiten.rotation.shape[1]
 
 
-def kernel_fit(spec: KernelSpec, X_train: np.ndarray) -> FittedKernel:
+_BASIS = "basis"  # memo key of the shared PCA basis; no kernel spec encodes to it
+
+
+def kernel_fit(
+    spec: KernelSpec, X_train: np.ndarray, memo: dict | None = None
+) -> FittedKernel:
+    """Fit ``spec`` on ``X_train``.
+
+    ``memo`` carries work between calls on the same ``X_train``: every fitted
+    kernel by its encoding, and the standardizer with the full-rank centered
+    PCA that every ``pca`` stage truncates.  So a kernel nested in several
+    specs is fitted once, and the training matrix is decomposed once.
+    """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise DegenerateInput("kernel_fit needs a nonempty 2-D training matrix")
+    if memo is None:
+        memo = {}
+    key = spec.encode()
+    if key not in memo:
+        memo[key] = _fit(spec, X_train, memo)
+    return memo[key]
+
+
+def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
     if spec.kind == "pca":
-        std = Standardizer.fit(X_train)
-        Z = std.apply(X_train)
-        n_pc = min(spec.n_pc, min(Z.shape))
-        pca = pca_fit(Z, n_pc, centered=True)
-        P = pca_transform(pca, Z)
+        if _BASIS not in memo:
+            std = Standardizer.fit(X_train)
+            Z = std.apply(X_train)
+            memo[_BASIS] = std, pca_fit(Z, min(Z.shape), centered=True)
+        std, full = memo[_BASIS]
+        # the SVD and the per-column sign fix do not depend on the rank kept,
+        # and the variance ratios divide by the full spectrum: a truncated
+        # full fit equals a fresh fit of n_pc components
+        n_pc = min(spec.n_pc, full.components.shape[1])
+        pca = replace(
+            full,
+            components=full.components[:, :n_pc].copy(),
+            singular_values=full.singular_values[:n_pc].copy(),
+            explained_variance_ratio=full.explained_variance_ratio[:n_pc].copy(),
+        )
+        P = pca_transform(pca, std.apply(X_train))
         return FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten_fit(P))
     if spec.kind == "poly":
-        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train)
+        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
         B = kernel_apply(base, X_train)[:, : spec.n_pc]
         M = _monomials(B, spec.n_poly)
         std = Standardizer.fit(M)
@@ -331,7 +363,7 @@ def kernel_fit(spec: KernelSpec, X_train: np.ndarray) -> FittedKernel:
             raise ParamOutOfRange(
                 f"knn kernel needs k_nn < n_train ({spec.k_nn} >= {X_train.shape[0]})"
             )
-        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train)
+        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
         train_base = kernel_apply(base, X_train)[:, : spec.n_pc]
         D, _ = neighbors.query_topk(train_base, train_base, spec.k_nn)
         std = Standardizer.fit(D)
@@ -344,7 +376,8 @@ def kernel_fit(spec: KernelSpec, X_train: np.ndarray) -> FittedKernel:
         )
     # concat
     return FittedKernel(
-        spec=spec, children=tuple(kernel_fit(c, X_train) for c in spec.children)
+        spec=spec,
+        children=tuple(kernel_fit(c, X_train, memo) for c in spec.children),
     )
 
 

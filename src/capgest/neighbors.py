@@ -1,6 +1,7 @@
 """Exact nearest-neighbor search in numpy.
 
-Chunked so the (m, n) distance block never exceeds a few MB regardless of
+Chunked so the (chunk, n) distance block and its partitioned copy stay in
+the L2 cache for reference sets of several thousand points, whatever the
 query count.
 """
 
@@ -10,7 +11,7 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_CHUNK = 256
+_CHUNK = 32  # against 6,323 references: a 1.6 MB block, 3.2 MB with its copy
 
 
 def sq_norms(refs: np.ndarray) -> np.ndarray:
@@ -40,7 +41,11 @@ def query_topk(
     idx = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, _CHUNK):
         q = queries[lo : lo + _CHUNK]
-        d2 = ref_sq[None, :] - 2.0 * (q @ refs.T)
+        # built in place; scaling by -2 is exact, so this is bit-equal to
+        # ref_sq - 2.0 * (q @ refs.T) + q_sq
+        d2 = q @ refs.T
+        d2 *= -2.0
+        d2 += ref_sq
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
         np.maximum(d2, 0.0, out=d2)
         # argpartition alone breaks ties at the k-th boundary arbitrarily, so

@@ -139,9 +139,13 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
 
     groups = discover_groups(y_train, preds_train, config.min_support)
 
-    # fit every kernel once on the train partition; specs are shared by name
+    # fit every kernel once on the train partition; one memo shares the PCA
+    # basis and any kernel nested in several specs
     kernel_names = list(dict.fromkeys((config.group_kernel, *config.corrector_kernels)))
-    kernels = {name: kernel_fit(parse_kernel_spec(name), x_train) for name in kernel_names}
+    memo: dict = {}
+    kernels = {
+        name: kernel_fit(parse_kernel_spec(name), x_train, memo) for name in kernel_names
+    }
     corrector_kernels = {name: kernels[name] for name in config.corrector_kernels}
     feats_train = {name: kernel_apply(k, x_train) for name, k in corrector_kernels.items()}
     feats_val = {name: kernel_apply(k, x_val) for name, k in corrector_kernels.items()}

@@ -318,7 +318,8 @@ def assemble_sliding(
     class count.  Deterministic for a fixed seed.
     """
     gesture_samples: list[Sample] = []
-    none_pool: list[Sample] = []
+    # NONE windows stay (recording, start, end) until the subsample picks them
+    none_pool: list[tuple[Recording, int, int]] = []
     max_overlap_frames = max_mark_overlap * WINDOW_FRAMES
     for rec in recordings:
         rec = normalize(rec, calib)
@@ -333,12 +334,13 @@ def assemble_sliding(
                 overlap = min(end, mark.end) - max(start, mark.start) + 1
                 if overlap > max_overlap_frames:
                     near_duplicate = True
-            matrix = rec.channels[:, start : end + 1]
-            sample = Sample(matrix=matrix, label=label, user_id=rec.user_id)
             if label is not GestureLabel.NONE:
-                gesture_samples.append(sample)
+                matrix = rec.channels[:, start : end + 1]
+                gesture_samples.append(
+                    Sample(matrix=matrix, label=label, user_id=rec.user_id)
+                )
             elif not near_duplicate:
-                none_pool.append(sample)
+                none_pool.append((rec, start, end))
 
     n_gesture_classes = max(
         1, len({s.label for s in gesture_samples})
@@ -349,7 +351,15 @@ def assemble_sliding(
             random.Random(seed).sample(range(len(none_pool)), target_none)
         )
         none_pool = [none_pool[i] for i in keep]
-    return gesture_samples + none_pool
+    none_samples = [
+        Sample(
+            matrix=rec.channels[:, start : end + 1],
+            label=GestureLabel.NONE,
+            user_id=rec.user_id,
+        )
+        for rec, start, end in none_pool
+    ]
+    return gesture_samples + none_samples
 
 
 def feature_matrix(samples: Sequence[Sample]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations_with_replacement
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from capgest.config import PipelineConfig
 from capgest.embed import (
+    FittedKernel,
     KernelSpec,
     Standardizer,
     _monomials,
@@ -190,6 +192,82 @@ class TestKernels:
         Z = kernel_fit(parse_kernel_spec(text), X).apply(X)
         C = np.cov(Z, rowvar=False, ddof=1)
         assert np.abs(C - np.eye(C.shape[0])).max() < 1e-8
+
+
+def kernel_arrays(obj, path="") -> dict[str, np.ndarray]:
+    """Every array reachable from a fitted kernel, by field path."""
+    if isinstance(obj, np.ndarray):
+        return {path: obj}
+    if isinstance(obj, tuple):
+        return {
+            k: v for i, c in enumerate(obj) for k, v in kernel_arrays(c, f"{path}[{i}]").items()
+        }
+    if dataclasses.is_dataclass(obj):
+        return {
+            k: v
+            for f in dataclasses.fields(obj)
+            for k, v in kernel_arrays(getattr(obj, f.name), f"{path}.{f.name}").items()
+        }
+    return {}
+
+
+DEFAULT_KERNEL_NAMES = list(
+    dict.fromkeys((PipelineConfig().group_kernel, *PipelineConfig().corrector_kernels))
+)
+
+
+class TestSharedFits:
+    def test_memo_fits_equal_independent_fits(self):
+        X = small_train(400)
+        memo: dict = {}
+        for name in [*DEFAULT_KERNEL_NAMES, "knn:5:20"]:
+            spec = parse_kernel_spec(name)
+            shared = kernel_arrays(kernel_fit(spec, X, memo))
+            alone = kernel_arrays(kernel_fit(spec, X))
+            assert shared.keys() == alone.keys() and shared, name
+            for path, want in alone.items():
+                got = shared[path]
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, path)
+                assert got.tobytes() == want.tobytes(), (name, path)
+
+    @pytest.mark.parametrize("n_pc", [3, 9, 20, 100])
+    def test_pca_stage_equals_fresh_fit(self, n_pc):
+        # the former pca kernel body, which decomposed at the requested rank
+        X = small_train(400)
+        std = Standardizer.fit(X)
+        Z = std.apply(X)
+        pca = pca_fit(Z, n_pc, centered=True)
+        want = kernel_arrays(
+            FittedKernel(
+                spec=KernelSpec(kind="pca", n_pc=n_pc),
+                std=std,
+                pca=pca,
+                whiten=whiten_fit(pca_transform(pca, Z)),
+            )
+        )
+        memo: dict = {}
+        kernel_fit(parse_kernel_spec("pca:50"), X, memo)  # the basis comes from another spec
+        got = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X, memo))
+        assert got.keys() == want.keys()
+        for path, w in want.items():
+            assert got[path].shape == w.shape and got[path].tobytes() == w.tobytes(), path
+
+    def test_one_svd_per_distinct_decomposition(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        X = small_train(400)
+        memo: dict = {}
+        for name in DEFAULT_KERNEL_NAMES:
+            kernel_fit(parse_kernel_spec(name), X, memo)
+        # one basis, then one whitening per pca stage (20, 9, 5, 8, 10) and
+        # per poly expansion (5:4, 8:3); fitting each alone takes 15
+        assert len(calls) == 8
 
 
 def reference_monomials(B: np.ndarray, degree: int) -> np.ndarray:

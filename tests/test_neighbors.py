@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgest import neighbors
 from capgest.neighbors import query_topk
@@ -51,11 +53,36 @@ class TestQueryTopk:
     def test_chunk_boundary(self):
         rng = np.random.default_rng(2)
         refs = rng.normal(0, 1, (30, 3))
-        queries = rng.normal(0, 1, (300, 3))  # spans multiple numpy chunks
+        queries = rng.normal(0, 1, (300, 3))
+        assert len(queries) > neighbors._CHUNK  # spans several chunks
         d_got, i_got = query_topk(refs, queries, 7)
         d_exp, i_exp = brute_oracle(refs, queries, 7)
         assert np.array_equal(i_got, i_exp)
         assert np.allclose(d_got, d_exp)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lattice=st.booleans(),
+        n=st.integers(1, 60),
+        d=st.integers(1, 6),
+        m=st.integers(1, 5 * neighbors._CHUNK),  # up to five chunks
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_single_rows(self, seed, lattice, n, d, m, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n), label="k")
+        if lattice:  # {0, 1, 2} coordinates force exact distance ties
+            refs = rng.integers(0, 3, (n, d)).astype(float)
+            queries = rng.integers(0, 3, (m, d)).astype(float)
+        else:
+            refs = rng.normal(0, 1, (n, d))
+            queries = rng.normal(0, 1, (m, d))
+        d_batch, i_batch = query_topk(refs, queries, k)
+        for row in range(m):
+            d_one, i_one = query_topk(refs, queries[row : row + 1], k)
+            assert np.array_equal(i_batch[row], i_one[0]), row
+            assert np.allclose(d_batch[row], d_one[0], rtol=0, atol=1e-12)
 
 
 def test_selected_backend_is_known():

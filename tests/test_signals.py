@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from capgest.signals import (
     split_by_user,
     unflatten,
 )
+from capgest.synth import GenConfig, gen_dataset
 
 
 def make_recording(n_frames=60, user_id="u01", marks=(), values=None):
@@ -243,3 +247,61 @@ class TestAssemble:
         X = feature_matrix(samples)
         assert X.shape == (len(samples), N_FEATURES)
         assert feature_matrix([]).shape == (0, N_FEATURES)
+
+
+def reference_assemble_sliding(
+    recordings, calib, stride_frames=1, none_ratio=1.5, max_mark_overlap=0.75, seed=0
+):
+    """The former ``assemble_sliding`` body, which built a Sample for every
+    window before subsampling; kept as the oracle."""
+    gesture_samples = []
+    none_pool = []
+    max_overlap_frames = max_mark_overlap * WINDOW_FRAMES
+    for rec in recordings:
+        rec = normalize(rec, calib)
+        for end in range(WINDOW_FRAMES - 1, rec.n_frames, stride_frames):
+            start = end - WINDOW_FRAMES + 1
+            label = GestureLabel.NONE
+            near_duplicate = False
+            for mark in rec.gesture_marks:
+                eligible = mark.start + math.ceil(2.0 / 3.0 * (mark.end - mark.start))
+                if eligible <= end <= mark.end:
+                    label = mark.label
+                    break
+                overlap = min(end, mark.end) - max(start, mark.start) + 1
+                if overlap > max_overlap_frames:
+                    near_duplicate = True
+            matrix = rec.channels[:, start : end + 1]
+            sample = Sample(matrix=matrix, label=label, user_id=rec.user_id)
+            if label is not GestureLabel.NONE:
+                gesture_samples.append(sample)
+            elif not near_duplicate:
+                none_pool.append(sample)
+
+    n_gesture_classes = max(1, len({s.label for s in gesture_samples}))
+    target_none = int(round(none_ratio * len(gesture_samples) / n_gesture_classes))
+    if target_none < len(none_pool):
+        keep = sorted(random.Random(seed).sample(range(len(none_pool)), target_none))
+        none_pool = [none_pool[i] for i in keep]
+    return gesture_samples + none_pool
+
+
+class TestAssembleOracle:
+    @pytest.mark.parametrize(
+        "stride, seed, overlap", [(1, 0, 0.75), (1, 7, 0.75), (3, 1, 0.5)]
+    )
+    def test_matches_reference(self, stride, seed, overlap):
+        recordings, calib = gen_dataset(
+            GenConfig(n_users=3, gestures_per_user_per_class=3, none_recordings_per_user=2)
+        )
+        args = dict(stride_frames=stride, max_mark_overlap=overlap, seed=seed)
+        got = assemble_sliding(recordings, calib, **args)
+        want = reference_assemble_sliding(recordings, calib, **args)
+        # the NONE subsample is active: the unsubsampled set is larger
+        unsampled = reference_assemble_sliding(
+            recordings, calib, **{**args, "none_ratio": 1e9}
+        )
+        assert len(want) < len(unsampled)
+        assert np.array_equal(feature_matrix(got), feature_matrix(want))
+        assert np.array_equal(label_array(got), label_array(want))
+        assert [s.user_id for s in got] == [s.user_id for s in want]
