@@ -14,6 +14,8 @@ top-level ``calibration.csv``.
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -40,8 +42,7 @@ def _read_lines(path: Path, magic: str) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or lines[0] != magic:
         raise FileFormatError(f"{path}: expected first line {magic!r}")
     return lines[1:]
@@ -58,6 +59,37 @@ def write_recording(path: Path, recording: Recording) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
+    """(5, n) frame matrix of the rows ``frame,thumb,...,pinky``.
+
+    The body is parsed in one pass over all tokens; the frame column is not
+    read.  Non-finite values are rejected.  On a failure the rows are
+    rescanned, so the error names the first bad row.
+    """
+    n = len(body)
+    if set(map(str.count, body, repeat(","))) <= {N_CHANNELS}:  # per-row column check
+        tokens = ",".join(body).split(",")
+        del tokens[:: N_CHANNELS + 1]
+        try:
+            values = np.fromiter(map(float, tokens), dtype=np.float64, count=n * N_CHANNELS)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return np.ascontiguousarray(values.reshape(n, N_CHANNELS).T)
+    for ln in body:
+        parts = ln.split(",")
+        if len(parts) != N_CHANNELS + 1:
+            raise FileFormatError(f"{path}: bad frame row {ln!r}")
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise FileFormatError(f"{path}: non-finite value in frame row {ln!r}")
+    raise AssertionError("unreachable: every frame row parsed")
+
+
 def read_recording(path: Path, marks_path: Path | None = None) -> Recording:
     lines = _read_lines(path, RECORDING_MAGIC)
     if len(lines) < 3:
@@ -68,16 +100,7 @@ def read_recording(path: Path, marks_path: Path | None = None) -> Recording:
         header[key] = value
     if "user_id" not in header or "sample_rate_hz" not in header:
         raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
-    body = lines[3:]  # skip column header line
-    frames = np.empty((N_CHANNELS, len(body)))
-    for i, ln in enumerate(body):
-        parts = ln.split(",")
-        if len(parts) != N_CHANNELS + 1:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}")
-        try:
-            frames[:, i] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
+    frames = _parse_frames(path, lines[3:])  # skip column header line
     marks: tuple[GestureMark, ...] = ()
     if marks_path is None:
         candidate = path.with_suffix("").with_suffix(".marks.csv")
@@ -168,7 +191,7 @@ def read_dataset(root: Path) -> tuple[list[Recording], CalibrationTable]:
         raise FileFormatError(f"{root}: missing recordings/ directory")
     recordings = [
         read_recording(p)
-        for p in sorted(rec_dir.glob("*.csv"))
+        for p in sorted(rec_dir.glob("*.csv"), key=lambda p: p.name)
         if not p.name.endswith(".marks.csv")
     ]
     if not recordings:

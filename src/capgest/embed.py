@@ -28,6 +28,21 @@ from .errors import (
 _SV_DROP = 1e-10  # directions below this singular value are dropped, not divided by
 
 
+def _svd_sv(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of ``X``, without U.
+
+    ``s`` and ``vt`` are bit-equal to ``np.linalg.svd(X, full_matrices=False)``.
+    LAPACK's ``dgesdd`` first reduces a tall matrix (m >= 11n/6) to the R of
+    its QR factorization and decomposes R; this does the same for m >= 2n but
+    never forms the m x n U.  Other shapes take the direct call.
+    """
+    m, n = X.shape
+    if m >= 2 * n:
+        X = np.linalg.qr(X, mode="r")
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    return s, vt
+
+
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude coordinate positive (determinism)."""
     out = components.copy()
@@ -71,7 +86,7 @@ def pca_fit(X: np.ndarray, n_components: int, centered: bool = False) -> PcaMode
     if centered:
         mean = X.mean(axis=0)
         X = X - mean
-    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    s, vt = _svd_sv(X)
     total = float(np.sum(s**2))
     ratios = s**2 / total if total > 0 else np.zeros_like(s)
     return PcaModel(
@@ -115,7 +130,7 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
     if X.ndim != 2 or X.shape[0] < 2:
         raise DegenerateInput("whitening needs at least 2 samples")
     mean = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
+    s, vt = _svd_sv(X - mean)
     keep = s >= _SV_DROP
     if not np.any(keep):
         raise DegenerateInput("whitening needs at least 2 distinct samples")
@@ -316,9 +331,11 @@ def kernel_fit(
     """Fit ``spec`` on ``X_train``.
 
     ``memo`` carries work between calls on the same ``X_train``: every fitted
-    kernel by its encoding, and the standardizer with the full-rank centered
+    kernel by its encoding, together with its output on ``X_train`` (see
+    :func:`train_output`), and the standardizer with the full-rank centered
     PCA that every ``pca`` stage truncates.  So a kernel nested in several
-    specs is fitted once, and the training matrix is decomposed once.
+    specs is fitted once, the training matrix is decomposed once, and no
+    kernel is applied to the training matrix after its fit.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
@@ -328,10 +345,20 @@ def kernel_fit(
     key = spec.encode()
     if key not in memo:
         memo[key] = _fit(spec, X_train, memo)
-    return memo[key]
+    return memo[key][0]
 
 
-def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
+def train_output(spec: KernelSpec, memo: dict) -> np.ndarray:
+    """Output on ``X_train`` of the kernel ``kernel_fit(spec, X_train, memo)``
+    fitted into ``memo``; bit-equal to ``kernel_apply(kernel, X_train)``."""
+    return memo[spec.encode()][1]
+
+
+def _fit(
+    spec: KernelSpec, X_train: np.ndarray, memo: dict
+) -> tuple[FittedKernel, np.ndarray]:
+    """The fitted kernel and its output on ``X_train``, computed as
+    :func:`kernel_apply` computes it."""
     if spec.kind == "pca":
         if _BASIS not in memo:
             std = Standardizer.fit(X_train)
@@ -349,14 +376,17 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
             explained_variance_ratio=full.explained_variance_ratio[:n_pc].copy(),
         )
         P = pca_transform(pca, std.apply(X_train))
-        return FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten_fit(P))
+        whiten = whiten_fit(P)
+        return FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten), whiten_apply(whiten, P)
     if spec.kind == "poly":
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
-        B = kernel_apply(base, X_train)[:, : spec.n_pc]
-        M = _monomials(B, spec.n_poly)
+        M = _monomials(train_output(base.spec, memo)[:, : spec.n_pc], spec.n_poly)
         std = Standardizer.fit(M)
-        return FittedKernel(
-            spec=spec, std=std, whiten=whiten_fit(std.apply(M)), base=base
+        M = std.apply(M)  # drops the raw monomials before whitening
+        whiten = whiten_fit(M)
+        return (
+            FittedKernel(spec=spec, std=std, whiten=whiten, base=base),
+            whiten_apply(whiten, M),
         )
     if spec.kind == "knn":
         if spec.k_nn >= X_train.shape[0]:
@@ -364,20 +394,20 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
                 f"knn kernel needs k_nn < n_train ({spec.k_nn} >= {X_train.shape[0]})"
             )
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
-        train_base = kernel_apply(base, X_train)[:, : spec.n_pc]
+        train_base = train_output(base.spec, memo)[:, : spec.n_pc]
         D, _ = neighbors.query_topk(train_base, train_base, spec.k_nn)
         std = Standardizer.fit(D)
-        return FittedKernel(
-            spec=spec,
-            std=std,
-            whiten=whiten_fit(std.apply(D)),
-            base=base,
-            train_base=train_base,
+        D = std.apply(D)
+        whiten = whiten_fit(D)
+        fitted = FittedKernel(
+            spec=spec, std=std, whiten=whiten, base=base, train_base=train_base
         )
+        return fitted, whiten_apply(whiten, D)
     # concat
-    return FittedKernel(
-        spec=spec,
-        children=tuple(kernel_fit(c, X_train, memo) for c in spec.children),
+    children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
+    return (
+        FittedKernel(spec=spec, children=children),
+        np.hstack([train_output(c.spec, memo) for c in children]),
     )
 
 
@@ -464,7 +494,7 @@ def dataset_intrinsic_dimension(
     """
     X = np.asarray(X, dtype=np.float64)
     Xc = X - X.mean(axis=0)
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    s, vt = _svd_sv(Xc)
     keep = s >= s[0] / condition_limit
     W = Xc @ vt[keep].T / s[keep] * math.sqrt(X.shape[0] - 1)
     return intrinsic_dimension(W, alpha)

@@ -52,6 +52,7 @@ from .embed import (
     parse_kernel_spec,
     pca_fit,
     pca_transform,
+    train_output,
 )
 from .errors import (
     CorruptFile,
@@ -140,14 +141,14 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     groups = discover_groups(y_train, preds_train, config.min_support)
 
     # fit every kernel once on the train partition; one memo shares the PCA
-    # basis and any kernel nested in several specs
+    # basis, any kernel nested in several specs and every train output
     kernel_names = list(dict.fromkeys((config.group_kernel, *config.corrector_kernels)))
     memo: dict = {}
     kernels = {
         name: kernel_fit(parse_kernel_spec(name), x_train, memo) for name in kernel_names
     }
     corrector_kernels = {name: kernels[name] for name in config.corrector_kernels}
-    feats_train = {name: kernel_apply(k, x_train) for name, k in corrector_kernels.items()}
+    feats_train = {name: train_output(k.spec, memo) for name, k in corrector_kernels.items()}
     feats_val = {name: kernel_apply(k, x_val) for name, k in corrector_kernels.items()}
 
     group_classifier = None

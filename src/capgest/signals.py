@@ -202,12 +202,12 @@ def normalize(recording: Recording, calib: CalibrationTable) -> Recording:
     calibrated range are clamped: live sensors drift past calibration and a
     hard failure there would be useless in deployment.
     """
-    out = np.empty_like(recording.channels)
-    for ch in range(N_CHANNELS):
-        rng = calib.get(recording.user_id, ch)
-        span = rng.max_raw - rng.min_raw
-        out[ch] = np.clip((recording.channels[ch] - rng.min_raw) / span, 0.0, 1.0)
-    return replace(recording, channels=out)
+    ranges = [calib.get(recording.user_id, ch) for ch in range(N_CHANNELS)]
+    lo = np.array([[r.min_raw] for r in ranges])
+    span = np.array([[r.max_raw - r.min_raw] for r in ranges])
+    return replace(
+        recording, channels=np.clip((recording.channels - lo) / span, 0.0, 1.0)
+    )
 
 
 def extract_exact(recording: Recording, mark: GestureMark) -> Sample:

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgest import dataio
+from capgest.cli import main
 from capgest.errors import FileFormatError
 from capgest.signals import (
     CalibrationRange,
@@ -106,3 +111,112 @@ class TestFormatErrors:
     def test_missing_recordings_dir(self, tmp_path):
         with pytest.raises(FileFormatError, match="recordings"):
             dataio.read_dataset(tmp_path)
+
+
+def reference_read_recording(path):
+    """The former row loop of ``read_recording``, kept as the oracle: the
+    (5, n) frame matrix, or the ``FileFormatError`` of the first bad row."""
+    lines = dataio._read_lines(path, dataio.RECORDING_MAGIC)
+    body = lines[3:]
+    frames = np.empty((5, len(body)))
+    for i, ln in enumerate(body):
+        parts = ln.split(",")
+        if len(parts) != 6:
+            raise FileFormatError(f"{path}: bad frame row {ln!r}")
+        try:
+            frames[:, i] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
+    return frames
+
+
+def _finite_or_junk(token: str) -> bool:
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return True
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["", "x", "1.2.3", "0x10", "1e", "--1", "1 2"]),
+    st.text(alphabet="0123456789.eE+-_ xn", max_size=5).filter(_finite_or_junk),
+)
+_TOKEN = st.builds(
+    lambda pad, token, pad2: pad + token + pad2,
+    _PAD,
+    st.one_of(_VALUE, _VALUE, _VALUE, _JUNK),
+    _PAD,
+)
+_FRAME = st.one_of(st.integers(0, 10**5).map(str), st.sampled_from(["", "f", "1.5", "nan"]))
+_ROW = st.builds(
+    lambda frame, values: ",".join([frame, *values]),
+    _FRAME,
+    st.one_of(
+        st.lists(_TOKEN, min_size=5, max_size=5),
+        st.lists(_TOKEN, min_size=5, max_size=5),
+        st.lists(_TOKEN, min_size=3, max_size=7),
+    ),
+).filter(lambda row: row.strip())  # blank lines are dropped before the body
+
+
+def _write_body(path, rows):
+    header = "# capgest-recording v1\nuser_id,u01\nsample_rate_hz,40.0\n"
+    path.write_text(header + "frame,thumb,index,middle,ring,pinky\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+
+
+class TestReaderOracle:
+    """The one-pass body parse against the former row loop."""
+
+    @given(rows=st.lists(_ROW, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_loop(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        _write_body(path, rows)
+        try:
+            want = reference_read_recording(path)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as got:
+                dataio.read_recording(path)
+            assert str(got.value) == str(exc)
+            return
+        got = dataio.read_recording(path).channels
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(
+        rows=st.lists(st.lists(_VALUE, min_size=5, max_size=5), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_value_names_its_row(self, tmp_path_factory, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, 4))
+        rows[i][j] = data.draw(st.sampled_from(["nan", "inf", "-inf", " NaN", "Infinity "]))
+        lines = [",".join([str(k), *r]) for k, r in enumerate(rows)]
+        path = tmp_path_factory.getbasetemp() / "nonfinite.csv"
+        _write_body(path, lines)
+        with pytest.raises(FileFormatError) as got:
+            dataio.read_recording(path)
+        assert str(got.value) == f"{path}: non-finite value in frame row {lines[i].strip()!r}"
+
+
+def test_nan_frame_fails_train_with_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--users", "15", "--per-class", "4"]) == 0
+    # u01 is a validation user at the default split seed: before the reader
+    # rejected NaN, it reached the base KNN and crashed with a bare ValueError
+    path = sorted((data / "recordings").glob("u01_*[0-9].csv"))[0]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    frame, *values = lines[10].split(",")
+    lines[10] = ",".join([frame, "nan", *values[1:]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.capgest")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(lines[10]) in err

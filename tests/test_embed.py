@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgest import embed
 from capgest.config import PipelineConfig
 from capgest.embed import (
     FittedKernel,
     KernelSpec,
     Standardizer,
     _monomials,
+    _svd_sv,
     dataset_intrinsic_dimension,
     intrinsic_dimension,
     kernel_apply,
@@ -22,6 +24,7 @@ from capgest.embed import (
     pca_fit,
     pca_transform,
     separability_probability,
+    train_output,
     whiten_apply,
     whiten_fit,
 )
@@ -268,6 +271,67 @@ class TestSharedFits:
         # one basis, then one whitening per pca stage (20, 9, 5, 8, 10) and
         # per poly expansion (5:4, 8:3); fitting each alone takes 15
         assert len(calls) == 8
+
+    def test_train_outputs_equal_apply(self):
+        X = small_train(400)
+        memo: dict = {}
+        for name in [*DEFAULT_KERNEL_NAMES, "knn:5:20"]:
+            kernel_fit(parse_kernel_spec(name), X, memo)
+        # the configured kernels and every kernel nested in them
+        names = [key for key in memo if key != embed._BASIS]
+        assert {"pca:5", "pca:8", "pca:10"} <= set(names)
+        for name in names:
+            spec = parse_kernel_spec(name)
+            want = kernel_apply(kernel_fit(spec, X, memo), X)
+            got = train_output(spec, memo)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_fits_apply_no_kernel(self, monkeypatch):
+        calls = []
+        apply = embed.kernel_apply
+
+        def counting_apply(kernel, X):
+            calls.append(kernel.spec.encode())
+            return apply(kernel, X)
+
+        monkeypatch.setattr(embed, "kernel_apply", counting_apply)
+        memo: dict = {}
+        for name in DEFAULT_KERNEL_NAMES:
+            kernel_fit(parse_kernel_spec(name), small_train(400), memo)
+        assert calls == []
+
+
+def _rank_deficient(m: int, n: int, seed: int) -> np.ndarray:
+    """Centered m x n matrix whose last columns repeat scaled earlier ones,
+    like a whitening input of monomials."""
+    rng = np.random.default_rng(seed)
+    X = np.clip(rng.normal(0.3, 0.2, (m, n)), 0.0, 1.0)
+    k = max(1, n // 10)
+    X[:, n - k :] = 2.0 * X[:, :k]
+    return X - X.mean(axis=0)
+
+
+class TestSvdWithoutU:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # training: base pca and shared basis, poly:5:4 and poly:8:3 whitening
+            (16940, 100), (16940, 125), (16940, 164),
+            # criterion 7: the 1,500-row basis and its whitening widths
+            *[(1500, n) for n in (5, 9, 10, 20, 30, 50, 100, 125, 164)],
+            # near square, both sides of the QR cut at m = 2n
+            (150, 100), (183, 100), (184, 100), (199, 100), (200, 100), (201, 100),
+            (100, 100), (60, 100),
+        ],
+    )
+    def test_byte_equal_to_svd(self, shape):
+        X = _rank_deficient(*shape, seed=shape[0] + shape[1])
+        s, vt = _svd_sv(X)
+        _, want_s, want_vt = np.linalg.svd(X, full_matrices=False)
+        assert s.shape == want_s.shape and vt.shape == want_vt.shape
+        assert s.tobytes() == want_s.tobytes()
+        assert vt.tobytes() == want_vt.tobytes()
 
 
 def reference_monomials(B: np.ndarray, degree: int) -> np.ndarray:

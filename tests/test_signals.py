@@ -109,6 +109,23 @@ class TestNormalize:
         with pytest.raises(MissingCalibration):
             normalize(make_recording(), CalibrationTable())
 
+    @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 50))
+    @settings(max_examples=50, deadline=None)
+    def test_byte_equal_to_per_channel_loop(self, seed, n_frames):
+        rng = np.random.default_rng(seed)
+        rec = make_recording(values=rng.uniform(-500.0, 1500.0, (N_CHANNELS, n_frames)))
+        table = CalibrationTable()
+        for ch in range(N_CHANNELS):
+            lo = float(rng.uniform(0.0, 600.0))
+            table.set("u01", ch, CalibrationRange(lo, lo + float(rng.uniform(1e-3, 900.0))))
+        # the former body of normalize, one channel slice at a time
+        want = np.empty_like(rec.channels)
+        for ch in range(N_CHANNELS):
+            r = table.get("u01", ch)
+            want[ch] = np.clip((rec.channels[ch] - r.min_raw) / (r.max_raw - r.min_raw), 0.0, 1.0)
+        got = normalize(rec, table).channels
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestExtract:
     def test_exact_resamples_to_window(self):
