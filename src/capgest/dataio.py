@@ -14,7 +14,6 @@ top-level ``calibration.csv``.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -63,8 +62,8 @@ def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
     """(5, n) frame matrix of the rows ``frame,thumb,...,pinky``.
 
     The body is parsed in one pass over all tokens; the frame column is not
-    read.  Non-finite values are rejected.  On a failure the rows are
-    rescanned, so the error names the first bad row.
+    read.  If that pass fails, the rows are parsed one at a time, so the
+    error names the first bad row.  Non-finite values are rejected.
     """
     n = len(body)
     if set(map(str.count, body, repeat(","))) <= {N_CHANNELS}:  # per-row column check
@@ -77,17 +76,18 @@ def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
         else:
             if np.isfinite(values).all():
                 return np.ascontiguousarray(values.reshape(n, N_CHANNELS).T)
-    for ln in body:
+    frames = np.empty((N_CHANNELS, n))
+    for i, ln in enumerate(body):
         parts = ln.split(",")
         if len(parts) != N_CHANNELS + 1:
             raise FileFormatError(f"{path}: bad frame row {ln!r}")
         try:
-            values = [float(p) for p in parts[1:]]
+            frames[:, i] = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
-        if not all(map(math.isfinite, values)):
+        if not np.isfinite(frames[:, i]).all():
             raise FileFormatError(f"{path}: non-finite value in frame row {ln!r}")
-    raise AssertionError("unreachable: every frame row parsed")
+    return frames
 
 
 def read_recording(path: Path, marks_path: Path | None = None) -> Recording:

@@ -377,7 +377,10 @@ def _fit(
         )
         P = pca_transform(pca, std.apply(X_train))
         whiten = whiten_fit(P)
-        return FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten), whiten_apply(whiten, P)
+        return (
+            FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten),
+            whiten_apply(whiten, P),
+        )
     if spec.kind == "poly":
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
         M = _monomials(train_output(base.spec, memo)[:, : spec.n_pc], spec.n_poly)
@@ -399,10 +402,10 @@ def _fit(
         std = Standardizer.fit(D)
         D = std.apply(D)
         whiten = whiten_fit(D)
-        fitted = FittedKernel(
-            spec=spec, std=std, whiten=whiten, base=base, train_base=train_base
+        return (
+            FittedKernel(spec=spec, std=std, whiten=whiten, base=base, train_base=train_base),
+            whiten_apply(whiten, D),
         )
-        return fitted, whiten_apply(whiten, D)
     # concat
     children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
     return (
