@@ -324,6 +324,7 @@ class TestSvdWithoutU:
             (150, 100), (183, 100), (184, 100), (199, 100), (200, 100), (201, 100),
             (100, 100), (60, 100),
         ],
+        ids=lambda shape: f"{shape[0]}x{shape[1]}",
     )
     def test_byte_equal_to_svd(self, shape):
         X = _rank_deficient(*shape, seed=shape[0] + shape[1])
