@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neighbors
+from .embed import as_rows
 from .errors import DimensionMismatch, EmptyModel, SingleClass
 
 
@@ -56,21 +57,21 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     Among classes tied on votes, the smallest summed neighbor distance wins
     (summed in neighbor order), then the smallest label.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.points.shape[1]:
-        raise DimensionMismatch(
-            f"model expects {model.points.shape[1]} features, got {X.shape[1]}"
-        )
+    X = as_rows(X, model.points.shape[1])
     if not len(X):
         return np.empty(0, dtype=np.int64)
     dist, idx = neighbors.query_topk(model.points, X, model.k, ref_sq=model.sq_norms)
     m, c = idx.shape[0], len(model.classes)
-    cells = (np.arange(m)[:, None] * c + model.codes[idx]).ravel()
+    # one bincount cell per (row, class); a single row needs no row offset
+    cells = model.codes[idx]
+    if m > 1:
+        cells += np.arange(m)[:, None] * c
+    cells = cells.ravel()
     counts = np.bincount(cells, minlength=m * c).reshape(m, c)
     sums = np.bincount(cells, weights=dist.ravel(), minlength=m * c).reshape(m, c)
     sums[counts < counts.max(axis=1, keepdims=True)] = np.inf
     # argmin takes the first minimum and classes are sorted: ties follow label order
-    return model.classes[np.argmin(sums, axis=1)].astype(np.int64)
+    return model.classes[sums.argmin(axis=1)].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,12 @@ def lda_score(model: LdaModel, x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return float(x @ model.w - model.bias)
-    return x @ model.w - model.bias
+    return lda_scores(model, x)
+
+
+def lda_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
+    """Scores of the rows of a float (n, d) matrix, unchecked."""
+    return X @ model.w - model.bias
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +142,13 @@ def centroid_fit(X: np.ndarray, y: np.ndarray) -> CentroidModel:
 
 
 def _centroid_distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.centroids.shape[1]:
-        raise DimensionMismatch(
-            f"model expects {model.centroids.shape[1]} features, got {X.shape[1]}"
-        )
+    """Distances of the rows of a float (n, d) matrix to each centroid, unchecked."""
     diff = X[:, None, :] - model.centroids[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def centroid_predict_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
-    dist = _centroid_distances(model, X)
+    dist = _centroid_distances(model, as_rows(X, model.centroids.shape[1]))
     # argmin returns the first minimum; classes are sorted, so ties follow label order
     return model.classes[np.argmin(dist, axis=1)]
 
@@ -165,10 +167,16 @@ def centroid_score(
     if positive_class not in classes:
         raise EmptyModel(f"class {positive_class} not in model")
     scalar = np.asarray(x).ndim == 1
-    dist = _centroid_distances(model, x)
     pos_col = int(positive_class == classes[1])
+    score = centroid_scores(model, as_rows(x, model.centroids.shape[1]), pos_col)
+    return float(score[0]) if scalar else score
+
+
+def centroid_scores(model: CentroidModel, X: np.ndarray, pos_col: int) -> np.ndarray:
+    """``centroid_score`` of the rows of a float (n, d) matrix, unchecked;
+    ``pos_col`` is the positive class's row of ``model.centroids``."""
+    dist = _centroid_distances(model, X)
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg
-    score = np.divide(d_neg, total, out=np.full(len(total), 0.5), where=total > 0)
-    return float(score[0]) if scalar else score
+    return np.divide(d_neg, total, out=np.full(len(total), 0.5), where=total > 0)

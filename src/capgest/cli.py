@@ -170,7 +170,10 @@ def cmd_predict(args) -> int:
                 print(f"line {number}: feature values must be numbers", file=sys.stderr)
                 return EXIT_DATA
             if len(values) != N_FEATURES:
-                print(f"expected {N_FEATURES} features per line", file=sys.stderr)
+                print(
+                    f"line {number}: expected {N_FEATURES} features, got {len(values)}",
+                    file=sys.stderr,
+                )
                 return EXIT_DATA
             rows.append(values)
         preds = bundle.predict_batch(np.asarray(rows))

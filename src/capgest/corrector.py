@@ -20,12 +20,20 @@ from .classify import (
     LdaModel,
     centroid_fit,
     centroid_score,
+    centroid_scores,
     knn_predict_batch,
     lda_fit,
     lda_score,
+    lda_scores,
 )
 from .embed import FittedKernel, kernel_apply, pca_transform
-from .errors import NonFiniteInput, SingleClass, TooFewGroups
+from .errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NonNumericInput,
+    SingleClass,
+    TooFewGroups,
+)
 from .signals import GestureLabel
 
 N_LABELS = len(GestureLabel)
@@ -119,7 +127,7 @@ class GroupClassifier:
         """
         feats = kernel_apply(self.kernel, features)
         diff = feats[:, None, :] - centroids[None, :, :]
-        return np.argmin(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), axis=1)
+        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).argmin(axis=1)
 
 
 def train_group_classifier(
@@ -168,10 +176,17 @@ class Corrector:
     holdout_positives: int
 
     def score(self, kernel_features: np.ndarray) -> np.ndarray:
-        kernel_features = np.atleast_2d(kernel_features)
+        """Score of each row of a float (n, d) matrix of this corrector's
+        kernel features.
+
+        The matrix is not checked: its width is the kernel's output width,
+        which the bundle checks when it is built.  Class 1 (the group's
+        errors) is the centroid model's second row, as its classes are the
+        sorted {0, 1}.
+        """
         if self.classifier_kind == "centroid":
-            return np.atleast_1d(centroid_score(self.centroid, kernel_features, 1))
-        return np.atleast_1d(lda_score(self.lda, kernel_features))
+            return centroid_scores(self.centroid, kernel_features, 1)
+        return lda_scores(self.lda, kernel_features)
 
 
 def _fit_and_score(kind, feats_train, y_train, feats_holdout):
@@ -303,9 +318,23 @@ def build_routing_table(
     return RoutingTable(routes=routes, correctors=by_id)
 
 
-def feature_rows(features: np.ndarray) -> np.ndarray:
-    """``features`` as a float (n, d) matrix; raises NonFiniteInput on NaN or inf."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np.ndarray:
+    """``features`` as a float (n, n_features) matrix: the cascade's one input check.
+
+    A 1-D ``features`` is one row.  With ``one`` the input must be exactly
+    one row.  Raises NonNumericInput when a value is not a number,
+    DimensionMismatch on any other shape and NonFiniteInput on NaN or inf.
+    """
+    try:
+        features = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise NonNumericInput(f"feature values must be numbers: {exc}") from None
+    shape = features.shape
+    if features.ndim == 1:
+        features = features[None, :]
+    if features.ndim != 2 or features.shape[1] != n_features or (one and len(features) != 1):
+        what = "one feature row" if one else "feature rows"
+        raise DimensionMismatch(f"expects {what} of {n_features} values, got shape {shape}")
     if not np.isfinite(features).all():
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
         raise NonFiniteInput(f"feature row {row} contains NaN or inf")
@@ -313,8 +342,13 @@ def feature_rows(features: np.ndarray) -> np.ndarray:
 
 
 def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
-    """The cascade for one 100-feature sample: a batch of one."""
-    return GestureLabel(int(corrected_predict_batch(bundle, feature_vector)[0]))
+    """The cascade for one 100-feature sample: a batch of one.
+
+    ``feature_vector`` is one row, 1-D or (1, 100); any other shape raises
+    DimensionMismatch.
+    """
+    width = bundle.base_pca.components.shape[0]
+    return GestureLabel(int(_cascade(bundle, feature_rows(feature_vector, width, one=True))[0]))
 
 
 def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
@@ -325,13 +359,39 @@ def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
     the zero-FP threshold.  A sample with no route, or routed to a group
     without a corrector, keeps its base prediction.
     """
-    features = feature_rows(features)
-    z = pca_transform(bundle.base_pca, features)
-    base = knn_predict_batch(bundle.base_knn, z)
+    return _cascade(bundle, feature_rows(features, bundle.base_pca.components.shape[0]))
+
+
+def _cascade(bundle, features: np.ndarray) -> np.ndarray:
+    """The cascade on a matrix that :func:`feature_rows` checked."""
+    base = knn_predict_batch(bundle.base_knn, pca_transform(bundle.base_pca, features))
     out = base.copy()
-    # skip absent labels before the per-label scan: a batch of one has one
+    for corrector, rows in _routed_rows(bundle, features, base):
+        kernel = bundle.corrector_kernels[corrector.kernel_name]
+        x = features if rows is None else features[rows]
+        fired = corrector.score(kernel_apply(kernel, x)) >= corrector.threshold
+        out[fired if rows is None else rows[fired]] = int(corrector.group.truth)
+    return out
+
+
+def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
+    """Each enabled corrector that some rows are routed to, with the indices
+    of those rows, or None for all rows of a batch of one."""
+    routes = bundle.routing.routes
+    if len(base) == 1:
+        # its label's route and its one pick, without the scan and the masks
+        route = routes.get(int(base[0]))
+        if route is None:
+            return
+        pick = 0
+        if len(route.allowed) > 1:
+            pick = int(bundle.group_classifier.assign(features, route.centroids)[0])
+        if route.correctors[pick] is not None:
+            yield route.correctors[pick], None
+        return
+    # skip absent labels before the per-label scan
     present = set(base.tolist())
-    for label, route in bundle.routing.routes.items():
+    for label, route in routes.items():
         if label not in present:
             continue
         rows = np.flatnonzero(base == label)
@@ -343,12 +403,8 @@ def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
             if corrector is None:
                 continue
             routed = rows[picks == pick]
-            if not len(routed):
-                continue
-            kernel = bundle.corrector_kernels[corrector.kernel_name]
-            scores = corrector.score(kernel_apply(kernel, features[routed]))
-            out[routed[scores >= corrector.threshold]] = int(corrector.group.truth)
-    return out
+            if len(routed):
+                yield corrector, routed
 
 
 def audit_records(correctors: Sequence[Corrector]) -> list[dict]:

@@ -98,12 +98,26 @@ def pca_fit(X: np.ndarray, n_components: int, centered: bool = False) -> PcaMode
     )
 
 
+def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
+    """``X`` as a float (n, n_features) matrix; a 1-D ``X`` is one row.
+
+    The one check of a public transform's input.  Model-internal stages take
+    the matrix their caller checked and convert nothing.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    shape = X.shape
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(f"model expects {n_features} features, got shape {shape}")
+    return X
+
+
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.components.shape[0]:
-        raise DimensionMismatch(
-            f"model expects {model.components.shape[0]} features, got {X.shape[1]}"
-        )
+    return _project(model, as_rows(X, model.components.shape[0]))
+
+
+def _project(model: PcaModel, X: np.ndarray) -> np.ndarray:
     if model.centered:
         X = X - model.mean
     return X @ model.components
@@ -140,11 +154,10 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
 
 
 def whiten_apply(model: WhitenModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.rotation.shape[0]:
-        raise DimensionMismatch(
-            f"model expects {model.rotation.shape[0]} features, got {X.shape[1]}"
-        )
+    return _whiten(model, as_rows(X, model.rotation.shape[0]))
+
+
+def _whiten(model: WhitenModel, X: np.ndarray) -> np.ndarray:
     return (X - model.mean) @ model.rotation * model.scale
 
 
@@ -316,6 +329,12 @@ class FittedKernel:
         return kernel_apply(self, X)
 
     @property
+    def n_input_features(self) -> int:
+        if self.spec.kind == "pca":
+            return self.std.mean.shape[0]
+        return (self.base or self.children[0]).n_input_features
+
+    @property
     def n_output_features(self) -> int:
         if self.spec.kind == "concat":
             return sum(c.n_output_features for c in self.children)
@@ -415,20 +434,77 @@ def _fit(
 
 
 def kernel_apply(kernel: FittedKernel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """The kernel's features of each row of ``X``.
+
+    Checks ``X`` once against the kernel's input width; the pca, whitening
+    and standardizing stages run on the checked matrix unchecked.  Their
+    shapes are checked when a bundle is built (:func:`kernel_output_width`).
+    Nested kernels are applied through this function, so each is a span of
+    its own when the name is traced.
+    """
+    X = as_rows(X, kernel.n_input_features)
     spec = kernel.spec
     if spec.kind == "pca":
-        return whiten_apply(
-            kernel.whiten, pca_transform(kernel.pca, kernel.std.apply(X))
-        )
+        return _whiten(kernel.whiten, _project(kernel.pca, kernel.std.apply(X)))
     if spec.kind == "poly":
         B = kernel_apply(kernel.base, X)[:, : spec.n_pc]
-        return whiten_apply(kernel.whiten, kernel.std.apply(_monomials(B, spec.n_poly)))
+        return _whiten(kernel.whiten, kernel.std.apply(_monomials(B, spec.n_poly)))
     if spec.kind == "knn":
         B = kernel_apply(kernel.base, X)[:, : spec.n_pc]
         D, _ = neighbors.query_topk(kernel.train_base, B, spec.k_nn)
-        return whiten_apply(kernel.whiten, kernel.std.apply(D))
+        return _whiten(kernel.whiten, kernel.std.apply(D))
     return np.hstack([kernel_apply(c, X) for c in kernel.children])
+
+
+def kernel_output_width(kernel: FittedKernel, n_features: int) -> int:
+    """Output width of ``kernel`` on ``n_features``-wide input, after checking
+    that every stage's arrays fit the width of the stage before.
+
+    Raises DimensionMismatch naming the kernel and the stage that does not
+    fit, so that a bundle is rejected when it is built, not at a prediction.
+    """
+    spec = kernel.spec
+    name = spec.encode()
+
+    def expect(stage: str, got: tuple, want: tuple) -> None:
+        if got != want:
+            raise DimensionMismatch(
+                f"kernel {name}: {stage} has shape {got}, expected {want}"
+            )
+
+    if spec.kind == "concat":
+        return sum(kernel_output_width(c, n_features) for c in kernel.children)
+    if spec.kind == "pca":
+        width = n_features
+        expect("std.mean", kernel.std.mean.shape, (width,))
+        expect("std.scale", kernel.std.scale.shape, (width,))
+        n_pc = kernel.pca.components.shape[1]
+        expect("pca.components", kernel.pca.components.shape, (width, n_pc))
+        if kernel.pca.centered:
+            expect("pca.mean", kernel.pca.mean.shape, (width,))
+        width = n_pc
+    else:
+        width = kernel_output_width(kernel.base, n_features)
+        if width < spec.n_pc:
+            raise DimensionMismatch(
+                f"kernel {name}: base gives {width} features, the spec needs {spec.n_pc}"
+            )
+        if spec.kind == "poly":
+            width = monomial_count(spec.n_pc, spec.n_poly)
+        else:
+            expect("train_base", kernel.train_base.shape[1:], (spec.n_pc,))
+            if len(kernel.train_base) < spec.k_nn:
+                raise DimensionMismatch(
+                    f"kernel {name}: {len(kernel.train_base)} reference points, k_nn {spec.k_nn}"
+                )
+            width = spec.k_nn
+        expect("std.mean", kernel.std.mean.shape, (width,))
+        expect("std.scale", kernel.std.scale.shape, (width,))
+    rotation = kernel.whiten.rotation
+    expect("whiten.mean", kernel.whiten.mean.shape, (width,))
+    expect("whiten.rotation", rotation.shape[:1], (width,))
+    expect("whiten.scale", kernel.whiten.scale.shape, rotation.shape[1:])
+    return rotation.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,10 @@ class NonFiniteInput(DataError):
     """A feature row given for prediction contains NaN or inf."""
 
 
+class NonNumericInput(DataError):
+    """A feature value given for prediction is not a number."""
+
+
 # --- pipeline / persistence -------------------------------------------------
 
 class EmptySplit(DataError):
@@ -90,6 +94,10 @@ class VersionMismatch(DataError):
 
 class OversizeBundle(BudgetError):
     """Serialized bundle exceeds the size budget."""
+
+
+class InconsistentBundle(DataError):
+    """The parts of a model bundle disagree on array shapes or names."""
 
 
 class CorruptFile(DataError):

@@ -37,27 +37,46 @@ def query_topk(
         raise ValueError(f"k={k} out of range for {n} reference points")
     if ref_sq is None:
         ref_sq = sq_norms(refs)
+    if m == 1:
+        # one query, as the chunk loop computes it, without its bookkeeping
+        d2 = _sq_distances(queries, refs, ref_sq)[0]
+        kth = np.partition(d2, k - 1)[k - 1] if k < n else d2.max()
+        order = _nearest(d2, kth, k)
+        return np.sqrt(d2[order])[None, :], order[None, :]
     dist = np.empty((m, k))
     idx = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, _CHUNK):
         q = queries[lo : lo + _CHUNK]
-        # built in place; scaling by -2 is exact, so this is bit-equal to
-        # ref_sq - 2.0 * (q @ refs.T) + q_sq
-        d2 = q @ refs.T
-        d2 *= -2.0
-        d2 += ref_sq
-        d2 += np.einsum("ij,ij->i", q, q)[:, None]
-        np.maximum(d2, 0.0, out=d2)
-        # argpartition alone breaks ties at the k-th boundary arbitrarily, so
-        # gather every candidate tied with the boundary before sorting
+        d2 = _sq_distances(q, refs, ref_sq)
         if k < n:
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
         else:
             kth = d2.max(axis=1)
         for row in range(q.shape[0]):
-            cand = np.nonzero(d2[row] <= kth[row])[0]
-            order = cand[np.argsort(d2[row, cand], kind="stable")][:k]
+            order = _nearest(d2[row], kth[row], k)
             idx[lo + row] = order
             dist[lo + row] = d2[row, order]
     np.sqrt(dist, out=dist)
     return dist, idx
+
+
+def _sq_distances(q: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray) -> np.ndarray:
+    """Squared distances of each row of ``q`` to each reference, clipped at 0."""
+    # built in place; scaling by -2 is exact, so this is bit-equal to
+    # ref_sq - 2.0 * (q @ refs.T) + q_sq
+    d2 = q @ refs.T
+    d2 *= -2.0
+    d2 += ref_sq
+    d2 += np.einsum("ij,ij->i", q, q)[:, None]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _nearest(d2: np.ndarray, kth: float, k: int) -> np.ndarray:
+    """Indices of the k smallest of ``d2`` (1-D), ties to the lower index.
+
+    argpartition alone breaks ties at the k-th boundary arbitrarily, so every
+    candidate tied with the boundary ``kth`` is gathered before sorting.
+    """
+    cand = np.nonzero(d2 <= kth)[0]
+    return cand[np.argsort(d2[cand], kind="stable")][:k]

@@ -49,6 +49,7 @@ from .embed import (
     WhitenModel,
     kernel_apply,
     kernel_fit,
+    kernel_output_width,
     parse_kernel_spec,
     pca_fit,
     pca_transform,
@@ -56,8 +57,10 @@ from .embed import (
 )
 from .errors import (
     CorruptFile,
+    DimensionMismatch,
     EmptyEvalSet,
     EmptySplit,
+    InconsistentBundle,
     OversizeBundle,
     TooFewGroups,
     VersionMismatch,
@@ -92,6 +95,7 @@ class ModelBundle:
     routing: RoutingTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_shapes(self)
         # derived from the fields above on every construction, never serialized
         object.__setattr__(
             self, "routing", build_routing_table(self.group_classifier, self.correctors)
@@ -104,8 +108,65 @@ class ModelBundle:
         return corrected_predict_batch(self, features)
 
     def predict_base_batch(self, features: np.ndarray) -> np.ndarray:
-        z = pca_transform(self.base_pca, feature_rows(features))
-        return knn_predict_batch(self.base_knn, z)
+        features = feature_rows(features, self.base_pca.components.shape[0])
+        return knn_predict_batch(self.base_knn, pca_transform(self.base_pca, features))
+
+
+def _check_shapes(bundle: ModelBundle) -> None:
+    """Raise InconsistentBundle unless every model's arrays fit the widths
+    of its input.
+
+    The cascade checks each feature row once, against ``base_pca``, and runs
+    every later stage on it unchecked; this check makes that safe.
+    """
+
+    def expect(part: str, got: tuple, want: tuple) -> None:
+        if got != want:
+            raise InconsistentBundle(f"{part} has shape {got}, expected {want}")
+
+    def output_width(part: str, kernel: FittedKernel) -> int:
+        try:
+            return kernel_output_width(kernel, n_features)
+        except DimensionMismatch as exc:
+            raise InconsistentBundle(f"{part}: {exc}") from None
+
+    components = bundle.base_pca.components
+    if components.ndim != 2:
+        raise InconsistentBundle(f"base_pca.components has shape {components.shape}")
+    n_features, n_pcs = components.shape
+    if bundle.base_pca.centered:
+        expect("base_pca.mean", bundle.base_pca.mean.shape, (n_features,))
+    points = bundle.base_knn.points
+    expect("base_knn.points", points.shape[1:], (n_pcs,))
+    expect("base_knn.labels", bundle.base_knn.labels.shape, points.shape[:1])
+    if not 1 <= bundle.base_knn.k <= len(points):
+        raise InconsistentBundle(f"base_knn.k {bundle.base_knn.k} for {len(points)} points")
+
+    gc = bundle.group_classifier
+    if gc is not None:
+        width = output_width("group classifier", gc.kernel)
+        classes = gc.centroid.classes
+        expect("group classifier centroids", gc.centroid.centroids.shape, (len(classes), width))
+        if not set(gc.group_ids) <= set(classes.tolist()):
+            raise InconsistentBundle(
+                f"group classifier ids {gc.group_ids} lack centroids (classes {classes.tolist()})"
+            )
+
+    widths = {
+        name: output_width(f"corrector kernel {name}", k)
+        for name, k in bundle.corrector_kernels.items()
+    }
+    for c in bundle.correctors:
+        part = f"corrector {c.group.group_id}"
+        if c.kernel_name not in widths:
+            raise InconsistentBundle(f"{part} reads kernel {c.kernel_name!r}, which the bundle lacks")
+        width = widths[c.kernel_name]
+        if c.classifier_kind == "centroid":
+            if c.centroid.classes.tolist() != [0, 1]:
+                raise InconsistentBundle(f"{part}: centroid classes {c.centroid.classes.tolist()}")
+            expect(f"{part} centroids", c.centroid.centroids.shape, (2, width))
+        else:
+            expect(f"{part} lda.w", c.lda.w.shape, (width,))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +210,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     }
     corrector_kernels = {name: kernels[name] for name in config.corrector_kernels}
     feats_train = {name: train_output(k.spec, memo) for name, k in corrector_kernels.items()}
-    feats_val = {name: kernel_apply(k, x_val) for name, k in corrector_kernels.items()}
+    feats_val = _apply_each_once(corrector_kernels, x_val)
 
     group_classifier = None
     err_mask = preds_train != y_train
@@ -202,6 +263,26 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         discovered_group_ids=tuple(g.group_id for g in groups),
         metadata=metadata,
     )
+
+
+def _apply_each_once(kernels: Mapping[str, FittedKernel], X: np.ndarray) -> dict:
+    """Each kernel's output on ``X``, bit-equal to ``kernel_apply``.
+
+    Every distinct spec is applied once; a ``concat`` kernel stacks its
+    children's outputs, so a kernel nested in several names is not reapplied.
+    """
+    outputs: dict[str, np.ndarray] = {}
+
+    def output(kernel: FittedKernel) -> np.ndarray:
+        key = kernel.spec.encode()
+        if key not in outputs:
+            if kernel.spec.kind == "concat":
+                outputs[key] = np.hstack([output(c) for c in kernel.children])
+            else:
+                outputs[key] = kernel_apply(kernel, X)
+        return outputs[key]
+
+    return {name: output(k) for name, k in kernels.items()}
 
 
 # ---------------------------------------------------------------------------

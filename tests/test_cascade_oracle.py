@@ -1,31 +1,182 @@
-"""The one cascade against the per-sample cascade it replaced.
+"""The one cascade against the code it replaced, label by label and score by score.
 
-``reference_predict`` is the former single-sample ``corrected_predict``
-(with the centroid router inlined): it rebuilds the gating from the bundle
-on every call and routes one row at a time.  ``corrected_predict`` and
-``corrected_predict_batch`` must give its label on every row.
+Every reference here is a former body kept as it was, and none of them calls
+the layer of the product it checks:
+
+- ``reference_batch`` is the former ``corrected_predict_batch``, which ran a
+  batch of one through the same label scan, pick masks and per-stage input
+  conversions as a batch.  Its layers are the former ``kernel_apply`` (with
+  the former ``pca_transform`` and ``whiten_apply``), ``GroupClassifier.assign``,
+  ``Corrector.score`` (with the former ``centroid_score``), and the former
+  ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
+  also ran.
+- ``reference_predict`` is the per-sample cascade before that one: it
+  rebuilt the gating from the bundle on every call and routed one row at a
+  time.
+
+``corrected_predict`` and ``corrected_predict_batch`` must give the labels of
+both, and every corrector must score the rows routed to it byte for byte as
+``reference_batch`` scores them: as a batch, and one row at a time.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capgest.classify import knn_predict_batch
-from capgest.corrector import N_LABELS, corrected_predict, corrected_predict_batch
-from capgest.embed import kernel_apply, pca_transform
+from capgest.classify import knn_fit, knn_predict_batch
+from capgest.config import PipelineConfig
+from capgest.corrector import N_LABELS, Corrector, corrected_predict, corrected_predict_batch
+from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec
+from capgest.neighbors import query_topk
+from capgest.pipeline import train_pipeline
 from capgest.signals import N_FEATURES, GestureLabel, feature_matrix
 
 
-def _reference_assign(gc, features, allowed_ids):
+# ---------------------------------------------------------------------------
+# Former layer bodies
+# ---------------------------------------------------------------------------
+
+def reference_query_topk(refs, queries, k, ref_sq=None):
+    refs = np.ascontiguousarray(refs, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    n = refs.shape[0]
+    m = queries.shape[0]
+    if ref_sq is None:
+        ref_sq = np.einsum("ij,ij->i", refs, refs)
+    dist = np.empty((m, k))
+    idx = np.empty((m, k), dtype=np.int64)
+    for lo in range(0, m, 32):
+        q = queries[lo : lo + 32]
+        d2 = q @ refs.T
+        d2 *= -2.0
+        d2 += ref_sq
+        d2 += np.einsum("ij,ij->i", q, q)[:, None]
+        np.maximum(d2, 0.0, out=d2)
+        if k < n:
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        else:
+            kth = d2.max(axis=1)
+        for row in range(q.shape[0]):
+            cand = np.nonzero(d2[row] <= kth[row])[0]
+            order = cand[np.argsort(d2[row, cand], kind="stable")][:k]
+            idx[lo + row] = order
+            dist[lo + row] = d2[row, order]
+    np.sqrt(dist, out=dist)
+    return dist, idx
+
+
+def reference_knn_predict_batch(model, X):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    dist, idx = reference_query_topk(model.points, X, model.k, ref_sq=model.sq_norms)
+    m, c = idx.shape[0], len(model.classes)
+    cells = (np.arange(m)[:, None] * c + model.codes[idx]).ravel()
+    counts = np.bincount(cells, minlength=m * c).reshape(m, c)
+    sums = np.bincount(cells, weights=dist.ravel(), minlength=m * c).reshape(m, c)
+    sums[counts < counts.max(axis=1, keepdims=True)] = np.inf
+    return model.classes[np.argmin(sums, axis=1)].astype(np.int64)
+
+
+def reference_pca_transform(model, X):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if model.centered:
+        X = X - model.mean
+    return X @ model.components
+
+
+def reference_whiten_apply(model, X):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return (X - model.mean) @ model.rotation * model.scale
+
+
+def reference_kernel_apply(kernel, X):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    spec = kernel.spec
+    std = kernel.std
+    if spec.kind == "pca":
+        return reference_whiten_apply(
+            kernel.whiten, reference_pca_transform(kernel.pca, (X - std.mean) / std.scale)
+        )
+    if spec.kind == "poly":
+        B = reference_kernel_apply(kernel.base, X)[:, : spec.n_pc]
+        M = _monomials(B, spec.n_poly)
+        return reference_whiten_apply(kernel.whiten, (M - std.mean) / std.scale)
+    if spec.kind == "knn":
+        B = reference_kernel_apply(kernel.base, X)[:, : spec.n_pc]
+        D, _ = reference_query_topk(kernel.train_base, B, spec.k_nn)
+        return reference_whiten_apply(kernel.whiten, (D - std.mean) / std.scale)
+    return np.hstack([reference_kernel_apply(c, X) for c in kernel.children])
+
+
+def reference_assign(gc, features, centroids):
+    feats = reference_kernel_apply(gc.kernel, features)
+    diff = feats[:, None, :] - centroids[None, :, :]
+    return np.argmin(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), axis=1)
+
+
+def reference_centroid_score(model, x, positive_class):
+    classes = model.classes.tolist()
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    diff = X[:, None, :] - model.centroids[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    pos_col = int(positive_class == classes[1])
+    d_pos = dist[:, pos_col]
+    d_neg = dist[:, 1 - pos_col]
+    total = d_pos + d_neg
+    return np.divide(d_neg, total, out=np.full(len(total), 0.5), where=total > 0)
+
+
+def reference_score(corrector, kernel_features):
+    kernel_features = np.atleast_2d(kernel_features)
+    if corrector.classifier_kind == "centroid":
+        return np.atleast_1d(reference_centroid_score(corrector.centroid, kernel_features, 1))
+    x = np.asarray(kernel_features, dtype=np.float64)
+    return np.atleast_1d(x @ corrector.lda.w - corrector.lda.bias)
+
+
+# ---------------------------------------------------------------------------
+# Former cascades
+# ---------------------------------------------------------------------------
+
+def reference_batch(bundle, features, log):
+    """The former ``corrected_predict_batch``; appends (group id, score bytes)
+    to ``log`` per corrector call."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    z = reference_pca_transform(bundle.base_pca, features)
+    base = reference_knn_predict_batch(bundle.base_knn, z)
+    out = base.copy()
+    present = set(base.tolist())
+    for label, route in bundle.routing.routes.items():
+        if label not in present:
+            continue
+        rows = np.flatnonzero(base == label)
+        if len(route.allowed) == 1:
+            picks = np.zeros(len(rows), dtype=np.int64)
+        else:
+            picks = reference_assign(bundle.group_classifier, features[rows], route.centroids)
+        for pick, corrector in enumerate(route.correctors):
+            if corrector is None:
+                continue
+            routed = rows[picks == pick]
+            if not len(routed):
+                continue
+            kernel = bundle.corrector_kernels[corrector.kernel_name]
+            scores = reference_score(corrector, reference_kernel_apply(kernel, features[routed]))
+            log.append((corrector.group.group_id, scores.tobytes()))
+            out[routed[scores >= corrector.threshold]] = int(corrector.group.truth)
+    return out
+
+
+def _reference_pick(gc, features, allowed_ids):
     allowed = [g for g in allowed_ids if g in gc.group_ids]
     if not allowed:
         return None
     if len(allowed) == 1:
         return allowed[0]
-    features = np.atleast_2d(features)
     cols = [int(np.where(gc.centroid.classes == g)[0][0]) for g in allowed]
     diff = features[:, None, :] - gc.centroid.centroids[cols][None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[0]
@@ -33,90 +184,215 @@ def _reference_assign(gc, features, allowed_ids):
 
 
 def reference_predict(bundle, feature_vector):
+    """The former per-sample cascade."""
     fv = np.atleast_2d(np.asarray(feature_vector, dtype=np.float64))
-    z = pca_transform(bundle.base_pca, fv)
-    base = int(knn_predict_batch(bundle.base_knn, z)[0])
-
+    base = int(reference_knn_predict_batch(bundle.base_knn, reference_pca_transform(bundle.base_pca, fv))[0])
     correctors = {c.group.group_id: c for c in bundle.correctors}
     classifier_ids = () if bundle.group_classifier is None else bundle.group_classifier.group_ids
     gated = [g for g in sorted(set(correctors) | set(classifier_ids)) if g % N_LABELS == base]
     if not gated:
         return GestureLabel(base)
     if bundle.group_classifier is not None:
-        feats = kernel_apply(bundle.group_classifier.kernel, fv)
-        chosen = _reference_assign(bundle.group_classifier, feats[0], gated)
+        feats = reference_kernel_apply(bundle.group_classifier.kernel, fv)
+        chosen = _reference_pick(bundle.group_classifier, feats, gated)
     else:
         chosen = gated[0] if len(gated) == 1 else None
-    if chosen is None:
-        return GestureLabel(base)
     corrector = correctors.get(chosen)
     if corrector is None or not corrector.enabled:
         return GestureLabel(base)
     kernel = bundle.corrector_kernels[corrector.kernel_name]
-    score = float(corrector.score(kernel_apply(kernel, fv))[0])
-    if score >= corrector.threshold:
-        return GestureLabel(corrector.group.truth)
-    return GestureLabel(base)
+    score = float(reference_score(corrector, reference_kernel_apply(kernel, fv))[0])
+    return GestureLabel(corrector.group.truth) if score >= corrector.threshold else GestureLabel(base)
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def product_scores():
+    """Log (group id, score bytes) of every ``Corrector.score`` call."""
+    log = []
+    original = Corrector.score
+
+    def recording(self, kernel_features):
+        scores = original(self, kernel_features)
+        log.append((self.group.group_id, scores.tobytes()))
+        return scores
+
+    Corrector.score = recording
+    try:
+        yield log
+    finally:
+        Corrector.score = original
 
 
 def assert_matches_reference(bundle, X):
-    expected = [int(reference_predict(bundle, x)) for x in X]
-    assert corrected_predict_batch(bundle, X).tolist() == expected
-    assert [int(corrected_predict(bundle, x)) for x in X] == expected
+    want_log = []
+    want = reference_batch(bundle, X, want_log)
+    with product_scores() as log:
+        got = corrected_predict_batch(bundle, X)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert log == want_log
+
+    want_rows_log = []
+    want_rows = [int(reference_batch(bundle, x, want_rows_log)[0]) for x in X]
+    with product_scores() as rows_log:
+        got_rows = [int(corrected_predict(bundle, x)) for x in X]
+    assert got_rows == want_rows
+    assert rows_log == want_rows_log
+    assert [int(reference_predict(bundle, x)) for x in X] == want_rows
 
 
 def eval_rows(split):
     return feature_matrix(split.test + split.hold)
 
 
-uniform_rows = arrays(
-    np.float64, st.tuples(st.integers(1, 12), st.just(N_FEATURES)),
-    elements=st.floats(0.0, 1.0),
-)
-tie_heavy_rows = arrays(
-    np.float64, st.tuples(st.integers(1, 12), st.just(N_FEATURES)),
-    elements=st.sampled_from([0.0, 0.5, 1.0]),
-)
+def uniform_rows(max_rows=12):
+    return arrays(
+        np.float64, st.tuples(st.integers(1, max_rows), st.just(N_FEATURES)),
+        elements=st.floats(0.0, 1.0),
+    )
+
+
+def lattice_rows(max_rows=12):
+    """{0, 1, 2}-lattice rows: many exact distance ties in every layer."""
+    return arrays(
+        np.float64, st.tuples(st.integers(1, max_rows), st.just(N_FEATURES)),
+        elements=st.sampled_from([0.0, 1.0, 2.0]),
+    )
+
+
+def corrector_less_route(bundle):
+    """``bundle`` without the corrector of the first id of a multi-id route."""
+    label, route = next(
+        (label, r) for label, r in bundle.routing.routes.items() if len(r.allowed) > 1
+    )
+    dropped = route.allowed[0]
+    out = replace(
+        bundle, correctors=tuple(c for c in bundle.correctors if c.group.group_id != dropped)
+    )
+    assert out.routing.routes[label].allowed == route.allowed
+    assert out.routing.routes[label].correctors[0] is None
+    return out, label
+
+
+@pytest.fixture(scope="session")
+def kernel_bundle(small_split):
+    """Correctors over the poly, concat and knn kernels, which the default
+    small bundle does not choose."""
+    config = PipelineConfig(
+        corrector_kernels=("poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20")
+    )
+    return train_pipeline(config, small_split)
+
+
+@pytest.fixture(scope="session")
+def variants(small_bundle, kernel_bundle):
+    return {
+        "trained": small_bundle,
+        "kernels": kernel_bundle,
+        "no group classifier": replace(small_bundle, group_classifier=None),
+        "route without corrector": corrector_less_route(small_bundle)[0],
+    }
+
+
+VARIANTS = ("trained", "kernels", "no group classifier", "route without corrector")
 
 
 class TestOracle:
-    def test_every_eval_window(self, small_bundle, small_split):
-        assert_matches_reference(small_bundle, eval_rows(small_split))
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_every_eval_window(self, variants, small_split, name):
+        assert_matches_reference(variants[name], eval_rows(small_split))
 
-    @given(uniform_rows)
+    @given(st.sampled_from(VARIANTS), lattice_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_rows(self, variants, name, X):
+        assert_matches_reference(variants[name], X)
+
+    @given(st.sampled_from(VARIANTS), uniform_rows())
     @settings(max_examples=40, deadline=None)
-    def test_uniform_rows(self, small_bundle, X):
-        assert_matches_reference(small_bundle, X)
+    def test_uniform_rows(self, variants, name, X):
+        assert_matches_reference(variants[name], X)
 
-    @given(tie_heavy_rows)
-    @settings(max_examples=40, deadline=None)
-    def test_tie_heavy_rows(self, small_bundle, X):
-        assert_matches_reference(small_bundle, X)
-
-    def test_without_group_classifier(self, small_bundle, small_split):
-        bundle = replace(small_bundle, group_classifier=None)
-        # only labels that gate exactly one group keep a route
-        assert bundle.routing.routes
-        assert all(len(r.gated) == 1 for r in bundle.routing.routes.values())
-        assert_matches_reference(bundle, eval_rows(small_split))
-
-    def test_routed_group_without_corrector(self, small_bundle, small_split):
-        label, route = next(
-            (label, r) for label, r in small_bundle.routing.routes.items() if len(r.allowed) > 1
-        )
-        dropped = route.allowed[0]
-        bundle = replace(
-            small_bundle,
-            correctors=tuple(c for c in small_bundle.correctors if c.group.group_id != dropped),
-        )
-        new_route = bundle.routing.routes[label]
-        assert new_route.allowed == route.allowed
-        assert new_route.correctors[0] is None
+    def test_variants_cover_the_routes(self, variants, small_split):
         X = eval_rows(small_split)
-        rows = X[small_bundle.predict_base_batch(X) == label]
-        picks = bundle.group_classifier.assign(rows, new_route.centroids)
-        assert np.any(picks == 0)  # some samples really route to the corrector-less group
-        assert_matches_reference(bundle, X)
+        trained = variants["trained"]
+        base = trained.predict_base_batch(X)
+        # rows reach a route with one allowed id, where no router runs
+        single = [label for label, r in trained.routing.routes.items() if len(r.allowed) == 1]
+        assert single and np.isin(base, single).any()
+        # rows reach the corrector-less group of a multi-id route
+        bundle, label = corrector_less_route(trained)
+        rows = X[base == label]
+        picks = bundle.group_classifier.assign(rows, bundle.routing.routes[label].centroids)
+        assert np.any(picks == 0)
+        # without a classifier only labels gating exactly one group keep a route
+        bare = variants["no group classifier"]
+        assert bare.routing.routes
+        assert all(len(r.gated) == 1 for r in bare.routing.routes.values())
+        # the kernel bundle scores with poly, concat and knn kernels
+        kernels = variants["kernels"]
+        assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
+            c.kernel_name for c in kernels.correctors
+        }
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_train_windows_where_correctors_fire(self, variants, small_split, name):
+        bundle = variants[name]
+        X = feature_matrix(small_split.train)
+        fired = bundle.predict_batch(X) != bundle.predict_base_batch(X)
+        assert fired.sum() >= 10
+        # every fired row and a sample of the rest, in their original order
+        keep = fired | (np.arange(len(X)) % 10 == 0)
+        assert_matches_reference(bundle, X[keep])
+
+
+class TestLayers:
+    """Each rewritten layer against its former body."""
+
+    @given(lattice_rows(40), st.integers(1, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_single_query_topk(self, refs, n_dims, data):
+        refs = refs[:, :n_dims]
+        k = data.draw(st.integers(1, len(refs)))
+        query = data.draw(lattice_rows(1))[:, :n_dims]
+        got = query_topk(refs, query, k)
+        want = reference_query_topk(refs, query, k)
+        assert got[1].tolist() == want[1].tolist()
+        assert got[0].tobytes() == want[0].tobytes()
+
+    @given(lattice_rows(40), st.integers(0, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_knn_predict(self, refs, n_labels, data):
+        refs = refs[:, :3]
+        labels = np.arange(len(refs)) % (n_labels + 1)
+        k = data.draw(st.integers(1, len(refs)))
+        model = knn_fit(refs, labels, k)
+        Q = data.draw(lattice_rows(8))[:, :3]
+        assert knn_predict_batch(model, Q).tolist() == reference_knn_predict_batch(model, Q).tolist()
+        for q in Q:
+            got = knn_predict_batch(model, q[None])
+            assert got.tolist() == reference_knn_predict_batch(model, q[None]).tolist()
+
+    @given(st.sampled_from(["pca:9", "pca:20", "poly:5:4", "poly:4:3", "knn:5:20",
+                            "concat(pca:10,poly:5:4)"]), uniform_rows(5))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_apply(self, small_split, spec, X):
+        kernel = _fitted_kernel(small_split, spec)
+        assert kernel_apply(kernel, X).tobytes() == reference_kernel_apply(kernel, X).tobytes()
+        for x in X:
+            assert kernel_apply(kernel, x).tobytes() == reference_kernel_apply(kernel, x).tobytes()
+
+
+_KERNELS: dict = {}
+
+
+def _fitted_kernel(split, spec):
+    if spec not in _KERNELS:
+        _KERNELS[spec] = kernel_fit(parse_kernel_spec(spec), feature_matrix(split.train[:1500]))
+    return _KERNELS[spec]
 
 
 def no_corrector_fires(bundle, X):
@@ -124,7 +400,7 @@ def no_corrector_fires(bundle, X):
     quiet = np.ones(len(X), dtype=bool)
     for c in bundle.correctors:
         if c.enabled:
-            scores = c.score(kernel_apply(bundle.corrector_kernels[c.kernel_name], X))
+            scores = reference_score(c, reference_kernel_apply(bundle.corrector_kernels[c.kernel_name], X))
             quiet &= scores < c.threshold
     return quiet
 
@@ -142,7 +418,7 @@ class TestKeepsBaseWhenQuiet:
         assert no_corrector_fires(small_bundle, X).any()
         assert_quiet_rows_keep_base(small_bundle, X)
 
-    @given(uniform_rows)
+    @given(uniform_rows())
     @settings(max_examples=30, deadline=None)
     def test_uniform_rows(self, small_bundle, X):
         assert_quiet_rows_keep_base(small_bundle, X)

@@ -131,9 +131,10 @@ class TestExitCodes:
         ) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_bad_feature_width_is_2(self, workspace, tmp_path):
+    def test_bad_feature_width_is_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.1,0.2,0.3\n", encoding="utf-8")
         assert main(
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
+        assert "line 1: expected 100 features, got 3" in capsys.readouterr().err

@@ -1,20 +1,32 @@
+import hashlib
+import pickle
+import re
+import struct
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from capgest import neighbors
+from capgest import neighbors, pipeline
 from capgest.config import PipelineConfig, format_config, load_config, parse_config_text
 from capgest.errors import (
     CorruptFile,
     DataError,
+    DimensionMismatch,
     EmptyEvalSet,
     EmptySplit,
     FileFormatError,
+    InconsistentBundle,
     NonFiniteInput,
+    NonNumericInput,
     VersionMismatch,
 )
+from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
+    ModelBundle,
     audit_report,
     bench_latency,
     bundle_from_state,
@@ -76,6 +88,36 @@ class TestTraining:
         with pytest.raises(EmptySplit):
             train_pipeline(PipelineConfig(), DatasetSplit((), (), (), ()))
 
+    def test_each_kernel_applied_once_to_validation(self, small_split, monkeypatch):
+        config = PipelineConfig(
+            corrector_kernels=("pca:20", "poly:5:4", "concat(pca:10,poly:5:4)")
+        )
+        n_val = len(small_split.validation)
+        calls = Counter()
+
+        def counting(kernel, X):
+            if len(X) == n_val:
+                calls[kernel.spec.encode()] += 1
+            return kernel_apply(kernel, X)
+
+        monkeypatch.setattr(pipeline, "kernel_apply", counting)
+        train_pipeline(config, small_split)
+        # concat stacks the outputs of pca:10 and poly:5:4 instead of reapplying them
+        assert calls == {"pca:20": 1, "poly:5:4": 1, "pca:10": 1}
+
+    def test_validation_outputs_equal_kernel_apply(self, small_split):
+        X = feature_matrix(small_split.train)
+        x_val = feature_matrix(small_split.validation)
+        names = ("pca:9", "poly:5:4", "concat(pca:10,poly:5:4)", "concat(poly:5:4,pca:9)")
+        memo: dict = {}
+        kernels = {n: kernel_fit(parse_kernel_spec(n), X, memo) for n in names}
+        got = pipeline._apply_each_once(kernels, x_val)
+        assert list(got) == list(names)
+        for name, kernel in kernels.items():
+            want = kernel_apply(kernel, x_val)
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape
+            assert got[name].tobytes() == want.tobytes()
+
 
 class TestEvaluate:
     def test_report_consistency(self, small_bundle, small_split):
@@ -117,6 +159,110 @@ class TestEvaluate:
             small_bundle.predict_batch(X)
         with pytest.raises(NonFiniteInput, match="row 3"):
             small_bundle.predict_base_batch(X)
+
+
+class TestPredictInput:
+    """``predict`` takes exactly one row of 100 numbers, ``predict_batch`` rows of them."""
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 100), (0, 100), (1, 1, 100), (2, 1, 100), (99,), (1, 101), ()]
+    )
+    def test_predict_rejects_shape(self, small_bundle, shape):
+        X = np.full(shape, 0.5)
+        with pytest.raises(DimensionMismatch, match=re_shape(shape)) as exc:
+            small_bundle.predict(X)
+        assert isinstance(exc.value, DataError)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 100), (3, 99), (99,), ()])
+    def test_batch_rejects_shape(self, small_bundle, shape):
+        with pytest.raises(DimensionMismatch, match=re_shape(shape)):
+            small_bundle.predict_batch(np.full(shape, 0.5))
+        with pytest.raises(DimensionMismatch, match=re_shape(shape)):
+            small_bundle.predict_base_batch(np.full(shape, 0.5))
+
+    def test_one_row_matrix_is_one_sample(self, small_bundle, small_split):
+        X = feature_matrix(small_split.hold[:3])
+        assert small_bundle.predict(X[1:2]) == small_bundle.predict(X[1])
+        assert small_bundle.predict_batch(np.empty((0, 100))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [["0.5"] * 99 + ["abc"], [0.5] * 50 + [{}] * 50])
+    def test_non_numeric_rejected(self, small_bundle, bad):
+        assert issubclass(NonNumericInput, DataError)
+        expected = "abc" if "abc" in bad else "dict"
+        with pytest.raises(NonNumericInput, match=expected):
+            small_bundle.predict(bad)
+        with pytest.raises(NonNumericInput, match=expected):
+            small_bundle.predict_batch([bad, bad])
+
+    def test_none_is_not_finite(self, small_bundle):
+        # numpy reads None as NaN
+        with pytest.raises(NonFiniteInput, match="row 0"):
+            small_bundle.predict([0.5] * 99 + [None])
+
+    def test_numeric_strings_accepted(self, small_bundle, small_split):
+        x = feature_matrix(small_split.hold[:1])[0]
+        assert small_bundle.predict([repr(float(v)) for v in x]) == small_bundle.predict(x)
+
+
+def re_shape(shape):
+    return re.escape(str(tuple(shape)))
+
+
+class TestBundleConsistency:
+    """A bundle whose parts disagree on widths is rejected when it is built."""
+
+    def test_wrong_whiten_rotation_width(self, small_bundle):
+        gc = small_bundle.group_classifier
+        whiten = replace(gc.kernel.whiten, rotation=gc.kernel.whiten.rotation[:-1])
+        bad = replace(gc, kernel=replace(gc.kernel, whiten=whiten))
+        with pytest.raises(InconsistentBundle, match="whiten.rotation"):
+            replace(small_bundle, group_classifier=bad)
+
+    def test_wrong_corrector_kernel_width(self, small_bundle):
+        name, kernel = next(iter(small_bundle.corrector_kernels.items()))
+        whiten = replace(kernel.whiten, rotation=kernel.whiten.rotation[:, :-1])
+        kernels = dict(small_bundle.corrector_kernels, **{name: replace(kernel, whiten=whiten)})
+        with pytest.raises(InconsistentBundle, match="whiten.scale"):
+            replace(small_bundle, corrector_kernels=kernels)
+
+    def test_wrong_group_centroid_width(self, small_bundle):
+        gc = small_bundle.group_classifier
+        centroid = replace(gc.centroid, centroids=gc.centroid.centroids[:, :-1])
+        with pytest.raises(InconsistentBundle, match="group classifier centroids"):
+            replace(small_bundle, group_classifier=replace(gc, centroid=centroid))
+
+    def test_wrong_corrector_width_and_missing_kernel(self, small_bundle):
+        c = small_bundle.correctors[0]
+        if c.lda is not None:
+            bad = replace(c, lda=replace(c.lda, w=c.lda.w[:-1]))
+        else:
+            bad = replace(c, centroid=replace(c.centroid, centroids=c.centroid.centroids[:, :-1]))
+        with pytest.raises(InconsistentBundle, match=f"corrector {c.group.group_id}"):
+            replace(small_bundle, correctors=(bad, *small_bundle.correctors[1:]))
+        with pytest.raises(InconsistentBundle, match="lacks"):
+            replace(small_bundle, corrector_kernels={})
+
+    def test_wrong_base_widths(self, small_bundle):
+        knn = small_bundle.base_knn
+        with pytest.raises(InconsistentBundle, match="base_knn.points"):
+            replace(small_bundle, base_knn=type(knn)(points=knn.points[:, :2], labels=knn.labels, k=knn.k))
+        pca = small_bundle.base_pca
+        with pytest.raises(InconsistentBundle, match="group classifier"):
+            replace(small_bundle, base_pca=replace(pca, components=pca.components[:99]))
+
+    def test_load_rejects_inconsistent_state(self, small_bundle, tmp_path):
+        state = bundle_state(small_bundle)
+        whiten = state["group_classifier"]["kernel"]["whiten"]
+        whiten["rotation"] = whiten["rotation"][:, :-1]
+        payload = pickle.dumps(state, protocol=4)
+        header = BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION)
+        path = tmp_path / "bad.capgest"
+        path.write_bytes(header + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(CorruptFile, match="whiten.scale"):
+            load_bundle(path)
+
+    def test_trained_bundle_passes(self, small_bundle):
+        assert isinstance(replace(small_bundle), ModelBundle)
 
 
 class TestPersistence:
