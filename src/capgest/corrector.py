@@ -26,7 +26,7 @@ from .classify import (
     lda_score,
     lda_scores,
 )
-from .embed import FittedKernel, kernel_apply, pca_transform
+from .embed import FittedKernel, as_rows, kernel_apply, pca_transform
 from .errors import (
     DimensionMismatch,
     NonFiniteInput,
@@ -326,15 +326,11 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
     DimensionMismatch on any other shape and NonFiniteInput on NaN or inf.
     """
     try:
-        features = np.asarray(features, dtype=np.float64)
+        features = as_rows(features, n_features)
     except (TypeError, ValueError) as exc:
         raise NonNumericInput(f"feature values must be numbers: {exc}") from None
-    shape = features.shape
-    if features.ndim == 1:
-        features = features[None, :]
-    if features.ndim != 2 or features.shape[1] != n_features or (one and len(features) != 1):
-        what = "one feature row" if one else "feature rows"
-        raise DimensionMismatch(f"expects {what} of {n_features} values, got shape {shape}")
+    if one and len(features) != 1:
+        raise DimensionMismatch(f"expects one feature row, got shape {features.shape}")
     if not np.isfinite(features).all():
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
         raise NonFiniteInput(f"feature row {row} contains NaN or inf")
