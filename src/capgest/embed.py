@@ -394,11 +394,11 @@ def _fit(
             singular_values=full.singular_values[:n_pc].copy(),
             explained_variance_ratio=full.explained_variance_ratio[:n_pc].copy(),
         )
-        P = pca_transform(pca, std.apply(X_train))
+        P = _project(pca, std.apply(X_train))
         whiten = whiten_fit(P)
         return (
             FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten),
-            whiten_apply(whiten, P),
+            _whiten(whiten, P),
         )
     if spec.kind == "poly":
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
@@ -408,7 +408,7 @@ def _fit(
         whiten = whiten_fit(M)
         return (
             FittedKernel(spec=spec, std=std, whiten=whiten, base=base),
-            whiten_apply(whiten, M),
+            _whiten(whiten, M),
         )
     if spec.kind == "knn":
         if spec.k_nn >= X_train.shape[0]:
@@ -423,7 +423,7 @@ def _fit(
         whiten = whiten_fit(D)
         return (
             FittedKernel(spec=spec, std=std, whiten=whiten, base=base, train_base=train_base),
-            whiten_apply(whiten, D),
+            _whiten(whiten, D),
         )
     # concat
     children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
