@@ -302,9 +302,33 @@ VARIANTS = ("trained", "kernels", "no group classifier", "route without correcto
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", VARIANTS)
-    def test_every_eval_window(self, variants, small_split, name):
-        assert_matches_reference(variants[name], eval_rows(small_split))
+    def test_every_eval_window(self, variants, small_split):
+        X = eval_rows(small_split)
+        trained = variants["trained"]
+        # rows reach a route with one allowed id, where no router runs
+        single = [label for label, r in trained.routing.routes.items() if len(r.allowed) == 1]
+        assert single and np.isin(trained.predict_base_batch(X), single).any()
+        # the kernel bundle scores with poly, concat and knn kernels
+        assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
+            c.kernel_name for c in variants["kernels"].correctors
+        }
+        assert_matches_reference(trained, X)
+        assert_matches_reference(variants["kernels"], X)
+
+    def test_without_group_classifier(self, variants, small_split):
+        bundle = variants["no group classifier"]
+        # only labels that gate exactly one group keep a route
+        assert bundle.routing.routes
+        assert all(len(r.gated) == 1 for r in bundle.routing.routes.values())
+        assert_matches_reference(bundle, eval_rows(small_split))
+
+    def test_routed_group_without_corrector(self, small_bundle, small_split):
+        bundle, label = corrector_less_route(small_bundle)
+        X = eval_rows(small_split)
+        rows = X[small_bundle.predict_base_batch(X) == label]
+        picks = bundle.group_classifier.assign(rows, bundle.routing.routes[label].centroids)
+        assert np.any(picks == 0)  # some samples really route to the corrector-less group
+        assert_matches_reference(bundle, X)
 
     @given(st.sampled_from(VARIANTS), lattice_rows())
     @settings(max_examples=60, deadline=None)
@@ -315,28 +339,6 @@ class TestOracle:
     @settings(max_examples=40, deadline=None)
     def test_uniform_rows(self, variants, name, X):
         assert_matches_reference(variants[name], X)
-
-    def test_variants_cover_the_routes(self, variants, small_split):
-        X = eval_rows(small_split)
-        trained = variants["trained"]
-        base = trained.predict_base_batch(X)
-        # rows reach a route with one allowed id, where no router runs
-        single = [label for label, r in trained.routing.routes.items() if len(r.allowed) == 1]
-        assert single and np.isin(base, single).any()
-        # rows reach the corrector-less group of a multi-id route
-        bundle, label = corrector_less_route(trained)
-        rows = X[base == label]
-        picks = bundle.group_classifier.assign(rows, bundle.routing.routes[label].centroids)
-        assert np.any(picks == 0)
-        # without a classifier only labels gating exactly one group keep a route
-        bare = variants["no group classifier"]
-        assert bare.routing.routes
-        assert all(len(r.gated) == 1 for r in bare.routing.routes.values())
-        # the kernel bundle scores with poly, concat and knn kernels
-        kernels = variants["kernels"]
-        assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
-            c.kernel_name for c in kernels.correctors
-        }
 
     @pytest.mark.parametrize("name", VARIANTS)
     def test_train_windows_where_correctors_fire(self, variants, small_split, name):
