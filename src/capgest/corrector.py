@@ -364,8 +364,10 @@ def _cascade(bundle, features: np.ndarray) -> np.ndarray:
     out = base.copy()
     for corrector, rows in _routed_rows(bundle, features, base):
         kernel = bundle.corrector_kernels[corrector.kernel_name]
-        x = features if rows is None else features[rows]
-        fired = corrector.score(kernel_apply(kernel, x)) >= corrector.threshold
+        scores = corrector.score(
+            kernel_apply(kernel, features if rows is None else features[rows])
+        )
+        fired = scores >= corrector.threshold
         out[fired if rows is None else rows[fired]] = int(corrector.group.truth)
     return out
 
