@@ -322,12 +322,16 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
     """``features`` as a float (n, n_features) matrix: the cascade's one input check.
 
     A 1-D ``features`` is one row.  With ``one`` the input must be exactly
-    one row.  Raises NonNumericInput when a value is not a number,
-    DimensionMismatch on any other shape and NonFiniteInput on NaN or inf.
+    one row.  Raises DimensionMismatch on rows of different shapes or any
+    other wrong shape, NonNumericInput when a value is not a number and
+    NonFiniteInput on NaN or inf.
     """
     try:
         features = as_rows(features, n_features)
     except (TypeError, ValueError) as exc:
+        ragged = _ragged_rows(features)
+        if ragged:
+            raise DimensionMismatch(ragged) from None
         raise NonNumericInput(f"feature values must be numbers: {exc}") from None
     if one and len(features) != 1:
         raise DimensionMismatch(f"expects one feature row, got shape {features.shape}")
@@ -335,6 +339,20 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
         raise NonFiniteInput(f"feature row {row} contains NaN or inf")
     return features
+
+
+def _ragged_rows(features) -> str:
+    """Names the first row of a sequence whose shape differs from row 0's, else ''."""
+    try:
+        shapes = [np.shape(row) for row in features]
+    except TypeError:  # not a sequence of rows
+        return ""
+    except ValueError:  # a row is itself ragged
+        return "feature rows are ragged"
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            return f"feature row {i} has shape {shape}, row 0 has shape {shapes[0]}"
+    return ""
 
 
 def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:

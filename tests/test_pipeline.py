@@ -193,6 +193,14 @@ class TestPredictInput:
         with pytest.raises(NonNumericInput, match=expected):
             small_bundle.predict_batch([bad, bad])
 
+    def test_ragged_rows_rejected(self, small_bundle):
+        with pytest.raises(DimensionMismatch, match=re.escape("row 1 has shape (99,)")):
+            small_bundle.predict_batch([[0.5] * 100, [0.5] * 99])
+        with pytest.raises(DimensionMismatch, match=re.escape("row 2 has shape (100,)")):
+            small_bundle.predict([[0.5] * 99, [0.5] * 99, [0.5] * 100])
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            small_bundle.predict_batch([[[0.5] * 100, [0.5] * 99]])
+
     def test_none_is_not_finite(self, small_bundle):
         # numpy reads None as NaN
         with pytest.raises(NonFiniteInput, match="row 0"):
