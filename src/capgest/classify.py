@@ -62,7 +62,9 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     dist, idx = neighbors.query_topk(model.points, X, model.k, ref_sq=model.sq_norms)
     m, c = idx.shape[0], len(model.classes)
-    cells = (np.arange(m)[:, None] * c + model.codes[idx]).ravel()
+    # one bincount cell per (row, class); a single row needs no row offset
+    cells = model.codes[idx] if m == 1 else np.arange(m)[:, None] * c + model.codes[idx]
+    cells = cells.ravel()
     counts = np.bincount(cells, minlength=m * c).reshape(m, c)
     sums = np.bincount(cells, weights=dist.ravel(), minlength=m * c).reshape(m, c)
     sums[counts < counts.max(axis=1, keepdims=True)] = np.inf
