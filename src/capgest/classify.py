@@ -31,10 +31,13 @@ class KnnModel:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
     classes: np.ndarray = field(init=False, repr=False, compare=False)   # sorted labels
     codes: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) into classes
+    cell_index: neighbors.CellIndex | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         classes, codes = np.unique(self.labels, return_inverse=True)
-        object.__setattr__(self, "sq_norms", neighbors.sq_norms(self.points))
+        sq_norms = neighbors.sq_norms(self.points)
+        object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "cell_index", neighbors.cell_index(self.points, self.k, sq_norms))
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "codes", codes.ravel())
 
@@ -60,7 +63,9 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     X = as_rows(X, model.points.shape[1])
     if not len(X):
         return np.empty(0, dtype=np.int64)
-    dist, idx = neighbors.query_topk(model.points, X, model.k, ref_sq=model.sq_norms)
+    dist, idx = neighbors.query_topk(
+        model.points, X, model.k, ref_sq=model.sq_norms, index=model.cell_index
+    )
     m, c = idx.shape[0], len(model.classes)
     # one bincount cell per (row, class); a single row needs no row offset
     cells = model.codes[idx] if m == 1 else np.arange(m)[:, None] * c + model.codes[idx]
@@ -70,6 +75,20 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     sums[counts < counts.max(axis=1, keepdims=True)] = np.inf
     # argmin takes the first minimum and classes are sorted: ties follow label order
     return model.classes[sums.argmin(axis=1)].astype(np.int64)
+
+
+def knn_cell_share(model: KnnModel, X: np.ndarray) -> float:
+    """Share of the rows of ``X`` that a one-row search answers from its cell
+    block, without scanning all references; 0 where the model has no index."""
+    X = np.ascontiguousarray(as_rows(X, model.points.shape[1]))
+    if model.cell_index is None or not len(X):
+        return 0.0
+    refs, ref_sq = np.ascontiguousarray(model.points, dtype=np.float64), model.sq_norms
+    found = sum(
+        neighbors.cell_topk(model.cell_index, refs, ref_sq, X[i : i + 1], model.k) is not None
+        for i in range(len(X))
+    )
+    return found / len(X)
 
 
 # ---------------------------------------------------------------------------

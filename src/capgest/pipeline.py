@@ -24,6 +24,7 @@ from .classify import (
     CentroidModel,
     KnnModel,
     LdaModel,
+    knn_cell_share,
     knn_fit,
     knn_predict_batch,
 )
@@ -139,6 +140,8 @@ def _check_shapes(bundle: ModelBundle) -> None:
     points = bundle.base_knn.points
     expect("base_knn.points", points.shape[1:], (n_pcs,))
     expect("base_knn.labels", bundle.base_knn.labels.shape, points.shape[:1])
+    if not np.isfinite(points).all():
+        raise InconsistentBundle("base_knn.points holds non-finite values")
     if not 1 <= bundle.base_knn.k <= len(points):
         raise InconsistentBundle(f"base_knn.k {bundle.base_knn.k} for {len(points)} points")
 
@@ -614,6 +617,8 @@ def bench_latency(
     cycling when ``iters`` exceeds the row count, so every part of the
     probe set is equally likely to be timed.  Each timed call runs the full
     single-sample path end to end; stats are reported in milliseconds.
+    ``knn_cell_share`` is the share of timed rows whose base KNN search was
+    answered from its cell block, counted after the timed loop.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0 or iters == 0:
@@ -633,6 +638,8 @@ def bench_latency(
         corrected_predict(bundle, fv)
         timings[i] = time.perf_counter_ns() - start
     ms = timings / 1e6
+    timed = features[order[np.arange(iters) % n]]
+    cell_share = knn_cell_share(bundle.base_knn, pca_transform(bundle.base_pca, timed))
     return {
         "n_timed": iters,
         "p50_ms": float(np.percentile(ms, 50)),
@@ -640,6 +647,7 @@ def bench_latency(
         "p99_ms": float(np.percentile(ms, 99)),
         "max_ms": float(ms.max()),
         "mean_ms": float(ms.mean()),
+        "knn_cell_share": cell_share,
         "backend": neighbors.BACKEND,
         "hardware": platform.processor() or platform.machine(),
     }

@@ -28,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capgest.classify import knn_fit, knn_predict_batch
+from capgest.classify import knn_cell_share, knn_fit, knn_predict_batch
 from capgest.config import PipelineConfig
 from capgest.corrector import N_LABELS, Corrector, corrected_predict, corrected_predict_batch
-from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec
+from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
 from capgest.neighbors import query_topk
 from capgest.pipeline import train_pipeline
 from capgest.signals import N_FEATURES, GestureLabel, feature_matrix
@@ -371,6 +371,90 @@ class TestLayers:
         assert got[1].tolist() == want[1].tolist()
         assert got[0].tobytes() == want[0].tobytes()
 
+    @given(lattice_rows(40), st.integers(1, 7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cell_search_on_lattices(self, refs, n_dims, data):
+        refs = refs[:, :n_dims]
+        model = knn_fit(refs, np.zeros(len(refs)), data.draw(st.integers(1, len(refs))))
+        for q in data.draw(lattice_rows(8))[:, :n_dims]:
+            assert_cell_search_exact(model, q[None])
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 7)),
+               elements=st.floats(-10.0, 10.0)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cell_search_on_floats(self, refs, data):
+        # tiny, subnormal and signed-zero spans give grids of odd cell sides
+        model = knn_fit(refs, np.zeros(len(refs)), data.draw(st.integers(1, len(refs))))
+        Q = data.draw(arrays(np.float64, (4, refs.shape[1]), elements=st.floats(-12.0, 12.0)))
+        for q in np.vstack([Q, refs[:4]]):
+            assert_cell_search_exact(model, q[None])
+
+    @pytest.mark.parametrize("n_dims", range(1, 8))
+    def test_cell_search_by_width(self, n_dims):
+        # columns past the third, which the grid ignores, vary less, as
+        # PCA scores do
+        rng = np.random.default_rng(n_dims)
+        scale = np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1])[:n_dims]
+        refs = rng.normal(0.0, 1.0, (600, n_dims)) * scale
+        for k in (1, 5, 600):
+            model = knn_fit(refs, np.zeros(600), k)
+            Q = rng.normal(0.0, 1.2, (60, n_dims)) * scale
+            for q in Q:
+                assert_cell_search_exact(model, q[None])
+            if k < 600:  # not vacuous: blocks answer most queries
+                assert knn_cell_share(model, Q) > 0.5
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_cell_search_far_from_origin(self, offset):
+        # the expanded distances round by about 1e-3 at 1e6 and by more than
+        # the 0.1 lattice spacing at 1e8, where blocks answer wrongly unless
+        # the rounding bound sends the queries to the full scan
+        rng = np.random.default_rng(3)
+        refs = np.round(rng.normal(0.0, 1.0, (800, 3)), 1) + offset
+        model = knn_fit(refs, np.zeros(800), 5)
+        Q = refs[rng.integers(0, 800, 200)] + np.round(rng.normal(0.0, 0.3, (200, 3)), 1)
+        for q in Q:
+            assert_cell_search_exact(model, q[None])
+        if offset < 1e8:
+            assert knn_cell_share(model, Q) > 0.2
+
+    def test_cell_search_outside_the_grid(self):
+        rng = np.random.default_rng(4)
+        model = knn_fit(rng.uniform(0.0, 1.0, (500, 3)), np.zeros(500), 5)
+        for q in ([1e6, 0.5, 0.5], [-5.0, -5.0, -5.0], [0.5, 0.5, 1e6], [1.02, 0.5, -0.01]):
+            assert_cell_search_exact(model, np.array([q]))
+        assert knn_cell_share(model, np.array([[1e6, 0.5, 0.5], [-5.0, 0.5, 0.5]])) == 0.0
+
+    def test_cell_search_small_and_flat_sets(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 9, 26):
+            refs = rng.uniform(0.0, 1.0, (n, 3))
+            for k in sorted({1, (n + 1) // 2, n}):
+                model = knn_fit(refs, np.zeros(n), k)
+                for q in rng.uniform(-0.2, 1.2, (20, 3)):
+                    assert_cell_search_exact(model, q[None])
+        # a block of one reference: numpy multiplies by one column as a dot
+        # product, which rounds unlike the scan's matrix-vector product
+        two = np.array([[1.31029353, 1.0, 0.7, 1.31029353], [0.0, 1.31029353, 1.31029353, 1.31029353]])
+        assert_cell_search_exact(knn_fit(two, np.zeros(2), 1), two[:1])
+        flat = rng.uniform(0.0, 1.0, (300, 3))
+        flat[:, 1] = 0.25
+        model = knn_fit(flat, np.zeros(300), 5)
+        assert model.cell_index is None  # zero volume: every query scans
+        for q in rng.uniform(0.0, 1.0, (20, 3)):
+            assert_cell_search_exact(model, q[None])
+
+    def test_no_index_past_seven_columns(self):
+        refs = np.random.default_rng(6).normal(0.0, 1.0, (100, 8))
+        assert knn_fit(refs, np.zeros(100), 5).cell_index is None
+
+    def test_default_test_split_answered_from_blocks(self, default_bundle, default_split):
+        z = pca_transform(default_bundle.base_pca, feature_matrix(default_split.test))
+        assert knn_cell_share(default_bundle.base_knn, z) >= 0.95
+
     @given(lattice_rows(40), st.integers(0, 4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_knn_predict(self, refs, n_labels, data):
@@ -392,6 +476,15 @@ class TestLayers:
         assert kernel_apply(kernel, X).tobytes() == reference_kernel_apply(kernel, X).tobytes()
         for x in X:
             assert kernel_apply(kernel, x).tobytes() == reference_kernel_apply(kernel, x).tobytes()
+
+
+def assert_cell_search_exact(model, query):
+    """One row through the model's cell index: the full scan's indices and
+    distance bytes."""
+    got = query_topk(model.points, query, model.k, ref_sq=model.sq_norms, index=model.cell_index)
+    want = reference_query_topk(model.points, query, model.k)
+    assert got[1].tolist() == want[1].tolist()
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 _KERNELS: dict = {}

@@ -125,6 +125,17 @@ class TestKnn:
         out = knn_predict_batch(model, np.empty((0, 2)))
         assert out.shape == (0,) and out.dtype == np.int64
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_points_keep_the_full_scan(self, bad):
+        points = RNG.uniform(0.0, 1.0, (60, 3))
+        points[4, 2] = bad
+        model = knn_fit(points, np.arange(60) % 3, 5)
+        assert model.cell_index is None
+        Q = RNG.uniform(0.0, 1.0, (4, 3))
+        with np.errstate(invalid="ignore"):
+            batch = knn_predict_batch(model, Q)
+            assert [int(knn_predict_batch(model, q)[0]) for q in Q] == batch.tolist()
+
     def test_validation(self):
         with pytest.raises(EmptyModel):
             knn_fit(np.empty((0, 2)), np.empty(0), k=1)

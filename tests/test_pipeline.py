@@ -22,7 +22,8 @@ from capgest.errors import (
     NonNumericInput,
     VersionMismatch,
 )
-from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec
+from capgest.classify import knn_cell_share
+from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
@@ -257,6 +258,14 @@ class TestBundleConsistency:
         with pytest.raises(InconsistentBundle, match="group classifier"):
             replace(small_bundle, base_pca=replace(pca, components=pca.components[:99]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_knn_points(self, small_bundle, bad):
+        knn = small_bundle.base_knn
+        points = knn.points.copy()
+        points[7, 0] = bad
+        with pytest.raises(InconsistentBundle, match="base_knn.points holds non-finite"):
+            replace(small_bundle, base_knn=replace(knn, points=points))
+
     def test_load_rejects_inconsistent_state(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
         whiten = state["group_classifier"]["kernel"]["whiten"]
@@ -267,6 +276,16 @@ class TestBundleConsistency:
         path.write_bytes(header + hashlib.sha256(payload).digest() + payload)
         with pytest.raises(CorruptFile, match="whiten.scale"):
             load_bundle(path)
+
+
+def same_cell_index(a, b):
+    return (
+        a.side == b.side
+        and a.axes == b.axes
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.ids, b.ids)
+        and a.max_sq == b.max_sq
+    )
 
 
 class TestPersistence:
@@ -280,7 +299,7 @@ class TestPersistence:
         assert loaded.config == small_bundle.config
         assert loaded.discovered_group_ids == small_bundle.discovered_group_ids
 
-    def test_knn_derived_fields_rebuilt_not_serialized(self, small_bundle, tmp_path):
+    def test_knn_derived_fields_rebuilt_not_serialized(self, small_bundle, default_bundle, tmp_path):
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         knn, loaded = small_bundle.base_knn, load_bundle(path).base_knn
@@ -289,6 +308,26 @@ class TestPersistence:
             assert name not in bundle_state(small_bundle)["base_knn"]
         assert np.array_equal(knn.sq_norms, neighbors.sq_norms(knn.points))
         assert np.array_equal(knn.classes[knn.codes], knn.labels)
+        # the cell index is rebuilt on load and on replace, and never stored
+        assert "cell_index" not in bundle_state(small_bundle)["base_knn"]
+        assert knn.cell_index is not None
+        for rebuilt in (loaded, replace(knn)):
+            assert rebuilt.cell_index is not knn.cell_index
+            assert same_cell_index(rebuilt.cell_index, knn.cell_index)
+        shifted = replace(knn, points=knn.points + 1.0)
+        assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
+        assert len(serialize_bundle(default_bundle)) == 381_033
+
+    def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
+        state = bundle_state(small_bundle)
+        state["base_knn"]["points"] = state["base_knn"]["points"].copy()
+        state["base_knn"]["points"][3, 1] = np.inf
+        payload = pickle.dumps(state, protocol=4)
+        header = BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION)
+        path = tmp_path / "inf.capgest"
+        path.write_bytes(header + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(CorruptFile, match="base_knn.points holds non-finite"):
+            load_bundle(path)
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -348,6 +387,11 @@ class TestBench:
         assert stats["n_timed"] == 30
         assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"] <= stats["max_ms"]
         assert stats["backend"] == neighbors.BACKEND
+        # the 30 timed rows cycle over the 20 probe rows in the permutation
+        timed = X[np.random.default_rng(0).permutation(20)[np.arange(30) % 20]]
+        z = pca_transform(small_bundle.base_pca, timed)
+        assert stats["knn_cell_share"] == knn_cell_share(small_bundle.base_knn, z)
+        assert stats["knn_cell_share"] > 0.5
 
     def test_empty_probe(self, small_bundle):
         stats = bench_latency(small_bundle, np.empty((0, 100)), iters=0)
