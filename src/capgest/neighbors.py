@@ -40,7 +40,7 @@ def sq_norms(refs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", refs, refs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellIndex:
     """Uniform cells of side ``side`` over the first coordinates of the references.
 
@@ -91,8 +91,9 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray | None = None) -> Ce
     shifts = np.array([0])
     for stride in strides:
         shifts = (shifts[:, None] + np.array([-stride, 0, stride])).ravel()
-    keys = ((cells @ np.array(strides))[:, None] + shifts).astype(np.int16).ravel()
-    ids = np.argsort(keys, kind="stable") // len(shifts)
+    keys = ((cells @ np.array(strides)).astype(np.int16)[:, None] + shifts.astype(np.int16)).ravel()
+    ids = np.argsort(keys, kind="stable")
+    ids //= len(shifts)
     indptr = np.zeros(math.prod(n_cells) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=math.prod(n_cells)), out=indptr[1:])
 
