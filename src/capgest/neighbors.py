@@ -60,10 +60,10 @@ class CellIndex:
     max_sq: float  # largest squared reference norm
 
 
-def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray | None = None) -> CellIndex | None:
+def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None:
     """The cell grid ``query_topk`` searches for one query, or None where a
     grid would not serve: non-finite or flat references, more than 7 columns,
-    or more than 2**15 cells."""
+    or more than 2**15 cells.  ``ref_sq`` is ``sq_norms(refs)``."""
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     n, d = refs.shape
     p = min(_GRID_DIMS, d)
@@ -105,8 +105,6 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray | None = None) -> Ce
         below = [edge[c - 1] if c - 2 >= 1 else -math.inf for c in range(n_cells[j])]
         above = [edge[c + 2] if c + 2 <= top else math.inf for c in range(n_cells[j])]
         axes.append((lo, n_cells[j], strides[j], below, above))
-    if ref_sq is None:
-        ref_sq = sq_norms(refs)
     return CellIndex(side, tuple(axes), indptr, ids, float(ref_sq.max()))
 
 
