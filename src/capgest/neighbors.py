@@ -226,8 +226,10 @@ def cell_topk(
     # Proof that every reference r outside the block has a computed squared
     # distance above kth, so it is neither among the k nearest nor tied with
     # the k-th.  With u = 2**-53 and S = |q|^2 + max |r|^2:
-    # - |q - r| >= margin_true, and the float margin is at most
-    #   margin_true * (1 + u); squaring it adds one more rounding, so
+    # - Such an r lies beyond a face of the block along some gridded axis, so
+    #   |q - r| >= margin_true, the exact distance from q to the nearest face
+    #   with references beyond it.  The float margin is at most
+    #   margin_true * (1 + u), and squaring it adds one more rounding, so
     #   margin_true^2 >= fl(margin^2) * (1 - 3u).
     # - _sq_distances computes |r|^2 - 2 q.r + |q|^2.  Its three length-d
     #   dot products err by at most 2 gamma_d S in all, gamma_d ~ d u in any
