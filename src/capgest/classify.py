@@ -99,8 +99,6 @@ def knn_cell_share(model: KnnModel, X: np.ndarray) -> float:
 class LdaModel:
     w: np.ndarray
     bias: float
-    mu0: np.ndarray
-    mu1: np.ndarray
 
 
 def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
@@ -123,7 +121,7 @@ def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
         lam = 1e-12
     w = np.linalg.solve(s_w + lam * np.eye(d), diff)
     bias = float(w @ (mu0 + mu1) / 2.0)
-    return LdaModel(w=w, bias=bias, mu0=mu0, mu1=mu1)
+    return LdaModel(w=w, bias=bias)
 
 
 def lda_score(model: LdaModel, x: np.ndarray) -> np.ndarray | float:

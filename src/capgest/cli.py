@@ -96,10 +96,9 @@ def cmd_train(args) -> int:
     )
     bundle = train_pipeline(config, split)
     size = save_bundle(bundle, Path(args.out))
-    enabled = sum(1 for c in bundle.correctors if c.enabled)
     print(
         f"trained bundle: {len(bundle.discovered_group_ids)} error groups, "
-        f"{enabled} correctors, {size} bytes -> {args.out}"
+        f"{len(bundle.correctors)} correctors, {size} bytes -> {args.out}"
     )
     return EXIT_OK
 

@@ -169,7 +169,6 @@ class Corrector:
     centroid: CentroidModel | None
     lda: LdaModel | None
     threshold: float
-    enabled: bool
     train_tp: int
     train_positives: int
     holdout_tp: int
@@ -249,7 +248,6 @@ def train_corrector(
                 centroid=cen,
                 lda=lda,
                 threshold=threshold,
-                enabled=True,
                 # at or above the threshold every score on both sweeps is a positive's
                 train_tp=int((s_train >= threshold).sum()),
                 train_positives=int(y_train.sum()),
@@ -272,7 +270,7 @@ class Route:
     gated: tuple[int, ...]                     # group ids predicting this label, sorted
     allowed: tuple[int, ...]                   # the ids among them a sample can be routed to
     centroids: np.ndarray | None               # group-classifier centroid row per allowed id
-    correctors: tuple[Corrector | None, ...]   # enabled corrector per allowed id, or None
+    correctors: tuple[Corrector | None, ...]   # corrector per allowed id, or None
 
 
 @dataclass(frozen=True)
@@ -310,11 +308,9 @@ def build_routing_table(
             allowed = tuple(g for g in gated if g in classifier_ids)
             model = group_classifier.centroid
             centroids = model.centroids[np.searchsorted(model.classes, allowed)]
-        enabled = tuple(
-            by_id[g] if g in by_id and by_id[g].enabled else None for g in allowed
-        )
-        if any(c is not None for c in enabled):
-            routes[label] = Route(gated, allowed, centroids, enabled)
+        routed = tuple(by_id.get(g) for g in allowed)
+        if any(c is not None for c in routed):
+            routes[label] = Route(gated, allowed, centroids, routed)
     return RoutingTable(routes=routes, correctors=by_id)
 
 
@@ -391,7 +387,7 @@ def _cascade(bundle, features: np.ndarray) -> np.ndarray:
 
 
 def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
-    """Each enabled corrector that some rows are routed to, with the indices
+    """Each corrector that some rows are routed to, with the indices
     of those rows, or None for all rows of a batch of one."""
     routes = bundle.routing.routes
     if len(base) == 1:
@@ -436,7 +432,6 @@ def audit_records(correctors: Sequence[Corrector]) -> list[dict]:
             "train_errors": c.train_positives,
             "holdout_tp": c.holdout_tp,
             "holdout_errors": c.holdout_positives,
-            "enabled": c.enabled,
         }
         for c in sorted(correctors, key=lambda c: c.group.group_id)
     ]
@@ -447,7 +442,7 @@ def format_audit(records: Sequence[dict]) -> str:
         return "no correctors trained\n"
     header = (
         f"{'group':>5}  {'pattern':<26} {'kernel':<24} {'clf':<8} "
-        f"{'threshold':>10} {'train TP/err':>13} {'holdout TP/err':>15}  enabled"
+        f"{'threshold':>10} {'train TP/err':>13} {'holdout TP/err':>15}"
     )
     lines = [header, "-" * len(header)]
     for r in records:
@@ -455,6 +450,6 @@ def format_audit(records: Sequence[dict]) -> str:
             f"{r['group_id']:>5}  {r['pattern']:<26} {r['kernel']:<24} "
             f"{r['classifier']:<8} {r['threshold']:>10.4f} "
             f"{r['train_tp']:>6}/{r['train_errors']:<6} "
-            f"{r['holdout_tp']:>7}/{r['holdout_errors']:<7}  {r['enabled']}"
+            f"{r['holdout_tp']:>7}/{r['holdout_errors']}"
         )
     return "\n".join(lines) + "\n"

@@ -8,11 +8,13 @@ correctors, serialized into a checksummed container under the 5 MB budget.
 from __future__ import annotations
 
 import hashlib
-import pickle
+import json
+import math
 import platform
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -76,7 +78,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -115,15 +117,24 @@ class ModelBundle:
 
 def _check_shapes(bundle: ModelBundle) -> None:
     """Raise InconsistentBundle unless every model's arrays fit the widths
-    of its input.
+    of its input and the scalars inference reads have their types.
 
     The cascade checks each feature row once, against ``base_pca``, and runs
-    every later stage on it unchecked; this check makes that safe.
+    every later stage on it unchecked; this check makes that safe, also for
+    a bundle decoded from a file.
     """
 
     def expect(part: str, got: tuple, want: tuple) -> None:
         if got != want:
             raise InconsistentBundle(f"{part} has shape {got}, expected {want}")
+
+    def expect_ints(part: str, values: Sequence) -> None:
+        if not all(type(v) is int for v in values):
+            raise InconsistentBundle(f"{part} {values!r} are not all ints")
+
+    def expect_finite(part: str, value) -> None:
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise InconsistentBundle(f"{part} {value!r} is not a finite float")
 
     def output_width(part: str, kernel: FittedKernel) -> int:
         try:
@@ -142,11 +153,14 @@ def _check_shapes(bundle: ModelBundle) -> None:
     expect("base_knn.labels", bundle.base_knn.labels.shape, points.shape[:1])
     if not np.isfinite(points).all():
         raise InconsistentBundle("base_knn.points holds non-finite values")
+    expect_ints("base_knn.k", (bundle.base_knn.k,))
     if not 1 <= bundle.base_knn.k <= len(points):
         raise InconsistentBundle(f"base_knn.k {bundle.base_knn.k} for {len(points)} points")
 
+    expect_ints("discovered_group_ids", bundle.discovered_group_ids)
     gc = bundle.group_classifier
     if gc is not None:
+        expect_ints("group classifier ids", gc.group_ids)
         width = output_width("group classifier", gc.kernel)
         classes = gc.centroid.classes
         expect("group classifier centroids", gc.centroid.centroids.shape, (len(classes), width))
@@ -164,11 +178,15 @@ def _check_shapes(bundle: ModelBundle) -> None:
         if c.kernel_name not in widths:
             raise InconsistentBundle(f"{part} reads kernel {c.kernel_name!r}, which the bundle lacks")
         width = widths[c.kernel_name]
+        expect_finite(f"{part} threshold", c.threshold)
+        if {"centroid": c.centroid, "lda": c.lda}.get(c.classifier_kind) is None:
+            raise InconsistentBundle(f"{part}: no {c.classifier_kind!r} classifier")
         if c.classifier_kind == "centroid":
             if c.centroid.classes.tolist() != [0, 1]:
                 raise InconsistentBundle(f"{part}: centroid classes {c.centroid.classes.tolist()}")
             expect(f"{part} centroids", c.centroid.centroids.shape, (2, width))
         else:
+            expect_finite(f"{part} lda.bias", c.lda.bias)
             expect(f"{part} lda.w", c.lda.w.shape, (width,))
 
 
@@ -429,143 +447,128 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _pca_state(m: PcaModel) -> dict:
-    return {
-        "components": m.components,
-        "singular_values": m.singular_values,
-        "explained_variance_ratio": m.explained_variance_ratio,
-        "centered": m.centered,
-        "mean": m.mean,
-    }
+# A format-4 payload is a little-endian u32 header length, the JSON header
+# {"arrays": [[dtype, shape], ...], "state": bundle_state(...)}, and then the
+# arrays of that table in order, each zero-padded to start at a multiple of 8
+# bytes.  In the state each dataclass and enum carries its class name under
+# _TAG, and each array is {_ARRAY: its row of the table}.  Loading calls no
+# class outside _CODEC_TYPES, so a bundle file cannot run code.
+
+_TAG, _ARRAY = "@type", "@array"
+# the only classes loading calls: the bundle's own dataclasses and GestureLabel
+_CODEC_TYPES = {cls.__name__: cls for cls in (
+    ModelBundle, PipelineConfig, PcaModel, KnnModel, GroupClassifier, CentroidModel, LdaModel,
+    Corrector, ErrorGroup, GestureLabel, FittedKernel, KernelSpec, Standardizer, WhitenModel,
+)}
+# int arrays are stored in the narrowest of these that holds them and load as int64
+_INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")
+_ARRAY_DTYPES = {"<f8", *_INT_DTYPES}
 
 
-def _kernel_state(k: FittedKernel) -> dict:
-    return {
-        "spec": k.spec.encode(),
-        "std": None if k.std is None else {"mean": k.std.mean, "scale": k.std.scale},
-        "pca": None if k.pca is None else _pca_state(k.pca),
-        "whiten": None
-        if k.whiten is None
-        else {"mean": k.whiten.mean, "rotation": k.whiten.rotation, "scale": k.whiten.scale},
-        "base": None if k.base is None else _kernel_state(k.base),
-        "train_base": k.train_base,
-        "children": [_kernel_state(c) for c in k.children],
-    }
+def _encode(value, store):
+    """``value`` as JSON data, with each array replaced by ``store(array)``.
+
+    A dataclass keeps its init fields only: the fields its ``__post_init__``
+    sets are rebuilt from those on load, so they are never stored.
+    """
+    if isinstance(value, np.ndarray):
+        return store(value)
+    if isinstance(value, Enum):
+        return {_TAG: type(value).__name__, "value": value.value}
+    if is_dataclass(value):
+        state = {f.name: _encode(getattr(value, f.name), store) for f in fields(value) if f.init}
+        return {_TAG: type(value).__name__, **state}
+    if isinstance(value, Mapping):
+        if not all(isinstance(key, str) and not key.startswith("@") for key in value):
+            raise TypeError(f"cannot store mapping keys {list(value)}")
+        return {key: _encode(v, store) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v, store) for v in value]
+    return value
 
 
-def _kernel_from_state(state: dict) -> FittedKernel:
-    return FittedKernel(
-        spec=parse_kernel_spec(state["spec"]),
-        std=None if state["std"] is None else Standardizer(**state["std"]),
-        pca=None if state["pca"] is None else PcaModel(**state["pca"]),
-        whiten=None if state["whiten"] is None else WhitenModel(**state["whiten"]),
-        base=None if state["base"] is None else _kernel_from_state(state["base"]),
-        train_base=state["train_base"],
-        children=tuple(_kernel_from_state(c) for c in state["children"]),
-    )
+def _decode(value, arrays: Sequence[np.ndarray]):
+    if isinstance(value, (tuple, list)):
+        return tuple(_decode(v, arrays) for v in value)
+    if not isinstance(value, dict):
+        return value
+    if _ARRAY in value:
+        return arrays[value[_ARRAY]]
+    args = {key: _decode(v, arrays) for key, v in value.items() if key != _TAG}
+    if _TAG not in value:
+        return args
+    cls = _CODEC_TYPES.get(value[_TAG])
+    if cls is None:
+        raise CorruptFile(f"unknown type tag {value[_TAG]!r}")
+    return cls(**args)
 
 
-def _corrector_state(c: Corrector) -> dict:
-    return {
-        "group_id": c.group.group_id,
-        "kernel_name": c.kernel_name,
-        "classifier_kind": c.classifier_kind,
-        "centroid": None
-        if c.centroid is None
-        else {"classes": c.centroid.classes, "centroids": c.centroid.centroids},
-        "lda": None
-        if c.lda is None
-        else {
-            "w": c.lda.w,
-            "bias": c.lda.bias,
-            "mu0": c.lda.mu0,
-            "mu1": c.lda.mu1,
-        },
-        "threshold": c.threshold,
-        "enabled": c.enabled,
-        "train_tp": c.train_tp,
-        "train_positives": c.train_positives,
-        "holdout_tp": c.holdout_tp,
-        "holdout_positives": c.holdout_positives,
-    }
+def bundle_state(bundle: ModelBundle, store=lambda array: array) -> dict:
+    """The bundle's init fields by name, each dataclass and enum in them a dict
+    tagged with its class name, and each array ``store(array)``."""
+    state = _encode(bundle, store)
+    del state[_TAG]
+    return state
 
 
-def _corrector_from_state(state: dict) -> Corrector:
-    return Corrector(
-        group=ErrorGroup.from_id(state["group_id"]),
-        kernel_name=state["kernel_name"],
-        classifier_kind=state["classifier_kind"],
-        centroid=None if state["centroid"] is None else CentroidModel(**state["centroid"]),
-        lda=None if state["lda"] is None else LdaModel(**state["lda"]),
-        threshold=state["threshold"],
-        enabled=state["enabled"],
-        train_tp=state["train_tp"],
-        train_positives=state["train_positives"],
-        holdout_tp=state["holdout_tp"],
-        holdout_positives=state["holdout_positives"],
-    )
+def bundle_from_state(state: Mapping, arrays: Sequence[np.ndarray] = ()) -> ModelBundle:
+    """The bundle of a :func:`bundle_state` dict, in which ``{"@array": i}``
+    stands for ``arrays[i]``.
+
+    Calls only the classes of ``_CODEC_TYPES``, so every ``__post_init__``
+    check runs; an unknown type tag raises CorruptFile.
+    """
+    return _decode({**state, _TAG: "ModelBundle"}, arrays)
 
 
-def bundle_state(bundle: ModelBundle) -> dict:
-    gc = bundle.group_classifier
-    return {
-        "config": {
-            f: getattr(bundle.config, f) for f in bundle.config.__dataclass_fields__
-        },
-        "base_pca": _pca_state(bundle.base_pca),
-        "base_knn": {
-            "points": bundle.base_knn.points,
-            "labels": bundle.base_knn.labels,
-            "k": bundle.base_knn.k,
-        },
-        "group_classifier": None
-        if gc is None
-        else {
-            "kernel": _kernel_state(gc.kernel),
-            "group_ids": gc.group_ids,
-            "centroid": {"classes": gc.centroid.classes, "centroids": gc.centroid.centroids},
-        },
-        "correctors": [_corrector_state(c) for c in bundle.correctors],
-        "corrector_kernels": {
-            name: _kernel_state(k) for name, k in bundle.corrector_kernels.items()
-        },
-        "discovered_group_ids": bundle.discovered_group_ids,
-        "metadata": dict(bundle.metadata),
-    }
-
-
-def bundle_from_state(state: dict) -> ModelBundle:
-    gc_state = state["group_classifier"]
-    gc = None
-    if gc_state is not None:
-        gc = GroupClassifier(
-            kernel=_kernel_from_state(gc_state["kernel"]),
-            group_ids=tuple(gc_state["group_ids"]),
-            centroid=CentroidModel(**gc_state["centroid"]),
-        )
-    return ModelBundle(
-        config=PipelineConfig(**state["config"]),
-        base_pca=PcaModel(**state["base_pca"]),
-        base_knn=KnnModel(
-            points=state["base_knn"]["points"],
-            labels=state["base_knn"]["labels"],
-            k=state["base_knn"]["k"],
-        ),
-        group_classifier=gc,
-        correctors=tuple(_corrector_from_state(c) for c in state["correctors"]),
-        corrector_kernels={
-            name: _kernel_from_state(k) for name, k in state["corrector_kernels"].items()
-        },
-        discovered_group_ids=tuple(state["discovered_group_ids"]),
-        metadata=state["metadata"],
-    )
+def _narrowest(array: np.ndarray) -> np.ndarray:
+    if array.dtype == np.float64:
+        return array.astype("<f8", copy=False)
+    if array.dtype != np.int64:
+        raise TypeError(f"cannot store a {array.dtype} array")
+    for dtype in _INT_DTYPES:
+        info = np.iinfo(dtype)
+        if not array.size or info.min <= array.min() and array.max() <= info.max:
+            return array.astype(dtype, copy=False)
 
 
 def serialize_bundle(bundle: ModelBundle) -> bytes:
-    payload = pickle.dumps(bundle_state(bundle), protocol=4)
+    arrays: list[np.ndarray] = []
+    rows: dict[tuple, int] = {}
+
+    def store(array: np.ndarray) -> dict:
+        array = _narrowest(array)
+        key = (array.dtype.str, array.shape, hashlib.sha256(array.tobytes()).digest())
+        if key not in rows:
+            rows[key] = len(arrays)
+            arrays.append(array)
+        return {_ARRAY: rows[key]}
+
+    state = bundle_state(bundle, store)
+    table = [[a.dtype.str, list(a.shape)] for a in arrays]
+    header = json.dumps({"arrays": table, "state": state}, separators=(",", ":")).encode()
+    payload = bytearray(struct.pack("<I", len(header)) + header)
+    for array in arrays:
+        payload += bytes(-len(payload) % 8) + array.tobytes()
     digest = hashlib.sha256(payload).digest()
-    header = BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION) + digest
-    return header + payload
+    return BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION) + digest + payload
+
+
+def _read_arrays(payload: bytes, table, offset: int) -> list[np.ndarray]:
+    """The arrays of the header's table, read from ``payload`` after ``offset``."""
+    arrays = []
+    for dtype, shape in table:
+        if dtype not in _ARRAY_DTYPES or not all(type(n) is int and n >= 0 for n in shape):
+            raise CorruptFile(f"array {len(arrays)} has dtype {dtype!r} and shape {shape!r}")
+        offset += -offset % 8
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(payload):
+            raise CorruptFile(f"array {len(arrays)} runs past the payload end")
+        array = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        arrays.append(array.astype(np.float64 if dtype == "<f8" else np.int64))
+        offset = end
+    return arrays
 
 
 def save_bundle(bundle: ModelBundle, path: Path) -> int:
@@ -591,12 +594,15 @@ def load_bundle(path: Path) -> ModelBundle:
         raise VersionMismatch(
             f"{path}: format version {version}, expected {BUNDLE_FORMAT_VERSION}"
         )
-    digest, payload = blob[8:40], blob[40:]
+    digest, payload = blob[8:40], memoryview(blob)[40:]
     if hashlib.sha256(payload).digest() != digest:
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
-        state = pickle.loads(payload)
-        return bundle_from_state(state)
+        (size,) = struct.unpack_from("<I", payload)
+        header = json.loads(bytes(payload[4 : 4 + size]))
+        return bundle_from_state(
+            header["state"], _read_arrays(payload, header["arrays"], 4 + size)
+        )
     except Exception as exc:
         raise CorruptFile(f"{path}: cannot decode payload: {exc}") from exc
 

@@ -70,11 +70,11 @@ def test_criterion_3_zero_regression_20_seeds(record, small_samples):
 
 def test_criterion_4_test_split_improvement(record, default_bundle, default_split):
     report = evaluate(default_bundle, default_split.test)
-    enabled = {c.group.group_id for c in default_bundle.correctors if c.enabled}
+    trained = {c.group.group_id for c in default_bundle.correctors}
     strict_gains = [
         r["group_id"]
         for r in report.per_group
-        if r["group_id"] in enabled
+        if r["group_id"] in trained
         and r["n_candidates"] > 0
         and r["corrected_accuracy"] > r["base_accuracy"]
     ]

@@ -198,7 +198,7 @@ def reference_predict(bundle, feature_vector):
     else:
         chosen = gated[0] if len(gated) == 1 else None
     corrector = correctors.get(chosen)
-    if corrector is None or not corrector.enabled:
+    if corrector is None:
         return GestureLabel(base)
     kernel = bundle.corrector_kernels[corrector.kernel_name]
     score = float(reference_score(corrector, reference_kernel_apply(kernel, fv))[0])
@@ -497,12 +497,11 @@ def _fitted_kernel(split, spec):
 
 
 def no_corrector_fires(bundle, X):
-    """Rows where no enabled corrector's score clears its threshold."""
+    """Rows where no corrector's score clears its threshold."""
     quiet = np.ones(len(X), dtype=bool)
     for c in bundle.correctors:
-        if c.enabled:
-            scores = reference_score(c, reference_kernel_apply(bundle.corrector_kernels[c.kernel_name], X))
-            quiet &= scores < c.threshold
+        scores = reference_score(c, reference_kernel_apply(bundle.corrector_kernels[c.kernel_name], X))
+        quiet &= scores < c.threshold
     return quiet
 
 

@@ -194,7 +194,6 @@ def stub_corrector(group_id):
         centroid=None,
         lda=None,
         threshold=0.5,
-        enabled=True,
         train_tp=1,
         train_positives=1,
         holdout_tp=0,

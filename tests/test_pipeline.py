@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pickle
 import re
 import struct
@@ -41,6 +42,49 @@ from capgest.pipeline import (
 from capgest.signals import DatasetSplit, GestureLabel, feature_matrix, label_array
 
 FAST_CONFIG = PipelineConfig(corrector_kernels=("pca:20", "poly:5:4"))
+
+
+def format_4_parts(state):
+    """The JSON header and the arrays of a format-4 file of ``state``, a
+    :func:`bundle_state` dict; built here from the format's description, not
+    by ``serialize_bundle``, and without its dedupe or int narrowing."""
+    arrays = []
+
+    def refs(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return {"@array": len(arrays) - 1}
+        if isinstance(value, dict):
+            return {key: refs(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [refs(v) for v in value]
+        return value
+
+    state = refs(state)
+    return {"arrays": [[a.dtype.str, list(a.shape)] for a in arrays], "state": state}, arrays
+
+
+def format_4_blob(header, arrays, version=BUNDLE_FORMAT_VERSION):
+    head = json.dumps(header).encode()
+    payload = struct.pack("<I", len(head)) + head
+    for a in arrays:
+        payload += bytes(-len(payload) % 8) + np.ascontiguousarray(a).tobytes()
+    return with_digest(payload, version)
+
+
+def with_digest(payload, version=BUNDLE_FORMAT_VERSION):
+    return BUNDLE_MAGIC + struct.pack("<I", version) + hashlib.sha256(payload).digest() + payload
+
+
+def array_leaves(value):
+    """Every array of a bundle_state dict, in walk order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in array_leaves(v)]
+    return []
 
 
 class TestTraining:
@@ -270,12 +314,58 @@ class TestBundleConsistency:
         state = bundle_state(small_bundle)
         whiten = state["group_classifier"]["kernel"]["whiten"]
         whiten["rotation"] = whiten["rotation"][:, :-1]
-        payload = pickle.dumps(state, protocol=4)
-        header = BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION)
         path = tmp_path / "bad.capgest"
-        path.write_bytes(header + hashlib.sha256(payload).digest() + payload)
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
         with pytest.raises(CorruptFile, match="whiten.scale"):
             load_bundle(path)
+
+    @pytest.mark.parametrize("k", [5.0, True])
+    def test_knn_k_must_be_int(self, small_bundle, k):
+        knn = small_bundle.base_knn
+        with pytest.raises(InconsistentBundle, match="base_knn.k"):
+            replace(small_bundle, base_knn=replace(knn, k=k))
+
+    @pytest.mark.parametrize("k", [5.0, "5", None])
+    def test_load_rejects_non_int_k(self, small_bundle, tmp_path, k):
+        state = bundle_state(small_bundle)
+        state["base_knn"]["k"] = k
+        path = tmp_path / "k.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        with pytest.raises(CorruptFile):
+            load_bundle(path)
+
+    def test_group_ids_must_be_ints(self, small_bundle):
+        ids = small_bundle.discovered_group_ids
+        with pytest.raises(InconsistentBundle, match="discovered_group_ids"):
+            replace(small_bundle, discovered_group_ids=(*ids[:-1], float(ids[-1])))
+        gc = small_bundle.group_classifier
+        bad = replace(gc, group_ids=(str(gc.group_ids[0]), *gc.group_ids[1:]))
+        with pytest.raises(InconsistentBundle, match="group classifier ids"):
+            replace(small_bundle, group_classifier=bad)
+
+    @pytest.mark.parametrize("threshold", ["0.5", 1, np.inf, np.nan, None])
+    def test_threshold_must_be_finite_float(self, small_bundle, threshold):
+        c = small_bundle.correctors[0]
+        with pytest.raises(InconsistentBundle, match="threshold"):
+            replace(small_bundle, correctors=(replace(c, threshold=threshold),))
+
+    @pytest.mark.parametrize("bias", ["0.5", np.nan, -np.inf])
+    def test_lda_bias_must_be_finite_float(self, small_bundle, bias):
+        c = next(c for c in small_bundle.correctors if c.classifier_kind == "lda")
+        with pytest.raises(InconsistentBundle, match="lda.bias"):
+            replace(small_bundle, correctors=(replace(c, lda=replace(c.lda, bias=bias)),))
+
+    def test_classifier_kind_needs_its_model(self, small_bundle):
+        lda = next(c for c in small_bundle.correctors if c.classifier_kind == "lda")
+        cen = next(c for c in small_bundle.correctors if c.classifier_kind == "centroid")
+        for bad in (
+            replace(lda, lda=None),
+            replace(cen, centroid=None),
+            replace(lda, classifier_kind="centroid"),
+            replace(lda, classifier_kind="svm"),
+        ):
+            with pytest.raises(InconsistentBundle, match=f"no {bad.classifier_kind!r} classifier"):
+                replace(small_bundle, correctors=(bad,))
 
 
 def same_cell_index(a, b):
@@ -316,18 +406,48 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        assert len(serialize_bundle(default_bundle)) == 381_033
+        assert len(serialize_bundle(default_bundle)) == 336_136
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
         state["base_knn"]["points"] = state["base_knn"]["points"].copy()
         state["base_knn"]["points"][3, 1] = np.inf
-        payload = pickle.dumps(state, protocol=4)
-        header = BUNDLE_MAGIC + struct.pack("<I", BUNDLE_FORMAT_VERSION)
         path = tmp_path / "inf.capgest"
-        path.write_bytes(header + hashlib.sha256(payload).digest() + payload)
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
         with pytest.raises(CorruptFile, match="base_knn.points holds non-finite"):
             load_bundle(path)
+
+    def test_loaded_arrays_keep_dtype_shape_bytes(self, small_bundle, tmp_path):
+        path = tmp_path / "m.capgest"
+        save_bundle(small_bundle, path)
+        saved = array_leaves(bundle_state(small_bundle))
+        loaded = array_leaves(bundle_state(load_bundle(path)))
+        assert len(loaded) == len(saved)
+        for a, b in zip(saved, loaded):
+            assert b.flags.aligned
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
+        # the loaded bundle encodes to the same bytes
+        assert serialize_bundle(load_bundle(path)) == path.read_bytes()
+
+    def test_arrays_stored_once_and_ints_narrowed(self, small_bundle):
+        blob = serialize_bundle(small_bundle)
+        (size,) = struct.unpack_from("<I", blob, 40)
+        table = json.loads(blob[44 : 44 + size])["arrays"]
+        distinct = {(a.dtype.str, a.shape, a.tobytes()) for a in array_leaves(bundle_state(small_bundle))}
+        assert len(table) == len(distinct) < len(array_leaves(bundle_state(small_bundle)))
+        labels = small_bundle.base_knn.labels
+        assert labels.dtype == np.int64 and labels.max() < 128
+        assert {dtype for dtype, _ in table} == {"<f8", "|i1"}
+
+    def test_state_is_tagged_json_data(self, small_bundle):
+        state = bundle_state(small_bundle)
+        assert list(state) == [
+            "config", "base_pca", "base_knn", "group_classifier", "correctors",
+            "corrector_kernels", "discovered_group_ids", "metadata",
+        ]
+        assert state["base_pca"]["@type"] == "PcaModel"
+        assert state["correctors"][0]["group"]["truth"]["@type"] == "GestureLabel"
+        assert "mu0" not in json.dumps(format_4_parts(state)[0])
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -355,8 +475,9 @@ class TestPersistence:
 
     def test_format_1_rejected(self, small_bundle, tmp_path):
         # format 1 carried the removed one-vs-rest LDA router fields; format 2
-        # every configured corrector kernel and the LDA scatter matrices
-        assert BUNDLE_FORMAT_VERSION == 3
+        # every configured corrector kernel and the LDA scatter matrices;
+        # formats 1-3 were pickles
+        assert BUNDLE_FORMAT_VERSION == 4
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
@@ -364,6 +485,65 @@ class TestPersistence:
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
+
+    def test_format_3_rejected(self, small_bundle, tmp_path):
+        path = tmp_path / "m.capgest"
+        path.write_bytes(with_digest(pickle.dumps(bundle_state(small_bundle), protocol=4), 3))
+        with pytest.raises(VersionMismatch, match="version 3"):
+            load_bundle(path)
+
+    def test_pickle_payload_not_run(self, tmp_path):
+        marker = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return open, (str(marker), "w")
+
+        payload = pickle.dumps(Payload())
+        path = tmp_path / "evil.capgest"
+        path.write_bytes(with_digest(payload))
+        with pytest.raises(CorruptFile):
+            load_bundle(path)
+        assert not marker.exists()
+        pickle.loads(payload).close()  # the payload is live: unpickling runs it
+        assert marker.exists()
+
+    def test_unknown_type_tag_rejected(self, small_bundle, tmp_path):
+        state = bundle_state(small_bundle)
+        state["base_pca"]["@type"] = "Popen"
+        path = tmp_path / "m.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        with pytest.raises(CorruptFile, match="unknown type tag 'Popen'"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "row, dtype, shape, match",
+        [
+            (0, "|O", None, "dtype"),
+            (0, ">f8", None, "dtype"),
+            (0, "<f4", None, "dtype"),
+            (0, None, [-100, 3], "shape"),
+            (-1, None, [10**6], "past the payload end"),
+        ],
+    )
+    def test_bad_array_table_rejected(self, small_bundle, tmp_path, row, dtype, shape, match):
+        header, arrays = format_4_parts(bundle_state(small_bundle))
+        if dtype is not None:
+            header["arrays"][row][0] = dtype
+        if shape is not None:
+            header["arrays"][row][1] = shape
+        path = tmp_path / "m.capgest"
+        path.write_bytes(format_4_blob(header, arrays))
+        with pytest.raises(CorruptFile, match=match):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("keep", [0, 3, 100, -8])
+    def test_truncated_payload_rejected(self, small_bundle, tmp_path, keep):
+        payload = serialize_bundle(small_bundle)[40:]
+        path = tmp_path / "m.capgest"
+        path.write_bytes(with_digest(payload[:keep]))
+        with pytest.raises(CorruptFile):
+            load_bundle(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptFile):
