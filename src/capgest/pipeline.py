@@ -448,7 +448,7 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 
 # A format-4 payload is a little-endian u32 header length, the JSON header
-# {"arrays": [[dtype, shape], ...], "state": bundle_state(...)}, and then the
+# {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass and enum carries its class name under
 # _TAG, and each array is {_ARRAY: its row of the table}.  Loading calls no
@@ -503,10 +503,10 @@ def _decode(value, arrays: Sequence[np.ndarray]):
     return cls(**args)
 
 
-def bundle_state(bundle: ModelBundle, store=lambda array: array) -> dict:
+def bundle_state(bundle: ModelBundle) -> dict:
     """The bundle's init fields by name, each dataclass and enum in them a dict
-    tagged with its class name, and each array ``store(array)``."""
-    state = _encode(bundle, store)
+    tagged with its class name."""
+    state = _encode(bundle, lambda array: array)
     del state[_TAG]
     return state
 
@@ -544,7 +544,7 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
             arrays.append(array)
         return {_ARRAY: rows[key]}
 
-    state = bundle_state(bundle, store)
+    state = _encode(bundle, store)
     table = [[a.dtype.str, list(a.shape)] for a in arrays]
     header = json.dumps({"arrays": table, "state": state}, separators=(",", ":")).encode()
     payload = bytearray(struct.pack("<I", len(header)) + header)
