@@ -68,7 +68,7 @@ def format_4_blob(header, arrays, version=BUNDLE_FORMAT_VERSION):
     head = json.dumps(header).encode()
     payload = struct.pack("<I", len(head)) + head
     for a in arrays:
-        payload += bytes(-len(payload) % 8) + np.ascontiguousarray(a).tobytes()
+        payload += bytes(-len(payload) % 8) + a.tobytes()
     return with_digest(payload, version)
 
 
