@@ -34,6 +34,8 @@ class KnnModel:
     cell_index: neighbors.CellIndex | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (type(self.k) is int and 1 <= self.k <= len(self.points)):
+            raise EmptyModel(f"k={self.k!r} is not an int from 1 to {len(self.points)}")
         classes, codes = np.unique(self.labels, return_inverse=True)
         sq_norms = neighbors.sq_norms(self.points)
         object.__setattr__(self, "sq_norms", sq_norms)
@@ -49,8 +51,6 @@ def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
         raise EmptyModel("knn_fit needs a nonempty 2-D reference matrix")
     if len(y) != X.shape[0]:
         raise DimensionMismatch("labels must match reference count")
-    if not 1 <= k <= X.shape[0]:
-        raise EmptyModel(f"k={k} out of range for {X.shape[0]} reference points")
     return KnnModel(points=X, labels=y.copy(), k=k)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import FileFormatError
+from .embed import parse_kernel_spec
+from .errors import FileFormatError, ParamOutOfRange
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,20 @@ class PipelineConfig:
             raise FileFormatError("knn_k must be >= 1")
         if self.base_knn_fit not in ("validation", "train"):
             raise FileFormatError("base_knn_fit must be 'validation' or 'train'")
+        for kind in self.corrector_classifiers:
+            if kind not in ("centroid", "lda"):
+                raise FileFormatError(
+                    f"corrector_classifiers: {kind!r} is not 'centroid' or 'lda'"
+                )
+        for key, specs in (
+            ("group_kernel", (self.group_kernel,)),
+            ("corrector_kernels", self.corrector_kernels),
+        ):
+            for spec in specs:
+                try:
+                    parse_kernel_spec(spec)
+                except ParamOutOfRange as exc:
+                    raise FileFormatError(f"{key}: {exc}") from None
 
 
 _INT_KEYS = {"n_pcs", "knn_k", "min_support", "split_seed"}

@@ -28,10 +28,6 @@ class DegenerateRange(DataError):
     """Calibration range with min_raw >= max_raw."""
 
 
-class SegmentTooShort(DataError):
-    """Marked gesture segment too short to resample."""
-
-
 class NotEnoughUsers(DataError):
     """Fewer distinct users than the requested split needs."""
 

@@ -7,15 +7,17 @@ thousand points, whatever the query count.
 One query may instead search a cell grid of the first three coordinates
 (``cell_index``; Bentley, Stanat & Williams, "The complexity of finding
 fixed-radius near neighbors", 1977): only the references in the 3x3x3 block
-of cells around the query are measured, and the answer is used when every
-reference outside the block is provably farther than the k-th neighbor.
-Otherwise the query scans all references.  Both paths return the same bytes.
+of cells around the query are measured.  Along each gridded axis, a
+reference outside the block lies at or below ``below[c]`` or at or above
+``above[c]``, coordinates of references read when the grid is built; the
+answer is used when every such reference is provably farther than the k-th
+neighbor.  Otherwise the query runs through the chunk scan.  Both paths
+return the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +51,8 @@ class CellIndex:
     references' range still has a block.  ``ids[indptr[key]:indptr[key + 1]]``
     lists, ascending, the references in the 3x3x3 block around the cell
     ``key``.  ``axes`` holds per gridded axis ``(low, n_cells, stride, below,
-    above)``: a reference outside the block along that axis lies below
-    ``below[c]`` or at or above ``above[c]`` (infinite where no reference can).
+    above)``: a reference outside the block along that axis lies at or below
+    ``below[c]`` or at or above ``above[c]`` (infinite where none lies beyond).
     """
 
     side: float
@@ -67,7 +69,7 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     n, d = refs.shape
     p = min(_GRID_DIMS, d)
-    if not (1 <= d <= _MAX_DIMS and 1 <= k <= n):
+    if not 1 <= d <= _MAX_DIMS:
         return None
     pts = refs[:, :p]
     low, high = pts.min(axis=0), pts.max(axis=0)
@@ -99,52 +101,16 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None
 
     axes = []
     for j in range(p):
-        lo, top = float(low[j]), n_cells[j] - 2  # occupied cells are 1 .. top
-        # edge[i]: the least float whose cell is i, as a query's cell is computed
-        edge = {i: _least_in_cell(lo, float(high[j]), side, i) for i in range(2, top + 1)}
-        below = [edge[c - 1] if c - 2 >= 1 else -math.inf for c in range(n_cells[j])]
-        above = [edge[c + 2] if c + 2 <= top else math.inf for c in range(n_cells[j])]
-        axes.append((lo, n_cells[j], strides[j], below, above))
+        # below[c]: the largest coordinate in cells up to c-2, above[c]: the
+        # least in cells from c+2, with each reference in its cell of ``cells``
+        top = np.full(n_cells[j], -math.inf)
+        np.maximum.at(top, cells[:, j], pts[:, j])
+        bottom = np.full(n_cells[j], math.inf)
+        np.minimum.at(bottom, cells[:, j], pts[:, j])
+        below = [-math.inf, -math.inf, *np.maximum.accumulate(top)[:-2].tolist()]
+        above = [*np.minimum.accumulate(bottom[::-1])[::-1][2:].tolist(), math.inf, math.inf]
+        axes.append((float(low[j]), n_cells[j], strides[j], below, above))
     return CellIndex(side, tuple(axes), indptr, ids, float(ref_sq.max()))
-
-
-def _least_in_cell(low: float, high: float, side: float, cell: int) -> float:
-    """Least float x with floor((x - low) / side) + 1 >= cell, for a cell from
-    2 to the one that holds ``high``."""
-
-    def inside(x: float) -> bool:
-        return (x - low) / side >= cell - 1
-
-    # the guess is a few ulps off: step to the edge, unless the floats near
-    # the guess are much finer than near ``low`` (a guess close to 0)
-    x = low + (cell - 1) * side
-    for _ in range(8):
-        if not inside(x):
-            x = math.nextafter(x, math.inf)
-        elif inside(prev := math.nextafter(x, -math.inf)):
-            x = prev
-        else:
-            return x
-    # bisect over the floats from low (outside) to high (inside), in order
-    lo, hi = _ordinal(low), _ordinal(high)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if inside(_from_ordinal(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return _from_ordinal(hi)
-
-
-def _ordinal(x: float) -> int:
-    """Position of the float64 ``x`` in the order of all float64 values."""
-    (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    return bits if bits >= 0 else -(bits & (2**63 - 1))
-
-
-def _from_ordinal(i: int) -> float:
-    (x,) = struct.unpack("<d", struct.pack("<Q", i if i >= 0 else -i | 2**63))
-    return x
 
 
 def query_topk(
@@ -169,16 +135,10 @@ def query_topk(
         raise ValueError(f"k={k} out of range for {n} reference points")
     if ref_sq is None:
         ref_sq = sq_norms(refs)
-    if m == 1:
-        if index is not None:
-            found = cell_topk(index, refs, ref_sq, queries, k)
-            if found is not None:
-                return found
-        # one query, as the chunk loop computes it, without its bookkeeping
-        d2 = _sq_distances(queries, refs, ref_sq)[0]
-        kth = np.partition(d2, k - 1)[k - 1] if k < n else d2.max()
-        order = _nearest(d2, kth, k)
-        return np.sqrt(d2[order])[None, :], order[None, :]
+    if m == 1 and index is not None:
+        found = cell_topk(index, refs, ref_sq, queries, k)
+        if found is not None:
+            return found
     dist = np.empty((m, k))
     idx = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, _CHUNK):
@@ -226,9 +186,11 @@ def cell_topk(
     # Proof that every reference r outside the block has a computed squared
     # distance above kth, so it is neither among the k nearest nor tied with
     # the k-th.  With u = 2**-53 and S = |q|^2 + max |r|^2:
-    # - Such an r lies beyond a face of the block along some gridded axis, so
-    #   |q - r| >= margin_true, the exact distance from q to the nearest face
-    #   with references beyond it.  The float margin is at most
+    # - Such an r lies at or below below[c] or at or above above[c] along
+    #   some gridded axis, and the query's coordinate x lies strictly between
+    #   the two, since a coordinate's cell never decreases with it.  So
+    #   |q - r| >= margin_true, the exact least of x - below[c] and
+    #   above[c] - x over the axes.  The float margin is at most
     #   margin_true * (1 + u), and squaring it adds one more rounding, so
     #   margin_true^2 >= fl(margin^2) * (1 - 3u).
     # - _sq_distances computes |r|^2 - 2 q.r + |q|^2.  Its three length-d

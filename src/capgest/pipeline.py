@@ -153,9 +153,6 @@ def _check_shapes(bundle: ModelBundle) -> None:
     expect("base_knn.labels", bundle.base_knn.labels.shape, points.shape[:1])
     if not np.isfinite(points).all():
         raise InconsistentBundle("base_knn.points holds non-finite values")
-    expect_ints("base_knn.k", (bundle.base_knn.k,))
-    if not 1 <= bundle.base_knn.k <= len(points):
-        raise InconsistentBundle(f"base_knn.k {bundle.base_knn.k} for {len(points)} points")
 
     expect_ints("discovered_group_ids", bundle.discovered_group_ids)
     gc = bundle.group_classifier

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateRange,
     MissingCalibration,
     NotEnoughUsers,
-    SegmentTooShort,
 )
 
 N_CHANNELS = 5
@@ -62,14 +61,6 @@ _LABEL_TEXT = {
     GestureLabel.NONE: "none",
 }
 _TEXT_LABEL = {v: k for k, v in _LABEL_TEXT.items()}
-
-DYNAMIC_LABELS = (
-    GestureLabel.INDEX_BEND,
-    GestureLabel.SHOOT,
-    GestureLabel.FLICK_INDEX,
-    GestureLabel.FLICK_MIDDLE,
-)
-
 
 @dataclass(frozen=True)
 class GestureMark:
@@ -210,21 +201,6 @@ def normalize(recording: Recording, calib: CalibrationTable) -> Recording:
     )
 
 
-def extract_exact(recording: Recording, mark: GestureMark) -> Sample:
-    """Cut one marked gesture and resample it to exactly 20 frames.
-
-    The [start, end] segment (inclusive) of all 5 channels is linearly
-    interpolated over the time axis onto 20 evenly spaced positions.
-    """
-    if mark.end - mark.start < 2:
-        raise SegmentTooShort(f"mark [{mark.start}, {mark.end}] shorter than 2 frames")
-    segment = recording.channels[:, mark.start : mark.end + 1]
-    src = np.arange(segment.shape[1], dtype=np.float64)
-    dst = np.linspace(0.0, segment.shape[1] - 1, WINDOW_FRAMES)
-    matrix = np.vstack([np.interp(dst, src, segment[ch]) for ch in range(N_CHANNELS)])
-    return Sample(matrix=matrix, label=mark.label, user_id=recording.user_id)
-
-
 def _eligible_start(mark: GestureMark) -> int:
     # window end must trail the gesture: from 2/3 of its span to its end
     return mark.start + math.ceil(2.0 / 3.0 * (mark.end - mark.start))
@@ -233,14 +209,6 @@ def _eligible_start(mark: GestureMark) -> int:
 def flatten(sample: Sample) -> np.ndarray:
     """Channel-major 100-feature vector (0-19 thumb, 20-39 index, ...)."""
     return sample.matrix.reshape(N_FEATURES).copy()
-
-
-def unflatten(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`flatten`: 100 features back to the 5x20 matrix."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (N_FEATURES,):
-        raise ValueError(f"expected ({N_FEATURES},) vector, got {values.shape}")
-    return values.reshape(N_CHANNELS, WINDOW_FRAMES).copy()
 
 
 def split_by_user(

@@ -32,7 +32,7 @@ from capgest.classify import knn_cell_share, knn_fit, knn_predict_batch
 from capgest.config import PipelineConfig
 from capgest.corrector import N_LABELS, Corrector, corrected_predict, corrected_predict_batch
 from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
-from capgest.neighbors import query_topk
+from capgest.neighbors import cell_index, query_topk, sq_norms
 from capgest.pipeline import train_pipeline
 from capgest.signals import N_FEATURES, GestureLabel, feature_matrix
 
@@ -446,6 +446,33 @@ class TestLayers:
         assert model.cell_index is None  # zero volume: every query scans
         for q in rng.uniform(0.0, 1.0, (20, 3)):
             assert_cell_search_exact(model, q[None])
+
+    @given(
+        st.sampled_from(["lattice", "offset 1e8", "crossing 0"]),
+        st.integers(2, 40),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cell_margins_against_brute_force(self, kind, n, n_dims, data):
+        # the first two rows span the range on every axis, so no axis is flat
+        if kind == "crossing 0":  # far below 0 to just above it: fine floats near 0
+            lo, hi, values = -1e6, 1.0, st.floats(-1e6, 1.0)
+        else:
+            lo, hi, values = 0.0, 2.0, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+        refs = data.draw(arrays(np.float64, (n, n_dims), elements=values))
+        refs[0], refs[1] = lo, hi
+        if kind == "offset 1e8":
+            refs += 1e8
+        index = cell_index(refs, data.draw(st.integers(1, n)), sq_norms(refs))
+        assert index is not None
+        for j, (low, n_cells, _, below, above) in enumerate(index.axes):
+            coords = refs[:, j].tolist()
+            cells = [np.floor((x - low) / index.side) + 1 for x in coords]
+            for c in range(n_cells):
+                want_below = max((x for x, i in zip(coords, cells) if i <= c - 2), default=-np.inf)
+                want_above = min((x for x, i in zip(coords, cells) if i >= c + 2), default=np.inf)
+                assert (below[c], above[c]) == (want_below, want_above), (j, c)
 
     def test_no_index_past_seven_columns(self):
         refs = np.random.default_rng(6).normal(0.0, 1.0, (100, 8))

@@ -16,6 +16,7 @@ from capgest.errors import (
     DataError,
     DimensionMismatch,
     EmptyEvalSet,
+    EmptyModel,
     EmptySplit,
     FileFormatError,
     InconsistentBundle,
@@ -23,7 +24,7 @@ from capgest.errors import (
     NonNumericInput,
     VersionMismatch,
 )
-from capgest.classify import knn_cell_share
+from capgest.classify import KnnModel, knn_cell_share
 from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
@@ -319,11 +320,11 @@ class TestBundleConsistency:
         with pytest.raises(CorruptFile, match="whiten.scale"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("k", [5.0, True])
+    @pytest.mark.parametrize("k", [5.0, True, "5"])
     def test_knn_k_must_be_int(self, small_bundle, k):
         knn = small_bundle.base_knn
-        with pytest.raises(InconsistentBundle, match="base_knn.k"):
-            replace(small_bundle, base_knn=replace(knn, k=k))
+        with pytest.raises(EmptyModel, match="k="):
+            KnnModel(points=knn.points, labels=knn.labels, k=k)
 
     @pytest.mark.parametrize("k", [5.0, "5", None])
     def test_load_rejects_non_int_k(self, small_bundle, tmp_path, k):
@@ -608,6 +609,18 @@ class TestConfig:
             parse_config_text("n_pcs")
         with pytest.raises(FileFormatError):
             parse_config_text("base_knn_fit = maybe")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("corrector_classifiers = centroid; LDA", "corrector_classifiers"),
+            ("group_kernel = pca:2", "group_kernel"),
+            ("corrector_kernels = pca:20; poly:5", "corrector_kernels"),
+        ],
+    )
+    def test_unknown_classifier_or_kernel_rejected(self, text, key):
+        with pytest.raises(FileFormatError, match=key):
+            parse_config_text(text)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -10,7 +10,6 @@ from capgest.errors import (
     DegenerateRange,
     MissingCalibration,
     NotEnoughUsers,
-    SegmentTooShort,
 )
 from capgest.signals import (
     N_CHANNELS,
@@ -23,13 +22,11 @@ from capgest.signals import (
     Recording,
     Sample,
     assemble_sliding,
-    extract_exact,
     feature_matrix,
     flatten,
     label_array,
     normalize,
     split_by_user,
-    unflatten,
 )
 from capgest.synth import GenConfig, gen_dataset
 
@@ -128,22 +125,6 @@ class TestNormalize:
 
 
 class TestExtract:
-    def test_exact_resamples_to_window(self):
-        values = np.tile(np.linspace(0.0, 1.0, 50), (N_CHANNELS, 1))
-        rec = make_recording(values=values)
-        mark = GestureMark(10, 39, GestureLabel.SHOOT)
-        sample = extract_exact(rec, mark)
-        assert sample.matrix.shape == (N_CHANNELS, WINDOW_FRAMES)
-        assert sample.label is GestureLabel.SHOOT
-        # linear interpolation keeps the segment endpoints
-        assert np.allclose(sample.matrix[:, 0], values[:, 10])
-        assert np.allclose(sample.matrix[:, -1], values[:, 39])
-
-    def test_exact_rejects_short_segment(self):
-        rec = make_recording()
-        with pytest.raises(SegmentTooShort):
-            extract_exact(rec, GestureMark(3, 4, GestureLabel.SHOOT))
-
     def test_sliding_label_rule(self):
         # mark [20, 50]: span 30, eligible window ends are [40, 50]
         mark = GestureMark(20, 50, GestureLabel.FLICK_INDEX)
@@ -187,11 +168,7 @@ class TestFlatten:
     def test_round_trip(self, values):
         matrix = np.array(values).reshape(5, 20)
         sample = Sample(matrix, GestureLabel.NONE, "u")
-        assert np.array_equal(unflatten(flatten(sample)), matrix)
-
-    def test_unflatten_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            unflatten(np.zeros(99))
+        assert np.array_equal(flatten(sample), matrix.reshape(100))
 
 
 def make_user_samples(n_users):
