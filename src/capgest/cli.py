@@ -50,16 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_samples(data_dir: Path, gen: GenConfig, seed: int):
-    recordings, calib = dataio.read_dataset(data_dir)
-    return assemble_sliding(
-        recordings,
-        calib,
-        stride_frames=gen.stride_frames,
-        none_ratio=gen.none_ratio,
-        max_mark_overlap=gen.max_mark_overlap,
-        seed=seed,
-    )
+def _load_samples(data_dir: Path):
+    return assemble_sliding(*dataio.read_dataset(data_dir))
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -87,7 +79,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    samples = _load_samples(Path(args.data), GenConfig(), args.assembly_seed)
+    samples = _load_samples(Path(args.data))
     split = split_by_user(
         samples,
         user_counts=config.user_counts,
@@ -105,7 +97,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_bundle(Path(args.bundle))
-    samples = _load_samples(Path(args.data), GenConfig(), args.assembly_seed)
+    samples = _load_samples(Path(args.data))
     split = split_by_user(
         samples,
         user_counts=bundle.config.user_counts,
@@ -123,7 +115,7 @@ def cmd_eval(args) -> int:
 
 def cmd_cv(args) -> int:
     config = _config_from_args(args)
-    samples = _load_samples(Path(args.data), GenConfig(), args.assembly_seed)
+    samples = _load_samples(Path(args.data))
     summary = cross_validate(config, samples, n_combos=args.combos)
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -140,9 +132,9 @@ def cmd_cv(args) -> int:
 
 def cmd_bench(args) -> int:
     bundle = load_bundle(Path(args.bundle))
-    samples = _load_samples(Path(args.data), GenConfig(), args.assembly_seed)
-    x = feature_matrix(samples[: args.max_samples])
-    stats = bench_latency(bundle, x, warmup=args.warmup, iters=args.iters)
+    samples = _load_samples(Path(args.data))
+    x = feature_matrix(samples)
+    stats = bench_latency(bundle, x, iters=len(x))
     for key, value in stats.items():
         print(f"{key}: {value}")
     if stats.get("n_timed", 0) and stats["p95_ms"] >= args.budget_ms:
@@ -177,7 +169,7 @@ def cmd_predict(args) -> int:
             rows.append(values)
         preds = bundle.predict_batch(np.asarray(rows))
     else:
-        samples = _load_samples(Path(args.recordings), GenConfig(), args.assembly_seed)
+        samples = _load_samples(Path(args.recordings))
         preds = bundle.predict_batch(feature_matrix(samples))
     for p in preds:
         print(GestureLabel(int(p)).text)
@@ -220,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="dataset directory")
         if bundle:
             p.add_argument("--bundle", required=True, help="bundle file")
-        p.add_argument(
-            "--assembly-seed", type=int, default=0,
-            help="seed for NONE-window subsampling (default 0)",
-        )
 
     p = sub.add_parser("train", help="train a model bundle")
     add_common(p)
@@ -249,17 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("bench", help="single-sample latency benchmark")
+    p = sub.add_parser(
+        "bench", help="single-sample latency benchmark, timing every window once"
+    )
     add_common(p, bundle=True)
-    p.add_argument("--iters", type=int, default=500, help="timed iterations (default 500)")
-    p.add_argument("--warmup", type=int, default=50, help="warmup calls (default 50)")
     p.add_argument(
         "--budget-ms", type=float, default=1.0,
         help="p95 latency budget in ms; exceeding it exits 3 (default 1.0)",
-    )
-    p.add_argument(
-        "--max-samples", type=int, default=2000,
-        help="cap on distinct probe samples (default 2000)",
     )
     p.set_defaults(func=cmd_bench)
 
@@ -268,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--features", help="text file, 100 comma-separated values per line")
     src.add_argument("--recordings", help="dataset directory of raw recordings")
-    p.add_argument("--assembly-seed", type=int, default=0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("inspect", help="dump the corrector audit report")

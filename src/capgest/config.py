@@ -26,7 +26,6 @@ class PipelineConfig:
     # base model
     n_pcs: int = 3
     knn_k: int = 5
-    base_knn_fit: str = "validation"   # "validation" (two-stage) or "train" (ablation)
     # corrector grid
     corrector_kernels: tuple[str, ...] = (
         "pca:20",
@@ -48,8 +47,6 @@ class PipelineConfig:
             raise FileFormatError("n_pcs must be >= 1")
         if self.knn_k < 1:
             raise FileFormatError("knn_k must be >= 1")
-        if self.base_knn_fit not in ("validation", "train"):
-            raise FileFormatError("base_knn_fit must be 'validation' or 'train'")
         for kind in self.corrector_classifiers:
             if kind not in ("centroid", "lda"):
                 raise FileFormatError(
@@ -67,7 +64,7 @@ class PipelineConfig:
 
 
 _INT_KEYS = {"n_pcs", "knn_k", "min_support", "split_seed"}
-_STR_KEYS = {"base_knn_fit", "group_kernel"}
+_STR_KEYS = {"group_kernel"}
 _STR_LIST_KEYS = {"corrector_kernels", "corrector_classifiers", "pinned_hold"}
 _INT_LIST_KEYS = {"user_counts"}
 

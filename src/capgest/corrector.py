@@ -358,7 +358,8 @@ def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
     DimensionMismatch.
     """
     width = bundle.base_pca.components.shape[0]
-    return GestureLabel(int(_cascade(bundle, feature_rows(feature_vector, width, one=True))[0]))
+    _, out = _cascade(bundle, feature_rows(feature_vector, width, one=True))
+    return GestureLabel(int(out[0]))
 
 
 def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
@@ -369,11 +370,12 @@ def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
     the zero-FP threshold.  A sample with no route, or routed to a group
     without a corrector, keeps its base prediction.
     """
-    return _cascade(bundle, feature_rows(features, bundle.base_pca.components.shape[0]))
+    return _cascade(bundle, feature_rows(features, bundle.base_pca.components.shape[0]))[1]
 
 
-def _cascade(bundle, features: np.ndarray) -> np.ndarray:
-    """The cascade on a matrix that :func:`feature_rows` checked."""
+def _cascade(bundle, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The base and the corrected labels of a matrix that :func:`feature_rows`
+    checked."""
     base = knn_predict_batch(bundle.base_knn, pca_transform(bundle.base_pca, features))
     out = base.copy()
     for corrector, rows in _routed_rows(bundle, features, base):
@@ -383,7 +385,7 @@ def _cascade(bundle, features: np.ndarray) -> np.ndarray:
         )
         fired = scores >= corrector.threshold
         out[fired if rows is None else rows[fired]] = int(corrector.group.truth)
-    return out
+    return base, out
 
 
 def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):

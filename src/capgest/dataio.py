@@ -2,8 +2,9 @@
 
 Three file kinds, all with a ``# capgest-<kind> v1`` first line:
 
-* recording: header rows ``user_id,<id>`` and ``sample_rate_hz,<hz>``, a
-  column header, then one row per frame: ``frame,thumb,index,middle,ring,pinky``.
+* recording: header rows ``user_id,<id>`` and ``sample_rate_hz,<hz>`` (40.0;
+  any other rate is a FileFormatError), a column header, then one row per
+  frame: ``frame,thumb,index,middle,ring,pinky``.
 * marks: one row per annotation: ``start,end,label`` (inclusive frame span).
 * calibration: one row per (user, channel): ``user_id,channel,min_raw,max_raw``.
 

@@ -334,12 +334,6 @@ class FittedKernel:
             return self.std.mean.shape[0]
         return (self.base or self.children[0]).n_input_features
 
-    @property
-    def n_output_features(self) -> int:
-        if self.spec.kind == "concat":
-            return sum(c.n_output_features for c in self.children)
-        return self.whiten.rotation.shape[1]
-
 
 _BASIS = "basis"  # memo key of the shared PCA basis; no kernel spec encodes to it
 

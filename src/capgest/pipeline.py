@@ -36,6 +36,7 @@ from .corrector import (
     ErrorGroup,
     GroupClassifier,
     RoutingTable,
+    _cascade,
     build_routing_table,
     corrected_predict,
     corrected_predict_batch,
@@ -78,7 +79,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -195,10 +196,9 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     """Train the base model and its corrector cascade on one split.
 
     PCA is fit on the train partition; the KNN references come from the
-    validation partition (two-stage protocol), or from train under the
-    ablation flag.  Error groups, the group classifier, and the correctors
-    are trained on train-partition base-model errors, with the validation
-    partition as the zero-FP holdout sweep.
+    validation partition (two-stage protocol).  Error groups, the group
+    classifier, and the correctors are trained on train-partition base-model
+    errors, with the validation partition as the zero-FP holdout sweep.
     """
     if not split.train or not split.validation:
         raise EmptySplit("train and validation partitions must be nonempty")
@@ -208,11 +208,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     y_val = label_array(split.validation)
 
     base_pca = pca_fit(x_train, config.n_pcs, centered=False)
-    if config.base_knn_fit == "validation":
-        ref_x, ref_y = x_val, y_val
-    else:
-        ref_x, ref_y = x_train, y_train
-    base_knn = knn_fit(pca_transform(base_pca, ref_x), ref_y, config.knn_k)
+    base_knn = knn_fit(pca_transform(base_pca, x_val), y_val, config.knn_k)
 
     preds_train = knn_predict_batch(base_knn, pca_transform(base_pca, x_train))
     preds_val = knn_predict_batch(base_knn, pca_transform(base_pca, x_val))
@@ -356,10 +352,9 @@ def evaluate(bundle: ModelBundle, samples: Sequence[Sample]) -> EvalReport:
     """Accuracy of the base and corrected paths, overall and per error group."""
     if not samples:
         raise EmptyEvalSet("evaluation needs at least one sample")
-    x = feature_matrix(samples)
+    x = feature_rows(feature_matrix(samples), bundle.base_pca.components.shape[0])
     y = label_array(samples)
-    base = bundle.predict_base_batch(x)
-    corrected = bundle.predict_batch(x)
+    base, corrected = _cascade(bundle, x)
 
     per_group = []
     correctors = bundle.routing.correctors
@@ -444,7 +439,7 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-4 payload is a little-endian u32 header length, the JSON header
+# A format-5 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass and enum carries its class name under

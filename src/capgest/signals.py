@@ -2,8 +2,8 @@
 
 Raw recordings carry 5 parallel finger traces in sensor units.  This module
 normalizes them into [0, 1] per user calibration, cuts them into 5x20
-samples (500 ms at the nominal 40 Hz), flattens samples into 100-feature
-vectors, and produces user-grouped dataset splits.
+samples (500 ms at 40 Hz, the one rate a recording may have), flattens
+samples into 100-feature vectors, and produces user-grouped dataset splits.
 
 All operations are pure functions over immutable inputs.
 """
@@ -27,6 +27,7 @@ from .errors import (
 N_CHANNELS = 5
 WINDOW_FRAMES = 20
 N_FEATURES = N_CHANNELS * WINDOW_FRAMES
+SAMPLE_RATE_HZ = 40.0  # the only rate windows are cut at
 
 CHANNEL_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
@@ -85,7 +86,7 @@ class Recording:
 
     user_id: str
     channels: np.ndarray
-    sample_rate_hz: float = 40.0
+    sample_rate_hz: float = SAMPLE_RATE_HZ
     gesture_marks: tuple[GestureMark, ...] = ()
 
     def __post_init__(self) -> None:
@@ -93,8 +94,10 @@ class Recording:
         object.__setattr__(self, "channels", ch)
         if ch.ndim != 2 or ch.shape[0] != N_CHANNELS or ch.shape[1] < 1:
             raise ValueError(f"channels must be (5, n>=1), got {ch.shape}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if self.sample_rate_hz != SAMPLE_RATE_HZ:
+            raise ValueError(
+                f"sample_rate_hz is {self.sample_rate_hz!r}, windows need {SAMPLE_RATE_HZ} Hz"
+            )
         n = ch.shape[1]
         prev_end = -1
         for mark in sorted(self.gesture_marks, key=lambda m: m.start):
@@ -145,8 +148,6 @@ class CalibrationTable:
     def items(self):
         return sorted(self._ranges.items())
 
-    def __len__(self) -> int:
-        return len(self._ranges)
 
 @dataclass(frozen=True)
 class Sample:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .signals import (
     N_CHANNELS,
+    SAMPLE_RATE_HZ,
     CalibrationRange,
     CalibrationTable,
     GestureLabel,
@@ -23,8 +24,6 @@ from .signals import (
     Sample,
     assemble_sliding,
 )
-
-DEFAULT_SAMPLE_RATE_HZ = 40.0
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class GenConfig:
     none_bump_probability: float = 0.55
     stride_frames: int = 1
     max_mark_overlap: float = 0.75
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     seed: int = 0
 
 
@@ -137,7 +135,6 @@ def gen_recording(
     profile: UserProfile,
     label: GestureLabel,
     seed,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
     none_bump_probability: float = 0.55,
 ) -> Recording:
     """One raw-unit recording: a marked gesture pulse, or unmarked wander.
@@ -146,7 +143,7 @@ def gen_recording(
     user's baseline.
     """
     rng = np.random.default_rng(seed)
-    ms_per_frame = 1000.0 / sample_rate_hz
+    ms_per_frame = 1000.0 / SAMPLE_RATE_HZ
 
     if label is GestureLabel.NONE:
         normalized, marks = _gen_none(profile, rng, none_bump_probability, ms_per_frame)
@@ -160,7 +157,6 @@ def gen_recording(
     return Recording(
         user_id=profile.user_id,
         channels=raw,
-        sample_rate_hz=sample_rate_hz,
         gesture_marks=marks,
     )
 
@@ -244,7 +240,6 @@ def gen_dataset(config: GenConfig) -> tuple[list[Recording], CalibrationTable]:
                         profile,
                         label,
                         seed=(config.seed, u, class_idx, r),
-                        sample_rate_hz=config.sample_rate_hz,
                         none_bump_probability=config.none_bump_probability,
                     )
                 )

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from capgest import dataio
 from capgest.cli import main
-from capgest.signals import N_FEATURES
+from capgest.signals import N_FEATURES, assemble_sliding
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +42,20 @@ class TestHappyPaths:
     def test_bench_within_budget(self, workspace, capsys):
         code = main(
             ["bench", "--data", str(workspace["data"]), "--bundle",
-             str(workspace["bundle"]), "--iters", "40", "--warmup", "5",
-             "--budget-ms", "1000"]
+             str(workspace["bundle"]), "--budget-ms", "1000"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "p95_ms" in out
         assert "backend: numpy" in out
+        # every window of the directory is timed once
+        n_windows = len(assemble_sliding(*dataio.read_dataset(workspace["data"])))
+        assert f"n_timed: {n_windows}\n" in out
 
     def test_bench_budget_violation_exits_3(self, workspace, capsys):
         code = main(
             ["bench", "--data", str(workspace["data"]), "--bundle",
-             str(workspace["bundle"]), "--iters", "10", "--warmup", "2",
-             "--budget-ms", "0.0000001"]
+             str(workspace["bundle"]), "--budget-ms", "0.0000001"]
         )
         assert code == 3
 
@@ -106,6 +108,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", "x"])  # missing --out
         assert exc.value.code == 1
+
+    def test_removed_config_key_is_2(self, workspace, tmp_path, capsys):
+        # the KNN references are always the validation partition
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("base_knn_fit = train\n", encoding="utf-8")
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m.capgest"),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "unknown config key 'base_knn_fit'" in capsys.readouterr().err
 
     def test_data_error_is_2(self, tmp_path, capsys):
         assert main(["eval", "--data", str(tmp_path), "--bundle", "nope"]) == 2

@@ -100,6 +100,17 @@ class TestFormatErrors:
         with pytest.raises(FileFormatError, match="frame row"):
             dataio.read_recording(path)
 
+    def test_sample_rate_other_than_40_hz(self, tmp_path):
+        path = tmp_path / "r.csv"
+        dataio.write_recording(path, make_recording())
+        path.write_text(
+            path.read_text(encoding="utf-8").replace("sample_rate_hz,40.0", "sample_rate_hz,100.0"),
+            encoding="utf-8",
+        )
+        with pytest.raises(FileFormatError, match="sample_rate_hz is 100.0") as exc:
+            dataio.read_recording(path)
+        assert str(path) in str(exc.value)
+
     def test_bad_mark_label(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

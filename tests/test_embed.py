@@ -19,6 +19,7 @@ from capgest.embed import (
     intrinsic_dimension,
     kernel_apply,
     kernel_fit,
+    kernel_output_width,
     monomial_count,
     parse_kernel_spec,
     pca_fit,
@@ -152,12 +153,12 @@ class TestKernels:
         k = kernel_fit(parse_kernel_spec("pca:9"), small_train())
         Z = k.apply(small_train(50))
         assert Z.shape == (50, 9)
-        assert k.n_output_features == 9
+        assert kernel_output_width(k, 100) == 9
 
     def test_poly_kernel_dims(self):
         k = kernel_fit(parse_kernel_spec("poly:4:3"), small_train())
-        assert k.n_output_features <= monomial_count(4, 3)
-        assert k.apply(small_train(10)).shape[1] == k.n_output_features
+        assert kernel_output_width(k, 100) <= monomial_count(4, 3)
+        assert k.apply(small_train(10)).shape[1] == kernel_output_width(k, 100)
 
     def test_monomial_count_matches_expansion(self):
         B = RNG.normal(0, 1, (20, 5))

@@ -46,9 +46,10 @@ FAST_CONFIG = PipelineConfig(corrector_kernels=("pca:20", "poly:5:4"))
 
 
 def format_4_parts(state):
-    """The JSON header and the arrays of a format-4 file of ``state``, a
-    :func:`bundle_state` dict; built here from the format's description, not
-    by ``serialize_bundle``, and without its dedupe or int narrowing."""
+    """The JSON header and the arrays of a format-4 or format-5 file (the two
+    share their layout) of ``state``, a :func:`bundle_state` dict; built here
+    from the format's description, not by ``serialize_bundle``, and without
+    its dedupe or int narrowing."""
     arrays = []
 
     def refs(value):
@@ -102,13 +103,6 @@ class TestTraining:
 
     def test_knn_references_come_from_validation(self, small_bundle, small_split):
         assert small_bundle.base_knn.points.shape[0] == len(small_split.validation)
-
-    def test_train_ablation_uses_train_references(self, small_split):
-        config = PipelineConfig(
-            base_knn_fit="train", corrector_kernels=("pca:9",)
-        )
-        bundle = train_pipeline(config, small_split)
-        assert bundle.base_knn.points.shape[0] == len(small_split.train)
 
     def test_zero_regression_on_train(self, small_bundle, small_split):
         X = feature_matrix(small_split.train)
@@ -407,7 +401,7 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        assert len(serialize_bundle(default_bundle)) == 336_152
+        assert len(serialize_bundle(default_bundle)) == 336_128
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -477,12 +471,12 @@ class TestPersistence:
     def test_format_1_rejected(self, small_bundle, tmp_path):
         # format 1 carried the removed one-vs-rest LDA router fields; format 2
         # every configured corrector kernel and the LDA scatter matrices;
-        # formats 1-3 were pickles
-        assert BUNDLE_FORMAT_VERSION == 4
+        # formats 1-3 were pickles; format 4's config held the removed base_knn_fit
+        assert BUNDLE_FORMAT_VERSION == 5
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2):
+        for old in (1, 2, 4):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
