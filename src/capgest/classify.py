@@ -124,13 +124,6 @@ def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
     return LdaModel(w=w, bias=bias)
 
 
-def lda_score(model: LdaModel, x: np.ndarray) -> np.ndarray | float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return float(x @ model.w - model.bias)
-    return lda_scores(model, x)
-
-
 def lda_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
     """Scores of the rows of a float (n, d) matrix, unchecked."""
     return X @ model.w - model.bias
@@ -195,3 +188,27 @@ def centroid_scores(model: CentroidModel, X: np.ndarray, pos_col: int) -> np.nda
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg
     return np.divide(d_neg, total, out=np.full(len(total), 0.5), where=total > 0)
+
+
+# ---------------------------------------------------------------------------
+# Binary scores
+# ---------------------------------------------------------------------------
+
+# the binary classifiers of the corrector grid by name
+BINARY_FITS = {"centroid": centroid_fit, "lda": lda_fit}
+
+
+def binary_kind(model: CentroidModel | LdaModel) -> str:
+    """The :data:`BINARY_FITS` name of the classifier that fitted ``model``."""
+    return next(kind for kind in BINARY_FITS if type(model).__name__.lower().startswith(kind))
+
+
+def binary_scores(model: CentroidModel | LdaModel, X: np.ndarray) -> np.ndarray:
+    """Class-1 score of each row of a float (n, d) matrix, unchecked.
+
+    A centroid model's classes are the sorted {0, 1}, so class 1 is its
+    second row.
+    """
+    if isinstance(model, CentroidModel):
+        return centroid_scores(model, X, 1)
+    return lda_scores(model, X)

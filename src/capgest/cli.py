@@ -16,11 +16,10 @@ import numpy as np
 
 from . import dataio
 from .config import PipelineConfig, format_config, load_config
-from .corrector import format_audit
+from .corrector import audit_records, format_audit
 from .errors import BudgetError, CapgestError
 from .pipeline import (
     BUNDLE_SIZE_BUDGET,
-    audit_report,
     bench_latency,
     cross_validate,
     evaluate,
@@ -133,8 +132,7 @@ def cmd_cv(args) -> int:
 def cmd_bench(args) -> int:
     bundle = load_bundle(Path(args.bundle))
     samples = _load_samples(Path(args.data))
-    x = feature_matrix(samples)
-    stats = bench_latency(bundle, x, iters=len(x))
+    stats = bench_latency(bundle, feature_matrix(samples))
     for key, value in stats.items():
         print(f"{key}: {value}")
     if stats.get("n_timed", 0) and stats["p95_ms"] >= args.budget_ms:
@@ -178,7 +176,7 @@ def cmd_predict(args) -> int:
 
 def cmd_inspect(args) -> int:
     bundle = load_bundle(Path(args.bundle))
-    records = audit_report(bundle)
+    records = audit_records(bundle.correctors)
     if args.json:
         print(json.dumps(records, sort_keys=True))
     else:
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit one label per input sample")
     p.add_argument("--bundle", required=True, help="bundle file")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--features", help="text file, 100 comma-separated values per line")
+    src.add_argument("--features", help="text file, 100 comma-separated values in [0, 1] per line")
     src.add_argument("--recordings", help="dataset directory of raw recordings")
     p.set_defaults(func=cmd_predict)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .classify import BINARY_FITS
 from .embed import parse_kernel_spec
 from .errors import FileFormatError, ParamOutOfRange
 
@@ -48,9 +49,9 @@ class PipelineConfig:
         if self.knn_k < 1:
             raise FileFormatError("knn_k must be >= 1")
         for kind in self.corrector_classifiers:
-            if kind not in ("centroid", "lda"):
+            if kind not in BINARY_FITS:
                 raise FileFormatError(
-                    f"corrector_classifiers: {kind!r} is not 'centroid' or 'lda'"
+                    f"corrector_classifiers: {kind!r} is not one of {list(BINARY_FITS)}"
                 )
         for key, specs in (
             ("group_kernel", (self.group_kernel,)),

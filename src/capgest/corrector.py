@@ -10,31 +10,30 @@ inference a group classifier routes suspicious samples to their corrector.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .classify import (
+    BINARY_FITS,
     CentroidModel,
     LdaModel,
+    binary_kind,
+    binary_scores,
     centroid_fit,
-    centroid_score,
-    centroid_scores,
     knn_predict_batch,
-    lda_fit,
-    lda_score,
-    lda_scores,
 )
 from .embed import FittedKernel, as_rows, kernel_apply, pca_transform
 from .errors import (
     DimensionMismatch,
+    FeatureOutOfRange,
+    InconsistentBundle,
     NonFiniteInput,
     NonNumericInput,
-    SingleClass,
     TooFewGroups,
 )
-from .signals import GestureLabel
+from .signals import FEATURE_BOUNDS, GestureLabel
 
 N_LABELS = len(GestureLabel)
 
@@ -163,41 +162,34 @@ def train_group_classifier(
 
 @dataclass(frozen=True)
 class Corrector:
-    group: ErrorGroup
+    group_id: int
     kernel_name: str
-    classifier_kind: str            # "centroid" | "lda"
-    centroid: CentroidModel | None
-    lda: LdaModel | None
+    model: CentroidModel | LdaModel  # class 1 is the group's errors
     threshold: float
     train_tp: int
     train_positives: int
     holdout_tp: int
     holdout_positives: int
+    # derived from group_id on every construction, never serialized
+    group: ErrorGroup = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            group = ErrorGroup.from_id(self.group_id)
+        except (TypeError, ValueError):
+            raise InconsistentBundle(
+                f"corrector group id {self.group_id!r} is no error group"
+            ) from None
+        object.__setattr__(self, "group", group)
 
     def score(self, kernel_features: np.ndarray) -> np.ndarray:
         """Score of each row of a float (n, d) matrix of this corrector's
-        kernel features.
+        kernel features, as training scored it.
 
         The matrix is not checked: its width is the kernel's output width,
-        which the bundle checks when it is built.  Class 1 (the group's
-        errors) is the centroid model's second row, as its classes are the
-        sorted {0, 1}.
+        which the bundle checks when it is built.
         """
-        if self.classifier_kind == "centroid":
-            return centroid_scores(self.centroid, kernel_features, 1)
-        return lda_scores(self.lda, kernel_features)
-
-
-def _fit_and_score(kind, feats_train, y_train, feats_holdout):
-    """Fit one binary classifier: (centroid, lda, train scores, holdout scores)."""
-    if kind == "centroid":
-        model = centroid_fit(feats_train, y_train)
-        if len(model.classes) != 2:
-            raise SingleClass("both binary classes required")
-        s_train = centroid_score(model, feats_train, 1)
-        return model, None, s_train, centroid_score(model, feats_holdout, 1)
-    model = lda_fit(feats_train, y_train)
-    return None, model, lda_score(model, feats_train), lda_score(model, feats_holdout)
+        return binary_scores(self.model, kernel_features)
 
 
 def train_corrector(
@@ -209,7 +201,7 @@ def train_corrector(
     train_preds: np.ndarray,
     holdout_truths: np.ndarray,
     holdout_preds: np.ndarray,
-    classifier_kinds: Sequence[str] = ("centroid", "lda"),
+    classifier_kinds: Sequence[str] = tuple(BINARY_FITS),
 ) -> Corrector | None:
     """Grid-search kernels x classifiers for the best zero-FP corrector.
 
@@ -224,29 +216,24 @@ def train_corrector(
 
     train_mask, y_train = candidates(train_truths, train_preds)
     holdout_mask, y_holdout = candidates(holdout_truths, holdout_preds)
-    if not y_train.any():
-        return None
+    if not y_train.any() or y_train.all():
+        return None  # every classifier needs both classes
 
     best: Corrector | None = None
     for kernel_name in kernels:
         feats_train = np.asarray(train_kernel_features[kernel_name])[train_mask]
         feats_holdout = np.asarray(holdout_kernel_features[kernel_name])[holdout_mask]
         for kind in classifier_kinds:
-            try:
-                cen, lda, s_train, s_holdout = _fit_and_score(
-                    kind, feats_train, y_train, feats_holdout
-                )
-            except SingleClass:
-                continue
+            model = BINARY_FITS[kind](feats_train, y_train)
+            s_train = binary_scores(model, feats_train)
+            s_holdout = binary_scores(model, feats_holdout)
             threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
             if threshold is None:
                 continue
             candidate = Corrector(
-                group=group,
+                group_id=group.group_id,
                 kernel_name=kernel_name,
-                classifier_kind=kind,
-                centroid=cen,
-                lda=lda,
+                model=model,
                 threshold=threshold,
                 # at or above the threshold every score on both sweeps is a positive's
                 train_tp=int((s_train >= threshold).sum()),
@@ -319,8 +306,9 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
 
     A 1-D ``features`` is one row.  With ``one`` the input must be exactly
     one row.  Raises DimensionMismatch on rows of different shapes or any
-    other wrong shape, NonNumericInput when a value is not a number and
-    NonFiniteInput on NaN or inf.
+    other wrong shape, NonNumericInput when a value is not a number,
+    NonFiniteInput on NaN or inf and FeatureOutOfRange on a finite value
+    outside the normalized range [0, 1].
     """
     try:
         features = as_rows(features, n_features)
@@ -331,9 +319,15 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
         raise NonNumericInput(f"feature values must be numbers: {exc}") from None
     if one and len(features) != 1:
         raise DimensionMismatch(f"expects one feature row, got shape {features.shape}")
-    if not np.isfinite(features).all():
-        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
-        raise NonFiniteInput(f"feature row {row} contains NaN or inf")
+    lo, hi = FEATURE_BOUNDS
+    # a NaN is the min and the max, and fails both comparisons
+    if features.size and not (lo <= features.min() and features.max() <= hi):
+        row, col = np.argwhere(~((features >= lo) & (features <= hi)))[0]
+        if not np.isfinite(features[row]).all():
+            raise NonFiniteInput(f"feature row {row} contains NaN or inf")
+        raise FeatureOutOfRange(
+            f"feature row {row} has value {float(features[row, col])!r} outside [0, 1]"
+        )
     return features
 
 
@@ -428,7 +422,7 @@ def audit_records(correctors: Sequence[Corrector]) -> list[dict]:
             "group_id": c.group.group_id,
             "pattern": c.group.describe(),
             "kernel": c.kernel_name,
-            "classifier": c.classifier_kind,
+            "classifier": binary_kind(c.model),
             "threshold": c.threshold,
             "train_tp": c.train_tp,
             "train_errors": c.train_positives,

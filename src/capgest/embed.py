@@ -153,10 +153,6 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
     return WhitenModel(mean=mean, rotation=rotation, scale=scale)
 
 
-def whiten_apply(model: WhitenModel, X: np.ndarray) -> np.ndarray:
-    return _whiten(model, as_rows(X, model.rotation.shape[0]))
-
-
 def _whiten(model: WhitenModel, X: np.ndarray) -> np.ndarray:
     return (X - model.mean) @ model.rotation * model.scale
 
@@ -324,9 +320,6 @@ class FittedKernel:
     base: "FittedKernel | None" = None       # inner pca kernel for poly / knn
     train_base: np.ndarray | None = None     # knn reference set in base space
     children: tuple["FittedKernel", ...] = ()
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return kernel_apply(self, X)
 
     @property
     def n_input_features(self) -> int:

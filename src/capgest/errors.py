@@ -70,6 +70,10 @@ class NonFiniteInput(DataError):
     """A feature row given for prediction contains NaN or inf."""
 
 
+class FeatureOutOfRange(DataError):
+    """A finite feature value given for prediction lies outside [0, 1]."""
+
+
 class NonNumericInput(DataError):
     """A feature value given for prediction is not a number."""
 

@@ -14,13 +14,11 @@ import platform
 import struct
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import corrector as corr
 from . import neighbors
 from .classify import (
     CentroidModel,
@@ -79,7 +77,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 5
+BUNDLE_FORMAT_VERSION = 6
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -156,6 +154,7 @@ def _check_shapes(bundle: ModelBundle) -> None:
         raise InconsistentBundle("base_knn.points holds non-finite values")
 
     expect_ints("discovered_group_ids", bundle.discovered_group_ids)
+    expect_ints("corrector group ids", [c.group_id for c in bundle.correctors])
     gc = bundle.group_classifier
     if gc is not None:
         expect_ints("group classifier ids", gc.group_ids)
@@ -172,20 +171,21 @@ def _check_shapes(bundle: ModelBundle) -> None:
         for name, k in bundle.corrector_kernels.items()
     }
     for c in bundle.correctors:
-        part = f"corrector {c.group.group_id}"
+        part = f"corrector {c.group_id}"
         if c.kernel_name not in widths:
             raise InconsistentBundle(f"{part} reads kernel {c.kernel_name!r}, which the bundle lacks")
         width = widths[c.kernel_name]
         expect_finite(f"{part} threshold", c.threshold)
-        if {"centroid": c.centroid, "lda": c.lda}.get(c.classifier_kind) is None:
-            raise InconsistentBundle(f"{part}: no {c.classifier_kind!r} classifier")
-        if c.classifier_kind == "centroid":
-            if c.centroid.classes.tolist() != [0, 1]:
-                raise InconsistentBundle(f"{part}: centroid classes {c.centroid.classes.tolist()}")
-            expect(f"{part} centroids", c.centroid.centroids.shape, (2, width))
+        model = c.model
+        if isinstance(model, CentroidModel):
+            if model.classes.tolist() != [0, 1]:
+                raise InconsistentBundle(f"{part}: centroid classes {model.classes.tolist()}")
+            expect(f"{part} centroids", model.centroids.shape, (2, width))
+        elif isinstance(model, LdaModel):
+            expect_finite(f"{part} lda.bias", model.bias)
+            expect(f"{part} lda.w", model.w.shape, (width,))
         else:
-            expect_finite(f"{part} lda.bias", c.lda.bias)
-            expect(f"{part} lda.w", c.lda.w.shape, (width,))
+            raise InconsistentBundle(f"{part}: model {type(model).__name__} is no binary classifier")
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +439,18 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-5 payload is a little-endian u32 header length, the JSON header
+# A format-6 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
-# bytes.  In the state each dataclass and enum carries its class name under
-# _TAG, and each array is {_ARRAY: its row of the table}.  Loading calls no
+# bytes.  In the state each dataclass carries its class name under _TAG, and
+# each array is {_ARRAY: its row of the table}.  Loading calls no
 # class outside _CODEC_TYPES, so a bundle file cannot run code.
 
 _TAG, _ARRAY = "@type", "@array"
-# the only classes loading calls: the bundle's own dataclasses and GestureLabel
+# the only classes loading calls: the bundle's own dataclasses
 _CODEC_TYPES = {cls.__name__: cls for cls in (
     ModelBundle, PipelineConfig, PcaModel, KnnModel, GroupClassifier, CentroidModel, LdaModel,
-    Corrector, ErrorGroup, GestureLabel, FittedKernel, KernelSpec, Standardizer, WhitenModel,
+    Corrector, FittedKernel, KernelSpec, Standardizer, WhitenModel,
 )}
 # int arrays are stored in the narrowest of these that holds them and load as int64
 _INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")
@@ -465,8 +465,6 @@ def _encode(value, store):
     """
     if isinstance(value, np.ndarray):
         return store(value)
-    if isinstance(value, Enum):
-        return {_TAG: type(value).__name__, "value": value.value}
     if is_dataclass(value):
         state = {f.name: _encode(getattr(value, f.name), store) for f in fields(value) if f.init}
         return {_TAG: type(value).__name__, **state}
@@ -496,8 +494,8 @@ def _decode(value, arrays: Sequence[np.ndarray]):
 
 
 def bundle_state(bundle: ModelBundle) -> dict:
-    """The bundle's init fields by name, each dataclass and enum in them a dict
-    tagged with its class name."""
+    """The bundle's init fields by name, each dataclass in them a dict tagged
+    with its class name."""
     state = _encode(bundle, lambda array: array)
     del state[_TAG]
     return state
@@ -603,43 +601,36 @@ def load_bundle(path: Path) -> ModelBundle:
 # Latency
 # ---------------------------------------------------------------------------
 
-def bench_latency(
-    bundle: ModelBundle,
-    features: np.ndarray,
-    warmup: int = 50,
-    iters: int = 500,
-) -> dict:
+def bench_latency(bundle: ModelBundle, features: np.ndarray) -> dict:
     """Single-threaded per-sample latency of the corrected cascade.
 
-    Rows are visited in a fixed-seed random permutation of all of ``features``,
-    cycling when ``iters`` exceeds the row count, so every part of the
-    probe set is equally likely to be timed.  Each timed call runs the full
-    single-sample path end to end; stats are reported in milliseconds.
-    ``knn_cell_share`` is the share of timed rows whose base KNN search was
-    answered from its cell block, counted after the timed loop.
+    Every row of ``features`` is timed once, in a fixed-seed random
+    permutation, after ``min(50, 2n)`` warm-up calls over the same order.
+    Each timed call runs the full single-sample path end to end; stats are
+    reported in milliseconds.  ``knn_cell_share`` is the share of rows whose
+    base KNN search is answered from its cell block, counted after the
+    timed loop.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] == 0 or iters == 0:
+    if features.shape[0] == 0:
         return {
             "n_timed": 0,
             "backend": neighbors.BACKEND,
             "hardware": platform.processor() or platform.machine(),
         }
     n = features.shape[0]
-    order = np.random.default_rng(0).permutation(n)
-    for i in range(min(warmup, n * 2)):
-        corrected_predict(bundle, features[order[i % n]])
-    timings = np.empty(iters)
-    for i in range(iters):
-        fv = features[order[i % n]]
+    rows = list(features[np.random.default_rng(0).permutation(n)])
+    for fv in (rows + rows)[:50]:
+        corrected_predict(bundle, fv)
+    timings = np.empty(n)
+    for i, fv in enumerate(rows):
         start = time.perf_counter_ns()
         corrected_predict(bundle, fv)
         timings[i] = time.perf_counter_ns() - start
     ms = timings / 1e6
-    timed = features[order[np.arange(iters) % n]]
-    cell_share = knn_cell_share(bundle.base_knn, pca_transform(bundle.base_pca, timed))
+    cell_share = knn_cell_share(bundle.base_knn, pca_transform(bundle.base_pca, features))
     return {
-        "n_timed": iters,
+        "n_timed": n,
         "p50_ms": float(np.percentile(ms, 50)),
         "p95_ms": float(np.percentile(ms, 95)),
         "p99_ms": float(np.percentile(ms, 99)),
@@ -650,6 +641,3 @@ def bench_latency(
         "hardware": platform.processor() or platform.machine(),
     }
 
-
-def audit_report(bundle: ModelBundle) -> list[dict]:
-    return corr.audit_records(bundle.correctors)

@@ -30,6 +30,8 @@ N_FEATURES = N_CHANNELS * WINDOW_FRAMES
 SAMPLE_RATE_HZ = 40.0  # the only rate windows are cut at
 
 CHANNEL_NAMES = ("thumb", "index", "middle", "ring", "pinky")
+# the range of a normalized value, with slack for float rounding
+FEATURE_BOUNDS = (-1e-9, 1 + 1e-9)
 
 
 class GestureLabel(IntEnum):
@@ -162,7 +164,7 @@ class Sample:
         object.__setattr__(self, "matrix", m)
         if m.shape != (N_CHANNELS, WINDOW_FRAMES):
             raise ValueError(f"sample matrix must be (5, 20), got {m.shape}")
-        if m.min() < -1e-9 or m.max() > 1 + 1e-9:
+        if m.min() < FEATURE_BOUNDS[0] or m.max() > FEATURE_BOUNDS[1]:
             raise ValueError("sample values must lie in [0, 1]")
 
 

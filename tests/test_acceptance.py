@@ -15,7 +15,7 @@ import numpy as np
 from capgest.classify import centroid_fit, centroid_predict_batch, centroid_score, knn_fit, knn_predict_batch, lda_fit
 from capgest.config import PipelineConfig
 from capgest.corrector import select_threshold_zero_fp
-from capgest.embed import dataset_intrinsic_dimension, intrinsic_dimension, kernel_fit, parse_kernel_spec, pca_fit
+from capgest.embed import dataset_intrinsic_dimension, intrinsic_dimension, kernel_apply, kernel_fit, parse_kernel_spec, pca_fit
 from capgest.pipeline import (
     BUNDLE_SIZE_BUDGET,
     bench_latency,
@@ -30,7 +30,7 @@ from capgest.signals import feature_matrix, label_array, split_by_user
 
 def test_criterion_1_latency(record, default_bundle, default_split):
     X = feature_matrix(default_split.test)
-    stats = bench_latency(default_bundle, X, warmup=50, iters=len(X))
+    stats = bench_latency(default_bundle, X)
     p95 = stats["p95_ms"]
     record(
         1,
@@ -186,7 +186,7 @@ def test_criterion_7_whitened_covariance(record, default_split):
     X = feature_matrix(default_split.train)[:1500]
     worst = 0.0
     for text in WHITEN_GRID:
-        Z = kernel_fit(parse_kernel_spec(text), X).apply(X)
+        Z = kernel_apply(kernel_fit(parse_kernel_spec(text), X), X)
         C = np.cov(Z, rowvar=False, ddof=1)
         worst = max(worst, float(np.abs(C - np.eye(C.shape[0])).max()))
     record(

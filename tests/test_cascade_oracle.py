@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capgest.classify import knn_cell_share, knn_fit, knn_predict_batch
+from capgest.classify import CentroidModel, knn_cell_share, knn_fit, knn_predict_batch
 from capgest.config import PipelineConfig
 from capgest.corrector import N_LABELS, Corrector, corrected_predict, corrected_predict_batch
 from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
@@ -132,10 +132,10 @@ def reference_centroid_score(model, x, positive_class):
 
 def reference_score(corrector, kernel_features):
     kernel_features = np.atleast_2d(kernel_features)
-    if corrector.classifier_kind == "centroid":
-        return np.atleast_1d(reference_centroid_score(corrector.centroid, kernel_features, 1))
+    if isinstance(corrector.model, CentroidModel):
+        return np.atleast_1d(reference_centroid_score(corrector.model, kernel_features, 1))
     x = np.asarray(kernel_features, dtype=np.float64)
-    return np.atleast_1d(x @ corrector.lda.w - corrector.lda.bias)
+    return np.atleast_1d(x @ corrector.model.w - corrector.model.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,11 @@ def uniform_rows(max_rows=12):
     )
 
 
-def lattice_rows(max_rows=12):
-    """Rows on the {0, 0.5, 1} lattice, inside the feature range, or on the
-    {0, 1, 2} lattice: many exact distance ties in every layer."""
-    return st.sampled_from([(0.0, 0.5, 1.0), (0.0, 1.0, 2.0)]).flatmap(
+def lattice_rows(max_rows=12, lattices=((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))):
+    """Rows on one of ``lattices``, by default the {0, 0.5, 1} lattice, inside
+    the feature range, or the {0, 1, 2} lattice: many exact distance ties in
+    every layer."""
+    return st.sampled_from(lattices).flatmap(
         lambda lattice: arrays(
             np.float64, st.tuples(st.integers(1, max_rows), st.just(N_FEATURES)),
             elements=st.sampled_from(lattice),
@@ -333,7 +334,8 @@ class TestOracle:
         assert np.any(picks == 0)  # some samples really route to the corrector-less group
         assert_matches_reference(bundle, X)
 
-    @given(st.sampled_from(VARIANTS[1:]), lattice_rows())
+    # the cascade rejects values outside the feature range [0, 1]
+    @given(st.sampled_from(VARIANTS[1:]), lattice_rows(lattices=((0.0, 0.5, 1.0), (0.0, 1.0))))
     @settings(max_examples=60, deadline=None)
     def test_tie_heavy_rows(self, variants, name, X):
         # every example on the trained bundle, and on one other variant

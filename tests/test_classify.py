@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from capgest import neighbors
 from capgest.classify import (
     _centroid_distances,
+    binary_kind,
+    binary_scores,
     centroid_fit,
     centroid_predict_batch,
     centroid_score,
     knn_fit,
     knn_predict_batch,
     lda_fit,
-    lda_score,
+    lda_scores,
 )
 from capgest.errors import DimensionMismatch, EmptyModel, SingleClass
 
@@ -160,10 +162,10 @@ class TestLda:
         y = np.r_[np.zeros(500), np.ones(500)].astype(int)
         model = lda_fit(X, y)
         mid = (x0.mean(axis=0) + x1.mean(axis=0)) / 2
-        assert lda_score(model, mid) == pytest.approx(0.0, abs=1e-12)
+        assert lda_scores(model, mid[None])[0] == pytest.approx(0.0, abs=1e-12)
         # positive toward class 1
-        assert lda_score(model, x1.mean(axis=0)) > 0
-        assert lda_score(model, x0.mean(axis=0)) < 0
+        assert lda_scores(model, x1.mean(axis=0)[None])[0] > 0
+        assert lda_scores(model, x0.mean(axis=0)[None])[0] < 0
 
     def test_downweights_noisy_direction(self):
         # class separation lives on axis 0; axis 1 is pure loud noise
@@ -178,9 +180,19 @@ class TestLda:
         X = RNG.normal(0, 1, (40, 3))
         y = (X[:, 0] > 0).astype(int)
         model = lda_fit(X, y)
-        scores = lda_score(model, X)
+        scores = lda_scores(model, X)
         assert scores.shape == (40,)
-        assert scores[0] == pytest.approx(lda_score(model, X[0]))
+        assert scores[0] == pytest.approx(lda_scores(model, X[:1])[0])
+
+
+class TestBinaryScores:
+    def test_class_one_score_of_either_model(self):
+        X = RNG.normal(0, 1, (40, 3))
+        y = (X[:, 0] > 0).astype(int)
+        lda, cen = lda_fit(X, y), centroid_fit(X, y)
+        assert binary_scores(lda, X).tobytes() == lda_scores(lda, X).tobytes()
+        assert binary_scores(cen, X).tobytes() == centroid_score(cen, X, 1).tobytes()
+        assert [binary_kind(lda), binary_kind(cen)] == ["lda", "centroid"]
 
 
 class TestCentroid:

@@ -136,6 +136,18 @@ class TestExitCodes:
         assert "NaN or inf" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad, shown", [("1e6", "1000000.0"), ("-5", "-5.0")])
+    def test_out_of_range_feature_is_2(self, workspace, tmp_path, capsys, bad, shown):
+        path = tmp_path / "range.csv"
+        row = ["0.25"] * N_FEATURES
+        path.write_text(",".join(row) + "\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8")
+        assert main(
+            ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert f"feature row 1 has value {shown} outside [0, 1]" in captured.err
+        assert captured.out == ""
+
     def test_non_numeric_feature_is_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "text.csv"
         path.write_text("# probe\n" + ",".join(["0.25"] * 99 + ["x"]) + "\n", encoding="utf-8")

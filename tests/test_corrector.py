@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -17,9 +17,10 @@ from capgest.corrector import (
     train_corrector,
     train_group_classifier,
 )
-from capgest.embed import kernel_fit, parse_kernel_spec
-from capgest.errors import TooFewGroups
-from capgest.signals import GestureLabel
+from capgest.classify import centroid_fit
+from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec
+from capgest.errors import InconsistentBundle, TooFewGroups
+from capgest.signals import GestureLabel, feature_matrix, label_array
 
 
 class TestErrorGroup:
@@ -162,8 +163,8 @@ class TestTrainCorrector:
         X, truths, preds = separable_group_data()
         Xh, truths_h, preds_h = separable_group_data(seed=1)
         kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
-        feats = {"pca:9": kernels["pca:9"].apply(X)}
-        feats_h = {"pca:9": kernels["pca:9"].apply(Xh)}
+        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
+        feats_h = {"pca:9": kernel_apply(kernels["pca:9"], Xh)}
         group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
         corrector = train_corrector(
             group, kernels, feats, feats_h, truths, preds, truths_h, preds_h
@@ -178,21 +179,63 @@ class TestTrainCorrector:
     def test_returns_none_without_candidates(self):
         X, truths, preds = separable_group_data()
         kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
-        feats = {"pca:9": kernels["pca:9"].apply(X)}
+        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
         group = ErrorGroup(GestureLabel.SHOOT, GestureLabel.FLICK_INDEX)
         assert (
             train_corrector(group, kernels, feats, feats, truths, preds, truths, preds)
             is None
         )
 
+    def test_needs_both_classes(self):
+        X, truths, preds = separable_group_data()
+        kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
+        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
+        # every candidate is an error of the group: no negative to fit against
+        truths = np.full(len(X), int(GestureLabel.NONE))
+        group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
+        assert train_corrector(group, kernels, feats, feats, truths, preds, truths, preds) is None
+
+    @pytest.mark.parametrize("sweep, tp, positives", [
+        ("train", "train_tp", "train_positives"),
+        ("validation", "holdout_tp", "holdout_positives"),
+    ])
+    def test_inference_scores_reproduce_training_counts(self, small_bundle, small_split, sweep, tp, positives):
+        # Corrector.score on a sweep's candidates gives the scores the
+        # threshold was chosen on: its TP count, and no negative at or above it
+        X = feature_matrix(small_split.partition(sweep))
+        y = label_array(small_split.partition(sweep))
+        base = small_bundle.predict_base_batch(X)
+        for c in small_bundle.correctors:
+            mask = base == int(c.group.predicted)
+            feats = kernel_apply(small_bundle.corrector_kernels[c.kernel_name], X)[mask]
+            positive = y[mask] == int(c.group.truth)
+            fires = c.score(feats) >= c.threshold
+            assert int(positive.sum()) == getattr(c, positives)
+            assert int(fires.sum()) == getattr(c, tp)
+            assert not np.any(fires & ~positive)
+
+
+class TestCorrectorFields:
+    def test_group_derived_from_id_and_not_stored(self):
+        c = stub_corrector(21)
+        assert c.group == ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
+        assert c.group.group_id == c.group_id == 21
+        assert [f.name for f in fields(Corrector) if f.init] == [
+            "group_id", "kernel_name", "model", "threshold",
+            "train_tp", "train_positives", "holdout_tp", "holdout_positives",
+        ]
+
+    @pytest.mark.parametrize("group_id", [0, 6, 25, -1, 21.5, "21", None])
+    def test_rejects_id_of_no_error_group(self, group_id):
+        with pytest.raises(InconsistentBundle, match="group id"):
+            stub_corrector(group_id)
+
 
 def stub_corrector(group_id):
     return Corrector(
-        group=ErrorGroup.from_id(group_id),
+        group_id=group_id,
         kernel_name="pca:9",
-        classifier_kind="centroid",
-        centroid=None,
-        lda=None,
+        model=centroid_fit(np.eye(2), np.array([0, 1])),
         threshold=0.5,
         train_tp=1,
         train_positives=1,

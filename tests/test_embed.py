@@ -25,8 +25,8 @@ from capgest.embed import (
     pca_fit,
     pca_transform,
     separability_probability,
+    _whiten,
     train_output,
-    whiten_apply,
     whiten_fit,
 )
 from capgest.errors import (
@@ -87,7 +87,7 @@ class TestPca:
 class TestWhiten:
     def test_identity_covariance(self):
         X = RNG.normal(0, 3, (200, 12)) @ RNG.normal(0, 1, (12, 12))
-        W = whiten_apply(whiten_fit(X), X)
+        W = _whiten(whiten_fit(X), X)
         assert np.allclose(np.cov(W, rowvar=False, ddof=1), np.eye(W.shape[1]), atol=1e-10)
 
     def test_drops_rank_deficient_directions(self):
@@ -95,7 +95,7 @@ class TestWhiten:
         X = np.hstack([base, base @ RNG.normal(0, 1, (3, 4))])  # rank 3 in 7-d
         model = whiten_fit(X)
         assert model.rotation.shape[1] == 3
-        W = whiten_apply(model, X)
+        W = _whiten(model, X)
         assert np.all(np.isfinite(W))
 
     def test_degenerate_input(self):
@@ -151,14 +151,14 @@ def small_train(n=300, d=100):
 class TestKernels:
     def test_pca_kernel_dims(self):
         k = kernel_fit(parse_kernel_spec("pca:9"), small_train())
-        Z = k.apply(small_train(50))
+        Z = kernel_apply(k, small_train(50))
         assert Z.shape == (50, 9)
         assert kernel_output_width(k, 100) == 9
 
     def test_poly_kernel_dims(self):
         k = kernel_fit(parse_kernel_spec("poly:4:3"), small_train())
         assert kernel_output_width(k, 100) <= monomial_count(4, 3)
-        assert k.apply(small_train(10)).shape[1] == kernel_output_width(k, 100)
+        assert kernel_apply(k, small_train(10)).shape[1] == kernel_output_width(k, 100)
 
     def test_monomial_count_matches_expansion(self):
         B = RNG.normal(0, 1, (20, 5))
@@ -182,18 +182,18 @@ class TestKernels:
     def test_concat_stacks_children(self):
         k = kernel_fit(parse_kernel_spec("concat(pca:6,poly:3:2)"), small_train())
         probe = small_train(5)
-        Z = k.apply(probe)
-        left = k.children[0].apply(probe)
+        Z = kernel_apply(k, probe)
+        left = kernel_apply(k.children[0], probe)
         assert np.allclose(Z[:, : left.shape[1]], left)
 
     def test_single_row_apply(self):
         k = kernel_fit(parse_kernel_spec("pca:5"), small_train())
-        assert k.apply(small_train(1)[0]).shape == (1, 5)
+        assert kernel_apply(k, small_train(1)[0]).shape == (1, 5)
 
     @pytest.mark.parametrize("text", ["pca:12", "poly:4:3", "knn:6:25"])
     def test_train_output_whitened(self, text):
         X = small_train()
-        Z = kernel_fit(parse_kernel_spec(text), X).apply(X)
+        Z = kernel_apply(kernel_fit(parse_kernel_spec(text), X), X)
         C = np.cov(Z, rowvar=False, ddof=1)
         assert np.abs(C - np.eye(C.shape[0])).max() < 1e-8
 

@@ -18,18 +18,19 @@ from capgest.errors import (
     EmptyEvalSet,
     EmptyModel,
     EmptySplit,
+    FeatureOutOfRange,
     FileFormatError,
     InconsistentBundle,
     NonFiniteInput,
     NonNumericInput,
     VersionMismatch,
 )
-from capgest.classify import KnnModel, knn_cell_share
+from capgest.classify import CentroidModel, KnnModel, LdaModel, knn_cell_share
+from capgest.corrector import audit_records
 from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
-    audit_report,
     bench_latency,
     bundle_from_state,
     bundle_state,
@@ -241,6 +242,24 @@ class TestPredictInput:
         with pytest.raises(DimensionMismatch, match="ragged"):
             small_bundle.predict_batch([[[0.5] * 100, [0.5] * 99]])
 
+    @pytest.mark.parametrize("bad, shown", [(1e6, "1000000.0"), (-5, "-5.0"), (1.001, "1.001")])
+    def test_out_of_range_rejected(self, small_bundle, small_split, bad, shown):
+        X = feature_matrix(small_split.hold[:5])
+        X[3, 17] = bad
+        assert issubclass(FeatureOutOfRange, DataError)
+        with pytest.raises(FeatureOutOfRange, match=f"row 0 has value {shown} outside"):
+            small_bundle.predict(X[3])
+        with pytest.raises(FeatureOutOfRange, match=f"row 3 has value {shown} outside"):
+            small_bundle.predict_batch(X)
+        # the first bad row decides; a NaN in it makes it non-finite
+        X[3, 18] = np.nan
+        with pytest.raises(NonFiniteInput, match="row 3"):
+            small_bundle.predict_batch(X)
+
+    def test_range_edges_accepted(self, small_bundle):
+        for edge in (0.0, 1.0, -1e-9, 1 + 1e-9):
+            assert small_bundle.predict([edge] * 100) in GestureLabel
+
     def test_none_is_not_finite(self, small_bundle):
         # numpy reads None as NaN
         with pytest.raises(NonFiniteInput, match="row 0"):
@@ -280,11 +299,11 @@ class TestBundleConsistency:
 
     def test_wrong_corrector_width_and_missing_kernel(self, small_bundle):
         c = small_bundle.correctors[0]
-        if c.lda is not None:
-            bad = replace(c, lda=replace(c.lda, w=c.lda.w[:-1]))
+        if isinstance(c.model, LdaModel):
+            bad = replace(c, model=replace(c.model, w=c.model.w[:-1]))
         else:
-            bad = replace(c, centroid=replace(c.centroid, centroids=c.centroid.centroids[:, :-1]))
-        with pytest.raises(InconsistentBundle, match=f"corrector {c.group.group_id}"):
+            bad = replace(c, model=replace(c.model, centroids=c.model.centroids[:, :-1]))
+        with pytest.raises(InconsistentBundle, match=f"corrector {c.group_id}"):
             replace(small_bundle, correctors=(bad, *small_bundle.correctors[1:]))
         with pytest.raises(InconsistentBundle, match="lacks"):
             replace(small_bundle, corrector_kernels={})
@@ -346,21 +365,36 @@ class TestBundleConsistency:
 
     @pytest.mark.parametrize("bias", ["0.5", np.nan, -np.inf])
     def test_lda_bias_must_be_finite_float(self, small_bundle, bias):
-        c = next(c for c in small_bundle.correctors if c.classifier_kind == "lda")
+        c = next(c for c in small_bundle.correctors if isinstance(c.model, LdaModel))
         with pytest.raises(InconsistentBundle, match="lda.bias"):
-            replace(small_bundle, correctors=(replace(c, lda=replace(c.lda, bias=bias)),))
+            replace(small_bundle, correctors=(replace(c, model=replace(c.model, bias=bias)),))
 
-    def test_classifier_kind_needs_its_model(self, small_bundle):
-        lda = next(c for c in small_bundle.correctors if c.classifier_kind == "lda")
-        cen = next(c for c in small_bundle.correctors if c.classifier_kind == "centroid")
-        for bad in (
-            replace(lda, lda=None),
-            replace(cen, centroid=None),
-            replace(lda, classifier_kind="centroid"),
-            replace(lda, classifier_kind="svm"),
+    def test_model_must_be_binary_classifier(self, small_bundle):
+        cen = next(c for c in small_bundle.correctors if isinstance(c.model, CentroidModel))
+        for model, match in (
+            (None, "model NoneType is no binary classifier"),
+            (small_bundle.base_knn, "model KnnModel is no binary classifier"),
+            (small_bundle.group_classifier.centroid, "centroid classes"),  # multiclass
+            (replace(cen.model, classes=np.array([0, 2])), "centroid classes"),
         ):
-            with pytest.raises(InconsistentBundle, match=f"no {bad.classifier_kind!r} classifier"):
-                replace(small_bundle, correctors=(bad,))
+            with pytest.raises(InconsistentBundle, match=match):
+                replace(small_bundle, correctors=(replace(cen, model=model),))
+
+    def test_group_id_must_be_error_group(self, small_bundle, tmp_path):
+        c = small_bundle.correctors[0]
+        for group_id in (0, 25, -3, "21"):
+            with pytest.raises(InconsistentBundle, match=f"group id {group_id!r}"):
+                replace(c, group_id=group_id)
+        # an id of an error group, but no int
+        for group_id in (float(c.group_id), True):
+            with pytest.raises(InconsistentBundle, match="corrector group ids"):
+                replace(small_bundle, correctors=(replace(c, group_id=group_id),))
+        state = bundle_state(small_bundle)
+        state["correctors"][0]["group_id"] = 24
+        path = tmp_path / "g.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        with pytest.raises(CorruptFile, match="group id 24"):
+            load_bundle(path)
 
 
 def same_cell_index(a, b):
@@ -401,7 +435,7 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        assert len(serialize_bundle(default_bundle)) == 336_128
+        assert len(serialize_bundle(default_bundle)) == 334_512
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -441,8 +475,12 @@ class TestPersistence:
             "corrector_kernels", "discovered_group_ids", "metadata",
         ]
         assert state["base_pca"]["@type"] == "PcaModel"
-        assert state["correctors"][0]["group"]["truth"]["@type"] == "GestureLabel"
-        assert "mu0" not in json.dumps(format_4_parts(state)[0])
+        corrector = state["correctors"][0]
+        assert corrector["group_id"] == small_bundle.correctors[0].group_id
+        assert corrector["model"]["@type"] in ("CentroidModel", "LdaModel")
+        header = json.dumps(format_4_parts(state)[0])
+        for name in ("mu0", "GestureLabel", "ErrorGroup", "classifier_kind", '"group"'):
+            assert name not in header
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -471,12 +509,14 @@ class TestPersistence:
     def test_format_1_rejected(self, small_bundle, tmp_path):
         # format 1 carried the removed one-vs-rest LDA router fields; format 2
         # every configured corrector kernel and the LDA scatter matrices;
-        # formats 1-3 were pickles; format 4's config held the removed base_knn_fit
-        assert BUNDLE_FORMAT_VERSION == 5
+        # formats 1-3 were pickles; format 4's config held the removed
+        # base_knn_fit; a format-5 corrector held a classifier kind, a
+        # centroid and an LDA slot, and its group as two label enums
+        assert BUNDLE_FORMAT_VERSION == 6
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2, 4):
+        for old in (1, 2, 4, 5):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
@@ -558,23 +598,21 @@ class TestCrossValidate:
 class TestBench:
     def test_latency_stats(self, small_bundle, small_split):
         X = feature_matrix(small_split.test[:20])
-        stats = bench_latency(small_bundle, X, warmup=5, iters=30)
-        assert stats["n_timed"] == 30
+        stats = bench_latency(small_bundle, X)
+        assert stats["n_timed"] == 20  # every row once
         assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"] <= stats["max_ms"]
         assert stats["backend"] == neighbors.BACKEND
-        # the 30 timed rows cycle over the 20 probe rows in the permutation
-        timed = X[np.random.default_rng(0).permutation(20)[np.arange(30) % 20]]
-        z = pca_transform(small_bundle.base_pca, timed)
+        z = pca_transform(small_bundle.base_pca, X)
         assert stats["knn_cell_share"] == knn_cell_share(small_bundle.base_knn, z)
         assert stats["knn_cell_share"] > 0.5
 
     def test_empty_probe(self, small_bundle):
-        stats = bench_latency(small_bundle, np.empty((0, 100)), iters=0)
+        stats = bench_latency(small_bundle, np.empty((0, 100)))
         assert stats["n_timed"] == 0
         assert stats["backend"] == neighbors.BACKEND
 
     def test_audit_report_sorted(self, small_bundle):
-        records = audit_report(small_bundle)
+        records = audit_records(small_bundle.correctors)
         ids = [r["group_id"] for r in records]
         assert ids == sorted(ids)
 
