@@ -382,7 +382,7 @@ class TestBundleConsistency:
 
     def test_group_id_must_be_error_group(self, small_bundle, tmp_path):
         c = small_bundle.correctors[0]
-        for group_id in (0, 25, -3, "21"):
+        for group_id in (0, 25, -3, 21.5, "21", None):
             with pytest.raises(InconsistentBundle, match=f"group id {group_id!r}"):
                 replace(c, group_id=group_id)
         # an id of an error group, but no int
