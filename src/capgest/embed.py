@@ -2,8 +2,11 @@
 
 Uncentered PCA with an explained-variance ranking feeds the base model;
 three explicit feature constructions (PCA, polynomial, neighbor-distance)
-plus whitening feed the error correctors.  The Fisher-separability
-intrinsic-dimension estimate characterizes the resulting feature spaces.
+plus whitening feed the error correctors.  A fitted kernel stage stores its
+standardizing, projecting and whitening steps composed into one affine map
+``x @ matrix - offset``; the steps themselves are fit-time intermediates.
+The Fisher-separability intrinsic-dimension estimate characterizes the
+resulting feature spaces.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -26,6 +29,11 @@ from .errors import (
 )
 
 _SV_DROP = 1e-10  # directions below this singular value are dropped, not divided by
+# knn distances below this are a point's distance to itself.  A train row's
+# distance to itself comes out as rounding noise (up to 5e-7 in the whitened
+# base spaces of the default corpus, where distinct rows lie 5e-3 or more
+# apart), which standardizing and whitening would scale to unit variance.
+_SAME_POINT = 1e-4
 
 
 def _svd_sv(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +122,14 @@ def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    return _project(model, as_rows(X, model.components.shape[0]))
-
-
-def _project(model: PcaModel, X: np.ndarray) -> np.ndarray:
+    X = as_rows(X, model.components.shape[0])
     if model.centered:
         X = X - model.mean
     return X @ model.components
 
 
 # ---------------------------------------------------------------------------
-# Whitening
+# Whitening (a fit-time step of the kernels)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -138,13 +143,16 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
     """Fit the transform that gives the training output identity covariance.
 
     Directions with singular value below 1e-10 are dropped rather than
-    divided by, so rank-deficient kernel outputs stay finite.
+    divided by, so rank-deficient kernel outputs stay finite.  A float ``X``
+    is centered in place: the kernel fits pass a temporary, and a centered
+    copy of a poly expansion would raise the peak memory of training.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DegenerateInput("whitening needs at least 2 samples")
     mean = X.mean(axis=0)
-    s, vt = _svd_sv(X - mean)
+    X -= mean
+    s, vt = _svd_sv(X)
     keep = s >= _SV_DROP
     if not np.any(keep):
         raise DegenerateInput("whitening needs at least 2 distinct samples")
@@ -153,12 +161,8 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
     return WhitenModel(mean=mean, rotation=rotation, scale=scale)
 
 
-def _whiten(model: WhitenModel, X: np.ndarray) -> np.ndarray:
-    return (X - model.mean) @ model.rotation * model.scale
-
-
 # ---------------------------------------------------------------------------
-# Per-feature standardization (internal to the kernels)
+# Per-feature standardization (a fit-time step of the kernels)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -314,9 +318,10 @@ def monomial_count(n_features: int, degree: int) -> int:
 @dataclass(frozen=True)
 class FittedKernel:
     spec: KernelSpec
-    std: Standardizer | None = None          # on raw input (pca) / expansion (poly, knn)
-    pca: PcaModel | None = None              # pca stage of the pca kernel
-    whiten: WhitenModel | None = None
+    # the stage's features are ``x @ matrix - offset``, where x is the raw input
+    # (pca) or its expansion (poly, knn); standardizing, pca and whitening in one
+    matrix: np.ndarray | None = None         # (input width, output width)
+    offset: np.ndarray | None = None         # (output width,)
     base: "FittedKernel | None" = None       # inner pca kernel for poly / knn
     train_base: np.ndarray | None = None     # knn reference set in base space
     children: tuple["FittedKernel", ...] = ()
@@ -324,7 +329,7 @@ class FittedKernel:
     @property
     def n_input_features(self) -> int:
         if self.spec.kind == "pca":
-            return self.std.mean.shape[0]
+            return self.matrix.shape[0]
         return (self.base or self.children[0]).n_input_features
 
 
@@ -365,6 +370,13 @@ def _fit(
 ) -> tuple[FittedKernel, np.ndarray]:
     """The fitted kernel and its output on ``X_train``, computed as
     :func:`kernel_apply` computes it."""
+    if spec.kind == "concat":
+        children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
+        return (
+            FittedKernel(spec=spec, children=children),
+            np.hstack([train_output(c.spec, memo) for c in children]),
+        )
+    base = train_base = None
     if spec.kind == "pca":
         if _BASIS not in memo:
             std = Standardizer.fit(X_train)
@@ -372,75 +384,65 @@ def _fit(
             memo[_BASIS] = std, pca_fit(Z, min(Z.shape), centered=True)
         std, full = memo[_BASIS]
         # the SVD and the per-column sign fix do not depend on the rank kept,
-        # and the variance ratios divide by the full spectrum: a truncated
-        # full fit equals a fresh fit of n_pc components
-        n_pc = min(spec.n_pc, full.components.shape[1])
-        pca = replace(
-            full,
-            components=full.components[:, :n_pc].copy(),
-            singular_values=full.singular_values[:n_pc].copy(),
-            explained_variance_ratio=full.explained_variance_ratio[:n_pc].copy(),
-        )
-        P = _project(pca, std.apply(X_train))
-        whiten = whiten_fit(P)
-        return (
-            FittedKernel(spec=spec, std=std, pca=pca, whiten=whiten),
-            _whiten(whiten, P),
-        )
-    if spec.kind == "poly":
-        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
-        M = _monomials(train_output(base.spec, memo)[:, : spec.n_pc], spec.n_poly)
-        std = Standardizer.fit(M)
-        M = std.apply(M)  # drops the raw monomials before whitening
-        whiten = whiten_fit(M)
-        return (
-            FittedKernel(spec=spec, std=std, whiten=whiten, base=base),
-            _whiten(whiten, M),
-        )
-    if spec.kind == "knn":
-        if spec.k_nn >= X_train.shape[0]:
+        # so truncated components equal a fresh fit's
+        C = full.components[:, : spec.n_pc]
+        # the pca scores are X @ A - a: standardizing and projecting in one
+        # map, so X_train is standardized only once, for the basis
+        A = C / std.scale[:, None]
+        a = (std.mean / std.scale + full.mean) @ C
+        F = X_train
+        whiten = whiten_fit(F @ A - a)
+        R = whiten.rotation * whiten.scale
+        matrix, offset = A @ R, (a + whiten.mean) @ R
+    else:
+        if spec.kind == "knn" and spec.k_nn >= X_train.shape[0]:
             raise ParamOutOfRange(
                 f"knn kernel needs k_nn < n_train ({spec.k_nn} >= {X_train.shape[0]})"
             )
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
-        train_base = train_output(base.spec, memo)[:, : spec.n_pc]
-        D, _ = neighbors.query_topk(train_base, train_base, spec.k_nn)
-        std = Standardizer.fit(D)
-        D = std.apply(D)
-        whiten = whiten_fit(D)
-        return (
-            FittedKernel(spec=spec, std=std, whiten=whiten, base=base, train_base=train_base),
-            _whiten(whiten, D),
-        )
-    # concat
-    children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
-    return (
-        FittedKernel(spec=spec, children=children),
-        np.hstack([train_output(c.spec, memo) for c in children]),
+        B = train_output(base.spec, memo)
+        if spec.kind == "knn":
+            train_base = B[:, : spec.n_pc]
+        F = _expansion(spec, B, train_base)
+        std = Standardizer.fit(F)
+        whiten = whiten_fit(std.apply(F))
+        R = whiten.rotation * whiten.scale
+        matrix, offset = R / std.scale[:, None], (std.mean / std.scale + whiten.mean) @ R
+    kernel = FittedKernel(
+        spec=spec, matrix=matrix, offset=offset, base=base, train_base=train_base
     )
+    out = F @ matrix
+    out -= offset  # bit-equal to kernel_apply's ``F @ matrix - offset``, without a copy
+    return kernel, out
+
+
+def _expansion(spec: KernelSpec, B: np.ndarray, train_base: np.ndarray | None) -> np.ndarray:
+    """A poly or knn stage's input: the monomials of, or the distances to the
+    ``k_nn`` nearest ``train_base`` rows of, the base pca outputs ``B``."""
+    B = B[:, : spec.n_pc]
+    if spec.kind == "poly":
+        return _monomials(B, spec.n_poly)
+    D = neighbors.query_topk(train_base, B, spec.k_nn)[0]
+    D[D < _SAME_POINT] = 0.0
+    return D
 
 
 def kernel_apply(kernel: FittedKernel, X: np.ndarray) -> np.ndarray:
     """The kernel's features of each row of ``X``.
 
-    Checks ``X`` once against the kernel's input width; the pca, whitening
-    and standardizing stages run on the checked matrix unchecked.  Their
-    shapes are checked when a bundle is built (:func:`kernel_output_width`).
-    Nested kernels are applied through this function, so each is a span of
-    its own when the name is traced.
+    Checks ``X`` once against the kernel's input width; every stage then runs
+    on the checked matrix unchecked.  Their shapes are checked when a bundle
+    is built (:func:`kernel_output_width`).  Nested kernels are applied
+    through this function, so each is a span of its own when the name is
+    traced.
     """
     X = as_rows(X, kernel.n_input_features)
     spec = kernel.spec
-    if spec.kind == "pca":
-        return _whiten(kernel.whiten, _project(kernel.pca, kernel.std.apply(X)))
-    if spec.kind == "poly":
-        B = kernel_apply(kernel.base, X)[:, : spec.n_pc]
-        return _whiten(kernel.whiten, kernel.std.apply(_monomials(B, spec.n_poly)))
-    if spec.kind == "knn":
-        B = kernel_apply(kernel.base, X)[:, : spec.n_pc]
-        D, _ = neighbors.query_topk(kernel.train_base, B, spec.k_nn)
-        return _whiten(kernel.whiten, kernel.std.apply(D))
-    return np.hstack([kernel_apply(c, X) for c in kernel.children])
+    if spec.kind == "concat":
+        return np.hstack([kernel_apply(c, X) for c in kernel.children])
+    if spec.kind != "pca":
+        X = _expansion(spec, kernel_apply(kernel.base, X), kernel.train_base)
+    return X @ kernel.matrix - kernel.offset
 
 
 def kernel_output_width(kernel: FittedKernel, n_features: int) -> int:
@@ -463,13 +465,6 @@ def kernel_output_width(kernel: FittedKernel, n_features: int) -> int:
         return sum(kernel_output_width(c, n_features) for c in kernel.children)
     if spec.kind == "pca":
         width = n_features
-        expect("std.mean", kernel.std.mean.shape, (width,))
-        expect("std.scale", kernel.std.scale.shape, (width,))
-        n_pc = kernel.pca.components.shape[1]
-        expect("pca.components", kernel.pca.components.shape, (width, n_pc))
-        if kernel.pca.centered:
-            expect("pca.mean", kernel.pca.mean.shape, (width,))
-        width = n_pc
     else:
         width = kernel_output_width(kernel.base, n_features)
         if width < spec.n_pc:
@@ -485,13 +480,10 @@ def kernel_output_width(kernel: FittedKernel, n_features: int) -> int:
                     f"kernel {name}: {len(kernel.train_base)} reference points, k_nn {spec.k_nn}"
                 )
             width = spec.k_nn
-        expect("std.mean", kernel.std.mean.shape, (width,))
-        expect("std.scale", kernel.std.scale.shape, (width,))
-    rotation = kernel.whiten.rotation
-    expect("whiten.mean", kernel.whiten.mean.shape, (width,))
-    expect("whiten.rotation", rotation.shape[:1], (width,))
-    expect("whiten.scale", kernel.whiten.scale.shape, rotation.shape[1:])
-    return rotation.shape[1]
+    out = kernel.matrix.shape[-1:]
+    expect("matrix", kernel.matrix.shape, (width, *out))
+    expect("offset", kernel.offset.shape, out)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ from .embed import (
     FittedKernel,
     KernelSpec,
     PcaModel,
-    Standardizer,
-    WhitenModel,
     kernel_apply,
     kernel_fit,
     kernel_output_width,
@@ -77,7 +75,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 6
+BUNDLE_FORMAT_VERSION = 7
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 
@@ -93,7 +91,6 @@ class ModelBundle:
     correctors: tuple[Corrector, ...]
     corrector_kernels: Mapping[str, FittedKernel]
     discovered_group_ids: tuple[int, ...]
-    metadata: Mapping[str, object]
     routing: RoutingTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -259,14 +256,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     used = {c.kernel_name for c in correctors}
     corrector_kernels = {n: k for n, k in corrector_kernels.items() if n in used}
 
-    metadata = {
-        "n_train": len(split.train),
-        "n_validation": len(split.validation),
-        "n_test": len(split.test),
-        "n_hold": len(split.hold),
-        "n_train_errors": int(err_mask.sum()),
-        "user_assignment": dict(sorted(split.user_assignment.items())),
-    }
     return ModelBundle(
         config=config,
         base_pca=base_pca,
@@ -275,7 +264,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         correctors=tuple(correctors),
         corrector_kernels=corrector_kernels,
         discovered_group_ids=tuple(g.group_id for g in groups),
-        metadata=metadata,
     )
 
 
@@ -439,7 +427,7 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-6 payload is a little-endian u32 header length, the JSON header
+# A format-7 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass carries its class name under _TAG, and
@@ -450,7 +438,7 @@ _TAG, _ARRAY = "@type", "@array"
 # the only classes loading calls: the bundle's own dataclasses
 _CODEC_TYPES = {cls.__name__: cls for cls in (
     ModelBundle, PipelineConfig, PcaModel, KnnModel, GroupClassifier, CentroidModel, LdaModel,
-    Corrector, FittedKernel, KernelSpec, Standardizer, WhitenModel,
+    Corrector, FittedKernel, KernelSpec,
 )}
 # int arrays are stored in the narrowest of these that holds them and load as int64
 _INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")

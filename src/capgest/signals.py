@@ -164,8 +164,10 @@ class Sample:
         object.__setattr__(self, "matrix", m)
         if m.shape != (N_CHANNELS, WINDOW_FRAMES):
             raise ValueError(f"sample matrix must be (5, 20), got {m.shape}")
-        if m.min() < FEATURE_BOUNDS[0] or m.max() > FEATURE_BOUNDS[1]:
-            raise ValueError("sample values must lie in [0, 1]")
+        lo, hi = FEATURE_BOUNDS
+        # a NaN is the min and the max, and fails both comparisons
+        if not (lo <= m.min() and m.max() <= hi):
+            raise ValueError("sample values must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)

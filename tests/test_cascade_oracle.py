@@ -1,12 +1,13 @@
 """The one cascade against the code it replaced, label by label and score by score.
 
-Every reference here is a former body kept as it was, and none of them calls
-the layer of the product it checks:
+Every reference here is a former body kept as it was, or, for a kernel, its
+stored map written out, and none of them calls the layer of the product it
+checks:
 
 - ``reference_batch`` is the former ``corrected_predict_batch``, which ran a
   batch of one through the same label scan, pick masks and per-stage input
-  conversions as a batch.  Its layers are the former ``kernel_apply`` (with
-  the former ``pca_transform`` and ``whiten_apply``), ``GroupClassifier.assign``,
+  conversions as a batch.  Its layers are ``kernel_apply`` (each stage
+  ``x @ matrix - offset``, written here), ``GroupClassifier.assign``,
   ``Corrector.score`` (with the former ``centroid_score``), and the former
   ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
   also ran.
@@ -88,27 +89,18 @@ def reference_pca_transform(model, X):
     return X @ model.components
 
 
-def reference_whiten_apply(model, X):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return (X - model.mean) @ model.rotation * model.scale
-
-
 def reference_kernel_apply(kernel, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     spec = kernel.spec
-    std = kernel.std
     if spec.kind == "pca":
-        return reference_whiten_apply(
-            kernel.whiten, reference_pca_transform(kernel.pca, (X - std.mean) / std.scale)
-        )
+        return X @ kernel.matrix - kernel.offset
     if spec.kind == "poly":
         B = reference_kernel_apply(kernel.base, X)[:, : spec.n_pc]
-        M = _monomials(B, spec.n_poly)
-        return reference_whiten_apply(kernel.whiten, (M - std.mean) / std.scale)
+        return _monomials(B, spec.n_poly) @ kernel.matrix - kernel.offset
     if spec.kind == "knn":
         B = reference_kernel_apply(kernel.base, X)[:, : spec.n_pc]
         D, _ = reference_query_topk(kernel.train_base, B, spec.k_nn)
-        return reference_whiten_apply(kernel.whiten, (D - std.mean) / std.scale)
+        return D @ kernel.matrix - kernel.offset
     return np.hstack([reference_kernel_apply(c, X) for c in kernel.children])
 
 

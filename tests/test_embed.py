@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgest import embed
+from capgest import embed, neighbors
 from capgest.config import PipelineConfig
 from capgest.embed import (
-    FittedKernel,
     KernelSpec,
     Standardizer,
     _monomials,
@@ -25,7 +24,6 @@ from capgest.embed import (
     pca_fit,
     pca_transform,
     separability_probability,
-    _whiten,
     train_output,
     whiten_fit,
 )
@@ -84,18 +82,22 @@ class TestPca:
             pca_transform(model, np.zeros((3, 5)))
 
 
+def whiten(model, X):
+    return (X - model.mean) @ model.rotation * model.scale
+
+
 class TestWhiten:
     def test_identity_covariance(self):
         X = RNG.normal(0, 3, (200, 12)) @ RNG.normal(0, 1, (12, 12))
-        W = _whiten(whiten_fit(X), X)
+        W = whiten(whiten_fit(X.copy()), X)
         assert np.allclose(np.cov(W, rowvar=False, ddof=1), np.eye(W.shape[1]), atol=1e-10)
 
     def test_drops_rank_deficient_directions(self):
         base = RNG.normal(0, 1, (100, 3))
         X = np.hstack([base, base @ RNG.normal(0, 1, (3, 4))])  # rank 3 in 7-d
-        model = whiten_fit(X)
+        model = whiten_fit(X.copy())
         assert model.rotation.shape[1] == 3
-        W = _whiten(model, X)
+        W = whiten(model, X)
         assert np.all(np.isfinite(W))
 
     def test_degenerate_input(self):
@@ -236,24 +238,20 @@ class TestSharedFits:
 
     @pytest.mark.parametrize("n_pc", [3, 9, 20, 100])
     def test_pca_stage_equals_fresh_fit(self, n_pc):
-        # the former pca kernel body, which decomposed at the requested rank
+        # the former pca kernel body decomposed at the requested rank; the
+        # shared basis truncated to it gives the same components
         X = small_train(400)
-        std = Standardizer.fit(X)
-        Z = std.apply(X)
-        pca = pca_fit(Z, n_pc, centered=True)
-        want = kernel_arrays(
-            FittedKernel(
-                spec=KernelSpec(kind="pca", n_pc=n_pc),
-                std=std,
-                pca=pca,
-                whiten=whiten_fit(pca_transform(pca, Z)),
-            )
-        )
+        Z = Standardizer.fit(X).apply(X)
+        fresh = pca_fit(Z, n_pc, centered=True)
         memo: dict = {}
         kernel_fit(parse_kernel_spec("pca:50"), X, memo)  # the basis comes from another spec
+        _, full = memo[embed._BASIS]
+        assert full.mean.tobytes() == fresh.mean.tobytes()
+        assert full.components[:, :n_pc].tobytes() == fresh.components.tobytes()
         got = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X, memo))
-        assert got.keys() == want.keys()
-        for path, w in want.items():
+        alone = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X))
+        assert got.keys() == alone.keys() == {".matrix", ".offset"}
+        for path, w in alone.items():
             assert got[path].shape == w.shape and got[path].tobytes() == w.tobytes(), path
 
     def test_one_svd_per_distinct_decomposition(self, monkeypatch):
@@ -301,6 +299,65 @@ class TestSharedFits:
         for name in DEFAULT_KERNEL_NAMES:
             kernel_fit(parse_kernel_spec(name), small_train(400), memo)
         assert calls == []
+
+
+def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
+    """The former staged kernel, kept as the oracle: per stage a Standardizer,
+    for pca a PcaModel decomposed at the requested rank, and a WhitenModel,
+    each fitted on the previous stage's output."""
+    if spec.kind == "concat":
+        return {"spec": spec, "children": [staged_fit(c, X) for c in spec.children]}
+    stage: dict = {"spec": spec}
+    if spec.kind == "pca":
+        stage["std"] = Standardizer.fit(X)
+        stage["pca"] = pca_fit(stage["std"].apply(X), spec.n_pc, centered=True)
+        stage["whiten"] = whiten_fit(pca_transform(stage["pca"], stage["std"].apply(X)))
+        return stage
+    stage["base"] = staged_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X)
+    stage["train_base"] = staged_apply(stage["base"], X)[:, : spec.n_pc]
+    F = staged_expansion(stage, X)
+    stage["std"] = Standardizer.fit(F)
+    stage["whiten"] = whiten_fit(stage["std"].apply(F))
+    return stage
+
+
+def staged_expansion(stage: dict, X: np.ndarray) -> np.ndarray:
+    spec = stage["spec"]
+    B = staged_apply(stage["base"], X)[:, : spec.n_pc]
+    if spec.kind == "poly":
+        return _monomials(B, spec.n_poly)
+    D, _ = neighbors.query_topk(stage["train_base"], B, spec.k_nn)
+    # a train row's distance to itself is rounding noise; both sides zero it
+    D[D < embed._SAME_POINT] = 0.0
+    return D
+
+
+def staged_apply(stage: dict, X: np.ndarray) -> np.ndarray:
+    """The former ``kernel_apply`` body: standardize, project, whiten."""
+    spec = stage["spec"]
+    if spec.kind == "concat":
+        return np.hstack([staged_apply(c, X) for c in stage["children"]])
+    if spec.kind == "pca":
+        return whiten(stage["whiten"], pca_transform(stage["pca"], stage["std"].apply(X)))
+    return whiten(stage["whiten"], stage["std"].apply(staged_expansion(stage, X)))
+
+
+# composing the stages into one map moves each output by rounding only
+STAGED_RTOL = 1e-10  # of the largest output magnitude
+
+
+class TestStagedOracle:
+    @pytest.mark.parametrize(
+        "text", ["pca:5", "pca:20", "poly:5:4", "poly:8:3", "knn:5:20", "concat(pca:10,poly:5:4)"]
+    )
+    def test_apply_matches_staged_body(self, text):
+        X = small_train(400)
+        spec = parse_kernel_spec(text)
+        kernel, stage = kernel_fit(spec, X), staged_fit(spec, X)
+        for probe in (X, small_train(60), small_train(1)):
+            got, want = kernel_apply(kernel, probe), staged_apply(stage, probe)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= STAGED_RTOL * np.abs(want).max(), text
 
 
 def _rank_deficient(m: int, n: int, seed: int) -> np.ndarray:

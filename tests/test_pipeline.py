@@ -277,19 +277,44 @@ def re_shape(shape):
 class TestBundleConsistency:
     """A bundle whose parts disagree on widths is rejected when it is built."""
 
-    def test_wrong_whiten_rotation_width(self, small_bundle):
+    def test_wrong_kernel_matrix_width(self, small_bundle):
         gc = small_bundle.group_classifier
-        whiten = replace(gc.kernel.whiten, rotation=gc.kernel.whiten.rotation[:-1])
-        bad = replace(gc, kernel=replace(gc.kernel, whiten=whiten))
-        with pytest.raises(InconsistentBundle, match="whiten.rotation"):
+        bad = replace(gc, kernel=replace(gc.kernel, matrix=gc.kernel.matrix[:-1]))
+        with pytest.raises(InconsistentBundle, match="matrix"):
             replace(small_bundle, group_classifier=bad)
 
     def test_wrong_corrector_kernel_width(self, small_bundle):
         name, kernel = next(iter(small_bundle.corrector_kernels.items()))
-        whiten = replace(kernel.whiten, rotation=kernel.whiten.rotation[:, :-1])
-        kernels = dict(small_bundle.corrector_kernels, **{name: replace(kernel, whiten=whiten)})
-        with pytest.raises(InconsistentBundle, match="whiten.scale"):
+        kernel = replace(kernel, matrix=kernel.matrix[:, :-1])
+        kernels = dict(small_bundle.corrector_kernels, **{name: kernel})
+        with pytest.raises(InconsistentBundle, match="offset"):
             replace(small_bundle, corrector_kernels=kernels)
+
+    @pytest.mark.parametrize(
+        "part, cut, named",
+        [
+            ("matrix", lambda a: a[:-1], "matrix"),
+            ("matrix", lambda a: a[:, :-1], "offset"),  # the offset no longer fits
+            ("matrix", lambda a: a[:, 0], "matrix"),
+            ("matrix", lambda a: a[..., None], "matrix"),
+            ("offset", lambda a: a[:-1], "offset"),
+            ("offset", lambda a: a[:, None], "offset"),
+        ],
+        ids=["rows", "columns", "1-d", "3-d", "offset-short", "offset-2-d"],
+    )
+    def test_wrong_kernel_map_shape(self, small_bundle, tmp_path, part, cut, named):
+        kernels = small_bundle.corrector_kernels
+        name, kernel = next(iter(kernels.items()))
+        bad = replace(kernel, **{part: cut(getattr(kernel, part))})
+        with pytest.raises(InconsistentBundle, match=f"kernel {re.escape(name)}: {named}"):
+            replace(small_bundle, corrector_kernels=dict(kernels, **{name: bad}))
+        state = bundle_state(small_bundle)
+        stage = state["corrector_kernels"][name]
+        stage[part] = cut(stage[part])
+        path = tmp_path / "map.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        with pytest.raises(CorruptFile, match=f"kernel {re.escape(name)}: {named}"):
+            load_bundle(path)
 
     def test_wrong_group_centroid_width(self, small_bundle):
         gc = small_bundle.group_classifier
@@ -326,11 +351,11 @@ class TestBundleConsistency:
 
     def test_load_rejects_inconsistent_state(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
-        whiten = state["group_classifier"]["kernel"]["whiten"]
-        whiten["rotation"] = whiten["rotation"][:, :-1]
+        kernel = state["group_classifier"]["kernel"]
+        kernel["matrix"] = kernel["matrix"][:, :-1]
         path = tmp_path / "bad.capgest"
         path.write_bytes(format_4_blob(*format_4_parts(state)))
-        with pytest.raises(CorruptFile, match="whiten.scale"):
+        with pytest.raises(CorruptFile, match="offset"):
             load_bundle(path)
 
     @pytest.mark.parametrize("k", [5.0, True, "5"])
@@ -435,7 +460,7 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        assert len(serialize_bundle(default_bundle)) == 334_512
+        assert len(serialize_bundle(default_bundle)) == 322_656
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -472,15 +497,19 @@ class TestPersistence:
         state = bundle_state(small_bundle)
         assert list(state) == [
             "config", "base_pca", "base_knn", "group_classifier", "correctors",
-            "corrector_kernels", "discovered_group_ids", "metadata",
+            "corrector_kernels", "discovered_group_ids",
         ]
         assert state["base_pca"]["@type"] == "PcaModel"
         corrector = state["correctors"][0]
         assert corrector["group_id"] == small_bundle.correctors[0].group_id
         assert corrector["model"]["@type"] in ("CentroidModel", "LdaModel")
         header = json.dumps(format_4_parts(state)[0])
-        for name in ("mu0", "GestureLabel", "ErrorGroup", "classifier_kind", '"group"'):
+        for name in (
+            "mu0", "GestureLabel", "ErrorGroup", "classifier_kind", '"group"',
+            "Standardizer", "WhitenModel", "whiten", "metadata",
+        ):
             assert name not in header
+        assert len(pipeline._CODEC_TYPES) == 10
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -511,12 +540,14 @@ class TestPersistence:
         # every configured corrector kernel and the LDA scatter matrices;
         # formats 1-3 were pickles; format 4's config held the removed
         # base_knn_fit; a format-5 corrector held a classifier kind, a
-        # centroid and an LDA slot, and its group as two label enums
-        assert BUNDLE_FORMAT_VERSION == 6
+        # centroid and an LDA slot, and its group as two label enums; a
+        # format-6 kernel stage held a standardizer, a PCA and a whitening
+        # model, and the bundle a metadata section nothing read
+        assert BUNDLE_FORMAT_VERSION == 7
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2, 4, 5):
+        for old in (1, 2, 4, 5, 6):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)

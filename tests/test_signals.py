@@ -83,6 +83,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sample(np.full((5, 20), 1.5), GestureLabel.NONE, "u")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_rejects_non_finite_values(self, bad):
+        matrix = np.full((5, 20), 0.5)
+        matrix[2, 7] = bad
+        with pytest.raises(ValueError):
+            Sample(matrix, GestureLabel.NONE, "u")
+
     def test_calibration_rejects_degenerate_range(self):
         with pytest.raises(DegenerateRange):
             CalibrationRange(10.0, 10.0)
