@@ -294,15 +294,16 @@ class TestBundleConsistency:
         "part, cut, named",
         [
             ("matrix", lambda a: a[:-1], "matrix"),
-            ("matrix", lambda a: a[:, :-1], "offset"),  # the offset no longer fits
             ("matrix", lambda a: a[:, 0], "matrix"),
             ("matrix", lambda a: a[..., None], "matrix"),
             ("offset", lambda a: a[:-1], "offset"),
             ("offset", lambda a: a[:, None], "offset"),
         ],
-        ids=["rows", "columns", "1-d", "3-d", "offset-short", "offset-2-d"],
+        ids=["rows", "1-d", "3-d", "offset-short", "offset-2-d"],
     )
     def test_wrong_kernel_map_shape(self, small_bundle, tmp_path, part, cut, named):
+        # a matrix short of a column: test_wrong_corrector_kernel_width and
+        # test_load_rejects_inconsistent_state
         kernels = small_bundle.corrector_kernels
         name, kernel = next(iter(kernels.items()))
         bad = replace(kernel, **{part: cut(getattr(kernel, part))})
