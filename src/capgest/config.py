@@ -48,6 +48,12 @@ class PipelineConfig:
             raise FileFormatError("n_pcs must be >= 1")
         if self.knn_k < 1:
             raise FileFormatError("knn_k must be >= 1")
+        counts = self.user_counts
+        if len(counts) != 4 or not all(type(n) is int and n >= 0 for n in counts):
+            raise FileFormatError(
+                "user_counts must be four ints >= 0 (train; validation; test; hold), "
+                f"got {'; '.join(map(str, counts))}"
+            )
         for kind in self.corrector_classifiers:
             if kind not in BINARY_FITS:
                 raise FileFormatError(

@@ -194,55 +194,49 @@ class Corrector:
 
 def train_corrector(
     group: ErrorGroup,
-    kernels: Mapping[str, FittedKernel],
-    train_kernel_features: Mapping[str, np.ndarray],
-    holdout_kernel_features: Mapping[str, np.ndarray],
+    kernel_name: str,
+    train_candidates: np.ndarray,
     train_truths: np.ndarray,
-    train_preds: np.ndarray,
+    holdout_candidates: np.ndarray,
     holdout_truths: np.ndarray,
-    holdout_preds: np.ndarray,
     classifier_kinds: Sequence[str] = tuple(BINARY_FITS),
 ) -> Corrector | None:
-    """Grid-search kernels x classifiers for the best zero-FP corrector.
+    """Search the classifiers for the best zero-FP corrector of ``group`` on
+    one kernel's features.
 
-    Returns the combination with maximal train TP whose threshold yields
-    zero false positives on both the train and holdout candidate sweeps, or
-    None when no combination can detect a single error safely.
+    The candidates are the kernel features of the train and holdout rows the
+    base model labelled ``group.predicted``, and the truths are those rows'
+    true labels; a candidate is a positive iff its truth is ``group.truth``.
+    Returns the classifier with maximal train TP (the first on a tie) whose
+    threshold yields zero false positives on both candidate sweeps, or None
+    when none can detect a single error safely.
     """
-    def candidates(truths, preds):
-        # the base model said the group's label; positive iff the truth is the group's
-        mask = np.asarray(preds) == int(group.predicted)
-        return mask, (np.asarray(truths)[mask] == int(group.truth)).astype(np.int64)
-
-    train_mask, y_train = candidates(train_truths, train_preds)
-    holdout_mask, y_holdout = candidates(holdout_truths, holdout_preds)
+    y_train = (np.asarray(train_truths) == int(group.truth)).astype(np.int64)
+    y_holdout = (np.asarray(holdout_truths) == int(group.truth)).astype(np.int64)
     if not y_train.any() or y_train.all():
         return None  # every classifier needs both classes
 
     best: Corrector | None = None
-    for kernel_name in kernels:
-        feats_train = np.asarray(train_kernel_features[kernel_name])[train_mask]
-        feats_holdout = np.asarray(holdout_kernel_features[kernel_name])[holdout_mask]
-        for kind in classifier_kinds:
-            model = BINARY_FITS[kind](feats_train, y_train)
-            s_train = binary_scores(model, feats_train)
-            s_holdout = binary_scores(model, feats_holdout)
-            threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
-            if threshold is None:
-                continue
-            candidate = Corrector(
-                group_id=group.group_id,
-                kernel_name=kernel_name,
-                model=model,
-                threshold=threshold,
-                # at or above the threshold every score on both sweeps is a positive's
-                train_tp=int((s_train >= threshold).sum()),
-                train_positives=int(y_train.sum()),
-                holdout_tp=int((s_holdout >= threshold).sum()),
-                holdout_positives=int(y_holdout.sum()),
-            )
-            if best is None or candidate.train_tp > best.train_tp:
-                best = candidate
+    for kind in classifier_kinds:
+        model = BINARY_FITS[kind](train_candidates, y_train)
+        s_train = binary_scores(model, train_candidates)
+        s_holdout = binary_scores(model, holdout_candidates)
+        threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
+        if threshold is None:
+            continue
+        candidate = Corrector(
+            group_id=group.group_id,
+            kernel_name=kernel_name,
+            model=model,
+            threshold=threshold,
+            # at or above the threshold every score on both sweeps is a positive's
+            train_tp=int((s_train >= threshold).sum()),
+            train_positives=int(y_train.sum()),
+            holdout_tp=int((s_holdout >= threshold).sum()),
+            holdout_positives=int(y_holdout.sum()),
+        )
+        if best is None or candidate.train_tp > best.train_tp:
+            best = candidate
     return best
 
 

@@ -144,8 +144,9 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
 
     Directions with singular value below 1e-10 are dropped rather than
     divided by, so rank-deficient kernel outputs stay finite.  A float ``X``
-    is centered in place: the kernel fits pass a temporary, and a centered
-    copy of a poly expansion would raise the peak memory of training.
+    is centered in place: the kernel fits pass a temporary or a standardized
+    expansion they no longer need, and a centered copy of a poly expansion
+    would raise the peak memory of training.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -346,7 +347,9 @@ def kernel_fit(
     :func:`train_output`), and the standardizer with the full-rank centered
     PCA that every ``pca`` stage truncates.  So a kernel nested in several
     specs is fitted once, the training matrix is decomposed once, and no
-    kernel is applied to the training matrix after its fit.
+    kernel is applied to the training matrix after its fit.  The caller may
+    delete a kernel's entry to free its output once nothing reads it any
+    more; a later call for that spec then fits it again.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
@@ -361,7 +364,12 @@ def kernel_fit(
 
 def train_output(spec: KernelSpec, memo: dict) -> np.ndarray:
     """Output on ``X_train`` of the kernel ``kernel_fit(spec, X_train, memo)``
-    fitted into ``memo``; bit-equal to ``kernel_apply(kernel, X_train)``."""
+    fitted into ``memo``; bit-equal to ``kernel_apply(kernel, X_train)``.
+
+    The memo holds the output until the caller deletes the spec's entry, and
+    a ``concat`` or ``poly``/``knn`` fit reads the outputs of the kernels
+    nested in it, so delete an entry only after the fits that read it.
+    """
     return memo[spec.encode()][1]
 
 
@@ -403,11 +411,20 @@ def _fit(
         B = train_output(base.spec, memo)
         if spec.kind == "knn":
             train_base = B[:, : spec.n_pc]
+        # standardize and whiten the expansion in place.  The train output
+        # needs the raw expansion afterwards: a poly one is built again (30 ms
+        # for poly:8:3 on the default split), so no raw copy is held through
+        # the whitening's QR; a knn one, a neighbor sweep, is copied instead
         F = _expansion(spec, B, train_base)
+        raw = F.copy() if spec.kind == "knn" else None
         std = Standardizer.fit(F)
-        whiten = whiten_fit(std.apply(F))
+        F -= std.mean
+        F /= std.scale  # bit-equal to std.apply(F)
+        whiten = whiten_fit(F)
+        del F
         R = whiten.rotation * whiten.scale
         matrix, offset = R / std.scale[:, None], (std.mean / std.scale + whiten.mean) @ R
+        F = _expansion(spec, B, train_base) if raw is None else raw
     kernel = FittedKernel(
         spec=spec, matrix=matrix, offset=offset, base=base, train_base=train_base
     )

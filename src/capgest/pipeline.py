@@ -50,6 +50,7 @@ from .embed import (
     kernel_apply,
     kernel_fit,
     kernel_output_width,
+    monomial_count,
     parse_kernel_spec,
     pca_fit,
     pca_transform,
@@ -196,6 +197,15 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     validation partition (two-stage protocol).  Error groups, the group
     classifier, and the correctors are trained on train-partition base-model
     errors, with the validation partition as the zero-FP holdout sweep.
+
+    The corrector grid runs one kernel at a time, widest expansion first
+    (see :func:`_expansion_width`; equal widths keep config order): fit the
+    kernel, apply it to the validation matrix, search every group's
+    classifiers on both outputs, and free the outputs unless a ``concat``
+    later in that order reads them.  So the widest fit runs while no other
+    expansion is held.  A group keeps the cell with the most train TP; a tie
+    goes to the kernel earlier in ``config.corrector_kernels``, then to the
+    earlier classifier.
     """
     if not split.train or not split.validation:
         raise EmptySplit("train and validation partitions must be nonempty")
@@ -212,49 +222,88 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
 
     groups = discover_groups(y_train, preds_train, config.min_support)
 
-    # fit every kernel once on the train partition; one memo shares the PCA
-    # basis, any kernel nested in several specs and every train output
-    kernel_names = list(dict.fromkeys((config.group_kernel, *config.corrector_kernels)))
+    # one memo shares the PCA basis, any kernel nested in several specs and
+    # every train output still read
     memo: dict = {}
-    kernels = {
-        name: kernel_fit(parse_kernel_spec(name), x_train, memo) for name in kernel_names
-    }
-    corrector_kernels = {name: kernels[name] for name in config.corrector_kernels}
-    feats_train = {name: train_output(k.spec, memo) for name, k in corrector_kernels.items()}
-    feats_val = _apply_each_once(corrector_kernels, x_val)
-
+    group_spec = parse_kernel_spec(config.group_kernel)
+    group_kernel = kernel_fit(group_spec, x_train, memo)
     group_classifier = None
     err_mask = preds_train != y_train
     if np.any(err_mask) and groups:
         err_group_ids = N_LABELS * y_train[err_mask] + preds_train[err_mask]
         try:
             group_classifier = train_group_classifier(
-                x_train[err_mask],
-                err_group_ids,
-                kernels[config.group_kernel],
-                min_support=config.min_support,
+                x_train[err_mask], err_group_ids, group_kernel, min_support=config.min_support
             )
         except TooFewGroups:
             group_classifier = None  # cascade gates by base prediction alone
 
-    correctors = []
+    names = list(dict.fromkeys(config.corrector_kernels))
+    specs = {name: parse_kernel_spec(name) for name in names}
+    order = sorted(names, key=lambda name: -_expansion_width(specs[name]))
+    # the step after which nothing reads a spec's train and validation
+    # outputs; the group kernel's fit is step -1
+    last_read: dict[KernelSpec, int] = {}
+    for step, spec in enumerate([group_spec, *(specs[name] for name in order)], start=-1):
+        for nested in _nested(spec):
+            last_read[nested] = step
+
+    # a group's candidates are the rows the base model gave its predicted
+    # label, so groups that share that label share their candidate rows
+    by_label: dict[int, list[ErrorGroup]] = {}
     for group in groups:
-        trained = train_corrector(
-            group,
-            corrector_kernels,
-            feats_train,
-            feats_val,
-            y_train,
-            preds_train,
-            y_val,
-            preds_val,
-            classifier_kinds=config.corrector_classifiers,
+        by_label.setdefault(int(group.predicted), []).append(group)
+    # group id -> the best cell's corrector, under the key (-train TP, the
+    # kernel's position in the config); search keeps a kernel's first best
+    # classifier
+    best: dict[int, tuple[tuple[int, int], Corrector]] = {}
+
+    def search(name: str, feats_train: np.ndarray, feats_val: np.ndarray) -> None:
+        rank = names.index(name)
+        for label, label_groups in by_label.items():
+            rows, rows_val = preds_train == label, preds_val == label
+            cand_train, cand_val = feats_train[rows], feats_val[rows_val]
+            truths, truths_val = y_train[rows], y_val[rows_val]
+            for group in label_groups:
+                trained = train_corrector(
+                    group,
+                    name,
+                    cand_train,
+                    truths,
+                    cand_val,
+                    truths_val,
+                    classifier_kinds=config.corrector_classifiers,
+                )
+                if trained is None:
+                    continue
+                key = (-trained.train_tp, rank)
+                if group.group_id not in best or key < best[group.group_id][0]:
+                    best[group.group_id] = key, trained
+
+    val_outputs: dict[str, np.ndarray] = {}
+
+    def release(step: int) -> None:
+        # pca outputs are narrow and read by every poly and knn fit: keep them
+        for spec, last in last_read.items():
+            if last == step and spec.kind != "pca":
+                memo.pop(spec.encode(), None)
+                val_outputs.pop(spec.encode(), None)
+
+    release(-1)
+    kernels: dict[str, FittedKernel] = {}
+    for step, name in enumerate(order):
+        kernel = kernels[name] = kernel_fit(specs[name], x_train, memo)
+        search(
+            name,
+            train_output(kernel.spec, memo),
+            _apply_each_once({name: kernel}, x_val, val_outputs)[name],
         )
-        if trained is not None:
-            correctors.append(trained)
-    # the bundle keeps only the kernels inference reads
+        release(step)
+
+    correctors = [best[g.group_id][1] for g in groups if g.group_id in best]
+    # the bundle keeps only the kernels inference reads, in config order
     used = {c.kernel_name for c in correctors}
-    corrector_kernels = {n: k for n, k in corrector_kernels.items() if n in used}
+    corrector_kernels = {name: kernels[name] for name in names if name in used}
 
     return ModelBundle(
         config=config,
@@ -267,13 +316,35 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     )
 
 
-def _apply_each_once(kernels: Mapping[str, FittedKernel], X: np.ndarray) -> dict:
+def _expansion_width(spec: KernelSpec) -> int:
+    """Width of the expansion a kernel fit whitens: ``n_pc`` for pca, the
+    monomial count for poly, ``k_nn`` for knn, the children's sum for concat."""
+    if spec.kind == "concat":
+        return sum(_expansion_width(c) for c in spec.children)
+    if spec.kind == "poly":
+        return monomial_count(spec.n_pc, spec.n_poly)
+    return spec.k_nn if spec.kind == "knn" else spec.n_pc
+
+
+def _nested(spec: KernelSpec):
+    """``spec`` and every spec a ``concat`` nests in it."""
+    yield spec
+    for child in spec.children:
+        yield from _nested(child)
+
+
+def _apply_each_once(
+    kernels: Mapping[str, FittedKernel], X: np.ndarray, outputs: dict | None = None
+) -> dict:
     """Each kernel's output on ``X``, bit-equal to ``kernel_apply``.
 
     Every distinct spec is applied once; a ``concat`` kernel stacks its
     children's outputs, so a kernel nested in several names is not reapplied.
+    ``outputs`` keeps each spec's output by its encoding across calls on the
+    same ``X``; the caller may delete an entry once nothing reads it.
     """
-    outputs: dict[str, np.ndarray] = {}
+    if outputs is None:
+        outputs = {}
 
     def output(kernel: FittedKernel) -> np.ndarray:
         key = kernel.spec.encode()

@@ -120,6 +120,19 @@ class TestExitCodes:
         assert code == 2
         assert "unknown config key 'base_knn_fit'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", ["8; 3; 2", "8; 3; 2; 2; 1", "8; 3; -2; 2"])
+    def test_bad_user_counts_is_2(self, workspace, tmp_path, capsys, counts):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"user_counts = {counts}\n", encoding="utf-8")
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m.capgest"),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "user_counts must be four ints >= 0" in err and counts in err
+        assert not (tmp_path / "m.capgest").exists()
+
     def test_old_bundle_format_is_2(self, workspace, tmp_path, capsys):
         # a format-6 bundle stored each kernel stage as three models
         blob = workspace["bundle"].read_bytes()

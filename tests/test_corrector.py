@@ -162,15 +162,15 @@ class TestTrainCorrector:
     def test_zero_fp_on_train_candidates(self):
         X, truths, preds = separable_group_data()
         Xh, truths_h, preds_h = separable_group_data(seed=1)
-        kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
-        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
-        feats_h = {"pca:9": kernel_apply(kernels["pca:9"], Xh)}
+        kernel = kernel_fit(parse_kernel_spec("pca:9"), X)
+        feats = kernel_apply(kernel, X)
+        feats_h = kernel_apply(kernel, Xh)
         group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
-        corrector = train_corrector(
-            group, kernels, feats, feats_h, truths, preds, truths_h, preds_h
-        )
-        assert corrector is not None
-        scores = corrector.score(feats["pca:9"])
+        # the base model said shoot on every row, so every row is a candidate
+        assert (preds == int(group.predicted)).all() and (preds_h == preds).all()
+        corrector = train_corrector(group, "pca:9", feats, truths, feats_h, truths_h)
+        assert corrector is not None and corrector.kernel_name == "pca:9"
+        scores = corrector.score(feats)
         fires = scores >= corrector.threshold
         negatives = truths != int(GestureLabel.NONE)
         assert not np.any(fires & negatives)  # never fires on a correct sample
@@ -178,22 +178,22 @@ class TestTrainCorrector:
 
     def test_returns_none_without_candidates(self):
         X, truths, preds = separable_group_data()
-        kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
-        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
+        feats = kernel_apply(kernel_fit(parse_kernel_spec("pca:9"), X), X)
         group = ErrorGroup(GestureLabel.SHOOT, GestureLabel.FLICK_INDEX)
+        rows = preds == int(group.predicted)
+        assert not rows.any()
         assert (
-            train_corrector(group, kernels, feats, feats, truths, preds, truths, preds)
+            train_corrector(group, "pca:9", feats[rows], truths[rows], feats[rows], truths[rows])
             is None
         )
 
     def test_needs_both_classes(self):
         X, truths, preds = separable_group_data()
-        kernels = {"pca:9": kernel_fit(parse_kernel_spec("pca:9"), X)}
-        feats = {"pca:9": kernel_apply(kernels["pca:9"], X)}
+        feats = kernel_apply(kernel_fit(parse_kernel_spec("pca:9"), X), X)
         # every candidate is an error of the group: no negative to fit against
         truths = np.full(len(X), int(GestureLabel.NONE))
         group = ErrorGroup(GestureLabel.NONE, GestureLabel.SHOOT)
-        assert train_corrector(group, kernels, feats, feats, truths, preds, truths, preds) is None
+        assert train_corrector(group, "pca:9", feats, truths, feats, truths) is None
 
     @pytest.mark.parametrize("sweep, tp, positives", [
         ("train", "train_tp", "train_positives"),

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import pickle
 import re
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,12 +27,29 @@ from capgest.errors import (
     NonNumericInput,
     VersionMismatch,
 )
-from capgest.classify import CentroidModel, KnnModel, LdaModel, knn_cell_share
-from capgest.corrector import audit_records
-from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
+from capgest.classify import (
+    BINARY_FITS,
+    CentroidModel,
+    KnnModel,
+    LdaModel,
+    binary_scores,
+    knn_cell_share,
+    knn_fit,
+    knn_predict_batch,
+)
+from capgest.corrector import (
+    Corrector,
+    audit_records,
+    discover_groups,
+    select_threshold_zero_fp,
+    train_group_classifier,
+)
+from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_fit, pca_transform
+from capgest.errors import TooFewGroups
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
+    ModelBundle,
     bench_latency,
     bundle_from_state,
     bundle_state,
@@ -41,7 +60,7 @@ from capgest.pipeline import (
     serialize_bundle,
     train_pipeline,
 )
-from capgest.signals import DatasetSplit, GestureLabel, feature_matrix, label_array
+from capgest.signals import DatasetSplit, GestureLabel, feature_matrix, label_array, split_by_user
 
 FAST_CONFIG = PipelineConfig(corrector_kernels=("pca:20", "poly:5:4"))
 
@@ -157,6 +176,131 @@ class TestTraining:
             want = kernel_apply(kernel, x_val)
             assert got[name].dtype == want.dtype and got[name].shape == want.shape
             assert got[name].tobytes() == want.tobytes()
+
+
+def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
+    """The group-outer corrector grid that ``train_pipeline`` replaced, kept as
+    the oracle: every kernel fitted and applied to both partitions up front,
+    then per group the kernels in config order and the classifiers in order,
+    a later cell kept only on strictly more train TP."""
+    x_train, y_train = feature_matrix(split.train), label_array(split.train)
+    x_val, y_val = feature_matrix(split.validation), label_array(split.validation)
+    base_pca = pca_fit(x_train, config.n_pcs, centered=False)
+    base_knn = knn_fit(pca_transform(base_pca, x_val), y_val, config.knn_k)
+    preds_train = knn_predict_batch(base_knn, pca_transform(base_pca, x_train))
+    preds_val = knn_predict_batch(base_knn, pca_transform(base_pca, x_val))
+    groups = discover_groups(y_train, preds_train, config.min_support)
+
+    names = list(dict.fromkeys(config.corrector_kernels))
+    kernels = {
+        name: kernel_fit(parse_kernel_spec(name), x_train)
+        for name in dict.fromkeys((config.group_kernel, *names))
+    }
+    group_classifier = None
+    err = preds_train != y_train
+    if err.any() and groups:
+        try:
+            group_classifier = train_group_classifier(
+                x_train[err],
+                len(GestureLabel) * y_train[err] + preds_train[err],
+                kernels[config.group_kernel],
+                min_support=config.min_support,
+            )
+        except TooFewGroups:
+            pass
+    feats_train = {name: kernel_apply(kernels[name], x_train) for name in names}
+    feats_val = {name: kernel_apply(kernels[name], x_val) for name in names}
+
+    correctors = []
+    for group in groups:
+        rows, rows_val = preds_train == int(group.predicted), preds_val == int(group.predicted)
+        y = (y_train[rows] == int(group.truth)).astype(np.int64)
+        y_h = (y_val[rows_val] == int(group.truth)).astype(np.int64)
+        if not y.any() or y.all():
+            continue
+        best = None
+        for name in names:
+            f, f_h = feats_train[name][rows], feats_val[name][rows_val]
+            for kind in config.corrector_classifiers:
+                model = BINARY_FITS[kind](f, y)
+                s, s_h = binary_scores(model, f), binary_scores(model, f_h)
+                threshold = select_threshold_zero_fp(s, y, s_h, y_h)
+                if threshold is None:
+                    continue
+                tp = int((s >= threshold).sum())
+                if best is None or tp > best.train_tp:
+                    best = Corrector(
+                        group_id=group.group_id,
+                        kernel_name=name,
+                        model=model,
+                        threshold=threshold,
+                        train_tp=tp,
+                        train_positives=int(y.sum()),
+                        holdout_tp=int((s_h >= threshold).sum()),
+                        holdout_positives=int(y_h.sum()),
+                    )
+        if best is not None:
+            correctors.append(best)
+    used = {c.kernel_name for c in correctors}
+    return ModelBundle(
+        config=config,
+        base_pca=base_pca,
+        base_knn=base_knn,
+        group_classifier=group_classifier,
+        correctors=tuple(correctors),
+        corrector_kernels={name: kernels[name] for name in names if name in used},
+        discovered_group_ids=tuple(g.group_id for g in groups),
+    )
+
+
+class TestKernelAtATimeGrid:
+    @pytest.mark.parametrize("kernel_order", ["config", "reversed"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bundle_bytes_equal_group_outer_grid(self, small_samples, seed, kernel_order):
+        names = PipelineConfig().corrector_kernels
+        config = PipelineConfig(
+            corrector_kernels=names if kernel_order == "config" else names[::-1]
+        )
+        # train_pipeline runs the widest kernel first, so a tie on train TP
+        # between kernels must still go to the one earlier in the config
+        order = sorted(names, key=lambda n: -pipeline._expansion_width(parse_kernel_spec(n)))
+        assert order != list(config.corrector_kernels)
+        split = split_by_user(small_samples, config.user_counts, seed=seed)
+        want = serialize_bundle(reference_train_pipeline(config, split))
+        assert serialize_bundle(train_pipeline(config, split)) == want
+
+
+def heap_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates over what was allocated before it,
+    as ``tracemalloc`` sees them: numpy's arrays, not LAPACK's own buffers."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    # the unit is one train-row matrix as wide as the widest default
+    # expansion, poly:8:3's 164 monomials; on the small corpus 4,841 rows,
+    # 6.35 MB.  Measured: the poly:8:3 fit 2.18 units (3.10 while it held the
+    # raw expansion through the whitening), train_pipeline 4.38-4.55 units
+    # (6.16-6.32 while it held every kernel's outputs for the whole grid)
+
+    def unit(self, split) -> int:
+        return len(split.train) * 164 * 8
+
+    def test_poly_fit_holds_no_raw_copy(self, small_split):
+        x = feature_matrix(small_split.train)
+        peak = heap_peak(lambda: kernel_fit(parse_kernel_spec("poly:8:3"), x, {}))
+        assert peak < 2.5 * self.unit(small_split)
+
+    def test_grid_holds_one_kernel_at_a_time(self, small_split):
+        peak = heap_peak(lambda: train_pipeline(PipelineConfig(), small_split))
+        assert peak < 5.2 * self.unit(small_split)
 
 
 class TestEvaluate:
