@@ -348,8 +348,8 @@ def kernel_fit(
     PCA that every ``pca`` stage truncates.  So a kernel nested in several
     specs is fitted once, the training matrix is decomposed once, and no
     kernel is applied to the training matrix after its fit.  The caller may
-    delete a kernel's entry to free its output once nothing reads it any
-    more; a later call for that spec then fits it again.
+    delete a kernel's entry to free its output; a later fit that needs the
+    kernel, alone or nested, then fits it again.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
@@ -365,11 +365,7 @@ def kernel_fit(
 def train_output(spec: KernelSpec, memo: dict) -> np.ndarray:
     """Output on ``X_train`` of the kernel ``kernel_fit(spec, X_train, memo)``
     fitted into ``memo``; bit-equal to ``kernel_apply(kernel, X_train)``.
-
-    The memo holds the output until the caller deletes the spec's entry, and
-    a ``concat`` or ``poly``/``knn`` fit reads the outputs of the kernels
-    nested in it, so delete an entry only after the fits that read it.
-    """
+    The memo holds it until the caller deletes the spec's entry."""
     return memo[spec.encode()][1]
 
 
