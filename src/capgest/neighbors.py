@@ -4,15 +4,21 @@ Many queries run in chunks, so the (chunk, n) distance block and its
 partitioned copy stay in the L2 cache for reference sets of several
 thousand points, whatever the query count.
 
-One query may instead search a cell grid of the first three coordinates
-(``cell_index``; Bentley, Stanat & Williams, "The complexity of finding
-fixed-radius near neighbors", 1977): only the references in the 3x3x3 block
-of cells around the query are measured.  Along each gridded axis, a
-reference outside the block lies at or below ``below[c]`` or at or above
-``above[c]``, coordinates of references read when the grid is built; the
-answer is used when every such reference is provably farther than the k-th
-neighbor.  Otherwise the query runs through the chunk scan.  Both paths
-return the same bytes.
+Given a cell grid of the first three coordinates (``cell_index``; Bentley,
+Stanat & Williams, "The complexity of finding fixed-radius near neighbors",
+1977), a query first measures only the references in the 3x3x3 block of
+cells around it.  Along each gridded axis, a reference outside the block
+lies at or below ``below[c]`` or at or above ``above[c]``, coordinates of
+references read when the grid is built; the block's answer is used when
+every such reference is provably farther than the k-th neighbor
+(``_outside_floor``).  Otherwise the query runs through the chunk scan.
+
+One query (``cell_topk``) measures its block with a matrix-vector product
+and returns the scan's bytes.  A batch of queries groups its rows by cell
+and measures each cell's rows with one matrix product (``_cell_batch``).
+BLAS rounds products of different shapes differently, so a batch returns
+the scan's indices, and distances that may differ from the scan's in the
+last bits, within the bound ``_outside_floor`` states.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class CellIndex:
 
 
 def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None:
-    """The cell grid ``query_topk`` searches for one query, or None where a
+    """The cell grid ``query_topk`` searches first, or None where a
     grid would not serve: non-finite or flat references, more than 7 columns,
     or more than 2**15 cells.  ``ref_sq`` is ``sq_norms(refs)``."""
     refs = np.ascontiguousarray(refs, dtype=np.float64)
@@ -124,8 +130,11 @@ def query_topk(
 
     Ties on distance are broken by lower reference index.  ``ref_sq`` is
     ``sq_norms(refs)``, precomputed by callers that query one reference set
-    many times; ``index`` is ``cell_index(refs, ...)``, which one query
-    searches first.
+    many times.  ``index`` is ``cell_index(refs, ...)``: each query is then
+    answered from its cell block where the block proves the answer, and by
+    the chunk scan otherwise.  One query gets the bytes the scan would give;
+    a batch gets the scan's indices, with distances that may differ from the
+    scan's in the last bits.
     """
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -141,7 +150,11 @@ def query_topk(
             return found
     dist = np.empty((m, k))
     idx = np.empty((m, k), dtype=np.int64)
-    for lo in range(0, m, _CHUNK):
+    left = None  # positions of the rows the scan answers; None for all rows
+    if m > 1 and index is not None:
+        left = _cell_batch(index, refs, ref_sq, queries, k, dist, idx)
+        queries = queries[left]
+    for lo in range(0, len(queries), _CHUNK):
         q = queries[lo : lo + _CHUNK]
         d2 = _sq_distances(q, refs, ref_sq)
         if k < n:
@@ -150,8 +163,9 @@ def query_topk(
             kth = d2.max(axis=1)
         for row in range(q.shape[0]):
             order = _nearest(d2[row], kth[row], k)
-            idx[lo + row] = order
-            dist[lo + row] = d2[row, order]
+            out = lo + row if left is None else left[lo + row]
+            idx[out] = order
+            dist[out] = d2[row, order]
     np.sqrt(dist, out=dist)
     return dist, idx
 
@@ -183,9 +197,105 @@ def cell_topk(
         return None
     d2 = _sq_distances(query, refs.take(ids, axis=0), ref_sq.take(ids))[0]
     kth = np.partition(d2, k - 1)[k - 1] if k < len(ids) else d2.max()
+    # an infinite margin means the block holds every reference
+    if margin < math.inf:
+        floor = _outside_floor(margin, sum(v * v for v in row), index.max_sq, len(row))
+        if not kth < floor:
+            return None
+    order = _nearest(d2, kth, k)
+    return np.sqrt(d2[order])[None, :], ids[order][None, :]
+
+
+def _cell_batch(
+    index: CellIndex,
+    refs: np.ndarray,
+    ref_sq: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+    dist: np.ndarray,
+    idx: np.ndarray,
+) -> np.ndarray:
+    """Write the answers the cell blocks prove into ``dist`` (squared
+    distances) and ``idx``, and return the positions of the other rows of
+    ``queries``, ascending.
+
+    The rows of each occupied cell are measured against the cell's block
+    with one matrix product and one partition, in pieces of no more
+    distances than a chunk of the scan holds, and accepted as ``cell_topk``
+    accepts one row.  An accepted row with exactly k block distances at or
+    below its k-th takes those k in one stable sort per piece: a block's ids
+    are ascending, so ties go to the lower index.  A row tied at its k-th
+    runs ``_nearest``.  Rows outside the grid, rows of a block of fewer than
+    k references and rejected rows are left to the scan.
+    """
+    m, d = queries.shape
+    key = np.zeros(m, dtype=np.int64)
+    inside = np.ones(m, dtype=bool)
+    margin = np.full(m, math.inf)
+    # a non-finite or far-out coordinate only marks its row as outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (low, n_cells, stride, below, above) in enumerate(index.axes):
+            x = queries[:, j]
+            t = (x - low) / index.side
+            within = (t >= -1.0) & (t < n_cells - 1)  # also false for NaN
+            inside &= within
+            c = np.floor(np.where(within, t, 0.0)).astype(np.int64) + 1
+            key += c * stride
+            margin = np.minimum(margin, x - np.asarray(below)[c])
+            margin = np.minimum(margin, np.asarray(above)[c] - x)
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        floor = _outside_floor(margin, q_sq, index.max_sq, d)
+    holds_all = margin == math.inf  # the block holds every reference
+
+    rows = np.flatnonzero(inside)
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    keys = key[rows]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    left = [np.flatnonzero(~inside)]
+    cap = _CHUNK * len(refs)  # distances per block: no more than a chunk of the scan holds
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(rows)]):
+        ids = index.ids[index.indptr[keys[lo]] : index.indptr[keys[lo] + 1]]
+        if len(ids) < k:
+            left.append(rows[lo:hi])
+            continue
+        block_refs, block_sq = refs.take(ids, axis=0), ref_sq.take(ids)
+        step = max(1, cap // len(ids))
+        for first in range(lo, hi, step):
+            block = rows[first : min(first + step, hi)]
+            d2 = _sq_distances(queries[block], block_refs, block_sq)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            accepted = holds_all[block] | (kth < floor[block])
+            left.append(block[~accepted])
+            block, d2, kth = block[accepted], d2[accepted], kth[accepted]
+            within_kth = d2 <= kth[:, None]
+            tied = within_kth.sum(axis=1) > k
+            for r in np.flatnonzero(tied).tolist():
+                order = _nearest(d2[r], kth[r], k)
+                idx[block[r]] = ids[order]
+                dist[block[r]] = d2[r, order]
+            plain = ~tied
+            d2 = d2[plain]
+            cols = np.nonzero(within_kth[plain])[1].reshape(-1, k)
+            vals = np.take_along_axis(d2, cols, axis=1)
+            order = np.argsort(vals, axis=1, kind="stable")
+            idx[block[plain]] = ids[np.take_along_axis(cols, order, axis=1)]
+            dist[block[plain]] = np.take_along_axis(vals, order, axis=1)
+    return np.sort(np.concatenate(left))
+
+
+def _outside_floor(margin, q_sq, max_sq: float, d: int):
+    """A value that the computed squared distance of every reference outside
+    a query's cell block exceeds, for a finite ``margin``: when the k-th
+    squared distance within the block lies below it, the block's k nearest
+    are the k nearest of all references.
+
+    ``q_sq`` is the query's squared norm, ``max_sq`` the largest squared
+    reference norm and ``d`` the width; floats or arrays of them.
+    """
     # Proof that every reference r outside the block has a computed squared
-    # distance above kth, so it is neither among the k nearest nor tied with
-    # the k-th.  With u = 2**-53 and S = |q|^2 + max |r|^2:
+    # distance above the floor, so it is neither among the k nearest nor
+    # tied with a k-th below the floor.  With u = 2**-53 and
+    # S = |q|^2 + max |r|^2:
     # - Such an r lies at or below below[c] or at or above above[c] along
     #   some gridded axis, and the query's coordinate x lies strictly between
     #   the two, since a coordinate's cell never decreases with it.  So
@@ -198,16 +308,10 @@ def cell_topk(
     #   summation order, and its two additions by u times 2S and 3S; the
     #   clip at 0 only moves toward the true value.  So the computed value
     #   is within (2d + 7) u S of |q - r|^2.
-    # Accept when kth < fl(margin^2) - tol.  tol doubles those terms, which
-    # also covers the rounding of S, of tol and of the subtraction.  An
-    # infinite margin means the block holds every reference.
-    if margin < math.inf:
-        m2 = margin * margin
-        s = sum(v * v for v in row) + index.max_sq
-        if not kth < m2 - 2 * _U * (3 * m2 + (2 * len(row) + 7) * s):
-            return None
-    order = _nearest(d2, kth, k)
-    return np.sqrt(d2[order])[None, :], ids[order][None, :]
+    # The floor is fl(margin^2) - tol.  tol doubles those terms, which also
+    # covers the rounding of S, of tol and of the subtraction.
+    m2 = margin * margin
+    return m2 - 2 * _U * (3 * m2 + (2 * d + 7) * (q_sq + max_sq))
 
 
 def _sq_distances(q: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray) -> np.ndarray:

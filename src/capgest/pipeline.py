@@ -79,6 +79,7 @@ BUNDLE_MAGIC = b"CGMB"
 BUNDLE_FORMAT_VERSION = 7
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
+_LABEL_VALUES = [int(label) for label in GestureLabel]
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,13 @@ class ModelBundle:
 
 def _check_shapes(bundle: ModelBundle) -> None:
     """Raise InconsistentBundle unless every model's arrays fit the widths
-    of its input and the scalars inference reads have their types.
+    of its input, the scalars inference reads have their types, every float
+    and float array is finite and the KNN labels are ``GestureLabel`` values.
 
     The cascade checks each feature row once, against ``base_pca``, and runs
     every later stage on it unchecked; this check makes that safe, also for
-    a bundle decoded from a file.
+    a bundle decoded from a file: a bundle that loads maps every row to a
+    ``GestureLabel``.
     """
 
     def expect(part: str, got: tuple, want: tuple) -> None:
@@ -147,9 +150,10 @@ def _check_shapes(bundle: ModelBundle) -> None:
         expect("base_pca.mean", bundle.base_pca.mean.shape, (n_features,))
     points = bundle.base_knn.points
     expect("base_knn.points", points.shape[1:], (n_pcs,))
-    expect("base_knn.labels", bundle.base_knn.labels.shape, points.shape[:1])
-    if not np.isfinite(points).all():
-        raise InconsistentBundle("base_knn.points holds non-finite values")
+    labels = bundle.base_knn.labels
+    expect("base_knn.labels", labels.shape, points.shape[:1])
+    if labels.dtype.kind not in "iu" or not np.isin(labels, _LABEL_VALUES).all():
+        raise InconsistentBundle("base_knn.labels holds values that are no GestureLabel")
 
     expect_ints("discovered_group_ids", bundle.discovered_group_ids)
     expect_ints("corrector group ids", [c.group_id for c in bundle.correctors])
@@ -184,6 +188,26 @@ def _check_shapes(bundle: ModelBundle) -> None:
             expect(f"{part} lda.w", model.w.shape, (width,))
         else:
             raise InconsistentBundle(f"{part}: model {type(model).__name__} is no binary classifier")
+
+    for part, value in _state_leaves(bundle_state(bundle), ""):
+        if isinstance(value, np.ndarray):
+            finite = value.dtype.kind != "f" or np.isfinite(value).all()
+        else:
+            finite = not isinstance(value, float) or math.isfinite(value)
+        if not finite:
+            raise InconsistentBundle(f"{part} holds non-finite values")
+
+
+def _state_leaves(value, part: str):
+    """(name, value) of each array and scalar of a ``bundle_state`` part."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _state_leaves(v, f"{part}.{key}" if part else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _state_leaves(v, f"{part}[{i}]")
+    else:
+        yield part, value
 
 
 # ---------------------------------------------------------------------------

@@ -336,10 +336,10 @@ def assemble_sliding(
 
 
 def feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
-    """Stack flattened samples into an (n, 100) matrix."""
+    """Stack flattened samples into an (n, 100) matrix, row i ``flatten(samples[i])``."""
     if not samples:
         return np.empty((0, N_FEATURES))
-    return np.stack([flatten(s) for s in samples])
+    return np.stack([s.matrix for s in samples]).reshape(len(samples), N_FEATURES)
 
 
 def label_array(samples: Sequence[Sample]) -> np.ndarray:

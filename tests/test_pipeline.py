@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from capgest import neighbors, pipeline
+from capgest.cli import main
 from capgest.config import PipelineConfig, format_config, load_config, parse_config_text
 from capgest.errors import (
     CorruptFile,
@@ -566,6 +567,46 @@ class TestBundleConsistency:
         with pytest.raises(CorruptFile, match="group id 24"):
             load_bundle(path)
 
+    @pytest.mark.parametrize(
+        "where, cell, value",
+        [
+            (lambda b: ["base_knn", "labels"], 0, 9),
+            (lambda b: ["base_knn", "labels"], 0, -1),
+            (lambda b: ["base_pca", "components"], (0, 0), np.nan),
+            (lambda b: ["corrector_kernels", b.correctors[0].kernel_name, "matrix"], (1, 1), np.inf),
+            (lambda b: ["correctors", first_lda(b), "model", "w"], 0, np.nan),
+        ],
+        ids=["knn-label-9", "knn-label-minus-1", "pca-nan", "kernel-inf", "lda-w-nan"],
+    )
+    def test_bundle_that_loads_predicts(self, small_bundle, tmp_path, capsys, where, cell, value):
+        # once loaded, each of these bundles predicted a label that is no
+        # GestureLabel, raised a bare numpy error, or had a corrector whose
+        # NaN scores never fire
+        state = bundle_state(small_bundle)
+        *keys, name = where(small_bundle)
+        part = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in [*keys, name])
+        holder = state
+        for key in keys:
+            holder = holder[key]
+        holder[name] = holder[name].copy()
+        holder[name][cell] = value
+        problem = "values that are no GestureLabel" if name == "labels" else "non-finite values"
+        match = re.escape(f"{part[1:]} holds {problem}")
+        with pytest.raises(InconsistentBundle, match=match):
+            bundle_from_state(state)
+        path = tmp_path / "bad.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))  # with a valid digest
+        with pytest.raises(CorruptFile, match=match):
+            load_bundle(path)
+        features = tmp_path / "row.csv"
+        features.write_text(",".join(["0.25"] * 100) + "\n", encoding="utf-8")
+        assert main(["predict", "--bundle", str(path), "--features", str(features)]) == 2
+        captured = capsys.readouterr()
+        assert re.search(match, captured.err) and captured.out == ""
+
+
+def first_lda(bundle):
+    return next(i for i, c in enumerate(bundle.correctors) if isinstance(c.model, LdaModel))
 
 def same_cell_index(a, b):
     return (

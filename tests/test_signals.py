@@ -249,6 +249,13 @@ class TestAssemble:
         assert X.shape == (len(samples), N_FEATURES)
         assert feature_matrix([]).shape == (0, N_FEATURES)
 
+    def test_feature_matrix_equals_flatten_stack(self, small_samples):
+        X = feature_matrix(small_samples)
+        want = np.stack([flatten(s) for s in small_samples])
+        assert X.dtype == want.dtype and X.flags.c_contiguous
+        assert np.array_equal(X, want)
+        assert X.tobytes() == want.tobytes()
+
 
 def reference_assemble_sliding(
     recordings, calib, stride_frames=1, none_ratio=1.5, max_mark_overlap=0.75, seed=0
