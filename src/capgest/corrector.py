@@ -102,6 +102,35 @@ def select_threshold_zero_fp(
     return float(safe.min()) if len(safe) else None
 
 
+THRESHOLD_MARGIN = 1e-9  # relative to max(1, |threshold|)
+
+
+def with_margin(
+    threshold: float,
+    train_scores: np.ndarray,
+    train_labels: np.ndarray,
+    holdout_scores: np.ndarray,
+    holdout_labels: np.ndarray,
+) -> float:
+    """``threshold`` lowered by ``THRESHOLD_MARGIN · max(1, |threshold|)`` when
+    that stays above every negative score of both sweeps, else unchanged.
+
+    A zero-FP threshold is a train score as the batch computed it, so it has
+    no margin: a one-row product, or a refit whose arithmetic rounds
+    differently, can score that train row just below it.  The margin places
+    the threshold between the classes (Gorban et al. 2018), so such rounding
+    flips no label.  No train score lies between the negatives' maximum and
+    the threshold, so the train TP is the same either way.
+    """
+    lowered = threshold - THRESHOLD_MARGIN * max(1.0, abs(threshold))
+    negatives = np.concatenate(
+        (train_scores[train_labels == 0], holdout_scores[holdout_labels == 0])
+    )
+    if len(negatives) and not lowered > negatives.max():
+        return threshold
+    return lowered
+
+
 # ---------------------------------------------------------------------------
 # Group classifier
 # ---------------------------------------------------------------------------
@@ -209,7 +238,9 @@ def train_corrector(
     true labels; a candidate is a positive iff its truth is ``group.truth``.
     Returns the classifier with maximal train TP (the first on a tie) whose
     threshold yields zero false positives on both candidate sweeps, or None
-    when none can detect a single error safely.
+    when none can detect a single error safely.  The stored threshold lies a
+    rounding margin below the smallest safe train score (see
+    :func:`with_margin`).
     """
     y_train = (np.asarray(train_truths) == int(group.truth)).astype(np.int64)
     y_holdout = (np.asarray(holdout_truths) == int(group.truth)).astype(np.int64)
@@ -224,6 +255,7 @@ def train_corrector(
         threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
         if threshold is None:
             continue
+        threshold = with_margin(threshold, s_train, y_train, s_holdout, y_holdout)
         candidate = Corrector(
             group_id=group.group_id,
             kernel_name=kernel_name,

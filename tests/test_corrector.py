@@ -16,6 +16,7 @@ from capgest.corrector import (
     select_threshold_zero_fp,
     train_corrector,
     train_group_classifier,
+    with_margin,
 )
 from capgest.classify import centroid_fit
 from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec
@@ -144,6 +145,40 @@ class TestThresholdSelection:
     def test_matches_reference(self, train, holdout):
         expected = reference_select(reference_roc(*train), reference_roc(*holdout))
         assert select_threshold_zero_fp(*train, *holdout) == expected
+
+
+class TestThresholdMargin:
+    @given(sweeps(), sweeps())
+    @settings(max_examples=400, deadline=None)
+    def test_margin_keeps_zero_fp_and_train_tp(self, train, holdout):
+        threshold = select_threshold_zero_fp(*train, *holdout)
+        if threshold is None:
+            return
+        got = with_margin(threshold, *train, *holdout)
+        negatives = np.concatenate((train[0][train[1] == 0], holdout[0][holdout[1] == 0]))
+        lowered = threshold - 1e-9 * max(1.0, abs(threshold))
+        if not len(negatives) or lowered > negatives.max():
+            assert got == lowered
+        else:
+            assert got == threshold
+        assert not np.any(negatives >= got)
+        assert int((train[0] >= got).sum()) == int((train[0] >= threshold).sum())
+
+    def test_margin_relative_above_one(self):
+        scores, labels = np.array([250.0, 100.0, -3.0]), np.array([1, 1, 0])
+        empty = np.empty(0)
+        assert with_margin(100.0, scores, labels, empty, empty) == 100.0 - 1e-7
+
+    def test_no_room_keeps_threshold(self):
+        # a negative just below the threshold leaves no room for the margin
+        scores = np.array([0.6, 0.6 - 1e-12])
+        labels = np.array([1, 0])
+        empty = np.empty(0)
+        threshold = select_threshold_zero_fp(scores, labels, empty, empty)
+        assert threshold == 0.6
+        assert with_margin(threshold, scores, labels, empty, empty) == 0.6
+        # the same negative on the holdout sweep
+        assert with_margin(0.6, scores[:1], labels[:1], scores[1:], labels[1:]) == 0.6
 
 
 def separable_group_data(n=200, seed=0):

@@ -228,6 +228,11 @@ def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> Mod
                 threshold = select_threshold_zero_fp(s, y, s_h, y_h)
                 if threshold is None:
                     continue
+                # the rounding margin, where it stays above every negative
+                floor = max(s[y == 0].max(initial=-np.inf), s_h[y_h == 0].max(initial=-np.inf))
+                lowered = threshold - 1e-9 * max(1.0, abs(threshold))
+                if lowered > floor:
+                    threshold = lowered
                 tp = int((s >= threshold).sum())
                 if best is None or tp > best.train_tp:
                     best = Corrector(
@@ -332,6 +337,17 @@ class TestEvaluate:
         batch = small_bundle.predict_batch(X)
         assert [int(small_bundle.predict(x)) for x in X] == batch.tolist()
         assert isinstance(small_bundle.predict(X[0]), GestureLabel)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_row_labels_equal_batch_on_train(self, small_samples, seed):
+        # a one-row product rounds unlike the batch product; the thresholds'
+        # rounding margin keeps every train window's label the same
+        config = PipelineConfig()
+        split = split_by_user(small_samples, config.user_counts, seed=seed)
+        bundle = train_pipeline(config, split)
+        X = feature_matrix(split.train)
+        single = np.array([int(bundle.predict(x)) for x in X])
+        assert np.array_equal(single, bundle.predict_batch(X))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, small_bundle, small_split, bad):
