@@ -28,7 +28,9 @@ from .errors import (
     TooFewSamples,
 )
 
-_SV_DROP = 1e-10  # directions below this singular value are dropped, not divided by
+# whitening drops directions whose singular value is below this rather than
+# divide by it; _svd_sv returns a null direction's singular value as exactly 0
+_SV_DROP = 1e-10
 # knn distances below this are a point's distance to itself.  A train row's
 # distance to itself comes out as rounding noise (up to 5e-7 in the whitened
 # base spaces of the default corpus, where distinct rows lie 5e-3 or more
@@ -37,18 +39,27 @@ _SAME_POINT = 1e-4
 
 
 def _svd_sv(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of ``X``, without U.
+    """Singular values ``s`` (descending) and right singular vectors ``vt``
+    of an (m, n) ``X``, shaped as ``np.linalg.svd(X, full_matrices=False)``
+    returns them, without U.
 
-    ``s`` and ``vt`` are bit-equal to ``np.linalg.svd(X, full_matrices=False)``.
-    LAPACK's ``dgesdd`` first reduces a tall matrix (m >= 11n/6) to the R of
-    its QR factorization and decomposes R; this does the same for m >= 2n but
-    never forms the m x n U.  Other shapes take the direct call.
+    One symmetric eigendecomposition of the n x n Gram matrix ``X.T @ X``,
+    whose eigenvalues are ``s**2``; numpy forms it with one symmetric rank-k
+    update, without copying ``X``.  Eigenvalues at the Gram's own rounding
+    level, ``w <= w_max * n * eps`` (negative ones included), are null
+    directions: their ``s`` is exactly 0.  So ``s`` is resolved down to
+    about ``sqrt(n * eps)`` of the largest, and a direction's vector is
+    accurate to rounding over the squared gap to its neighbours.  (On the
+    default corpus every training matrix decomposed here is full rank, with
+    ``s_min / s_max`` of 1.3e-3 or more.)  Signs of ``vt`` rows are
+    LAPACK's: callers that store them fix them (:func:`_fix_signs`).
     """
     m, n = X.shape
-    if m >= 2 * n:
-        X = np.linalg.qr(X, mode="r")
-    _, s, vt = np.linalg.svd(X, full_matrices=False)
-    return s, vt
+    w, v = np.linalg.eigh(X.T @ X)
+    w, vt = w[::-1], v.T[::-1]
+    w[w <= w[0] * n * np.finfo(np.float64).eps] = 0.0
+    k = min(m, n)
+    return np.sqrt(w[:k]), vt[:k]
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -75,11 +86,13 @@ class PcaModel:
 
 
 def pca_fit(X: np.ndarray, n_components: int, centered: bool = False) -> PcaModel:
-    """SVD-based principal components, optionally without centering.
+    """Principal components, optionally without centering, from the
+    eigendecomposition of the Gram matrix (:func:`_svd_sv`).
 
     The base model keeps ``centered=False``: the inputs are already
     normalized to [0, 1], so the second-moment directions are used directly.
-    Rank deficiency shows up as zero singular values, not as a failure.
+    Rank deficiency shows up as singular values of exactly 0, not as a
+    failure.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -142,11 +155,14 @@ class WhitenModel:
 def whiten_fit(X: np.ndarray) -> WhitenModel:
     """Fit the transform that gives the training output identity covariance.
 
-    Directions with singular value below 1e-10 are dropped rather than
-    divided by, so rank-deficient kernel outputs stay finite.  A float ``X``
-    is centered in place: the kernel fits pass a temporary or a standardized
-    expansion they no longer need, and a centered copy of a poly expansion
-    would raise the peak memory of training.
+    Directions with singular value below ``_SV_DROP`` (1e-10) are dropped
+    rather than divided by, so rank-deficient kernel outputs stay finite:
+    :func:`_svd_sv` gives every null direction, one whose squared singular
+    value is at the rounding level of the centered Gram matrix, a singular
+    value of exactly 0.  A float ``X`` is centered in place: the kernel fits
+    pass a temporary or a standardized expansion they no longer need, and a
+    centered copy of a poly expansion would raise the peak memory of
+    training.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:

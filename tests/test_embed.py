@@ -33,6 +33,9 @@ from capgest.errors import (
     ParamOutOfRange,
     TooFewSamples,
 )
+from capgest.signals import feature_matrix
+
+from test_acceptance import WHITEN_GRID
 
 RNG = np.random.default_rng(12345)
 
@@ -255,14 +258,15 @@ class TestSharedFits:
             assert got[path].shape == w.shape and got[path].tobytes() == w.tobytes(), path
 
     def test_one_svd_per_distinct_decomposition(self, monkeypatch):
+        # each decomposition is one eigh of a Gram matrix (_svd_sv)
         calls = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def counting_svd(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         X = small_train(400)
         memo: dict = {}
         for name in DEFAULT_KERNEL_NAMES:
@@ -371,27 +375,97 @@ def _rank_deficient(m: int, n: int, seed: int) -> np.ndarray:
     return X - X.mean(axis=0)
 
 
+def reference_svd_sv(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former ``_svd_sv`` body, kept as the reference: the R of a QR
+    factorization for m >= 2n, then ``np.linalg.svd``; bit-equal to
+    ``np.linalg.svd(X, full_matrices=False)``."""
+    m, n = X.shape
+    if m >= 2 * n:
+        X = np.linalg.qr(X, mode="r")
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    return s, vt
+
+
+# a singular vector is checked where the squared singular values of its
+# neighbours lie at least this far from its own, relative to s_max**2
+SEPARATED = 1e-6
+
+
+SVD_SHAPES = pytest.mark.parametrize(
+    "shape",
+    [
+        # training: base pca and shared basis, poly:5:4 and poly:8:3 whitening
+        (16940, 100), (16940, 125), (16940, 164),
+        # criterion 7: the 1,500-row basis and its whitening widths
+        *[(1500, n) for n in (5, 9, 10, 20, 30, 50, 100, 125, 164)],
+        # near square, both sides of the QR route's cut at m = 2n
+        (150, 100), (183, 100), (184, 100), (199, 100), (200, 100), (201, 100),
+        (100, 100), (60, 100),
+    ],
+    ids=lambda shape: f"{shape[0]}x{shape[1]}",
+)
+
+
 class TestSvdWithoutU:
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            # training: base pca and shared basis, poly:5:4 and poly:8:3 whitening
-            (16940, 100), (16940, 125), (16940, 164),
-            # criterion 7: the 1,500-row basis and its whitening widths
-            *[(1500, n) for n in (5, 9, 10, 20, 30, 50, 100, 125, 164)],
-            # near square, both sides of the QR cut at m = 2n
-            (150, 100), (183, 100), (184, 100), (199, 100), (200, 100), (201, 100),
-            (100, 100), (60, 100),
-        ],
-        ids=lambda shape: f"{shape[0]}x{shape[1]}",
-    )
+    @SVD_SHAPES
     def test_byte_equal_to_svd(self, shape):
+        # the QR route, the reference of test_kept_directions_equal_qr_route,
+        # is the decomposition that training used before the Gram route
         X = _rank_deficient(*shape, seed=shape[0] + shape[1])
-        s, vt = _svd_sv(X)
+        s, vt = reference_svd_sv(X)
         _, want_s, want_vt = np.linalg.svd(X, full_matrices=False)
         assert s.shape == want_s.shape and vt.shape == want_vt.shape
         assert s.tobytes() == want_s.tobytes()
         assert vt.tobytes() == want_vt.tobytes()
+
+    @SVD_SHAPES
+    def test_matches_svd_oracle(self, shape):
+        m, n = shape
+        X = _rank_deficient(m, n, seed=m + n)
+        s, vt = _svd_sv(X)
+        _, want_s, want_vt = np.linalg.svd(X, full_matrices=False)
+        assert s.shape == want_s.shape and vt.shape == want_vt.shape
+        assert np.abs(s - want_s).max() <= 1e-9 * want_s[0]
+        # centering costs one rank, the repeated columns max(1, n // 10)
+        rank = min(m - 1, n - max(1, n // 10))
+        assert np.all(s[:rank] > 0) and np.all(s[rank:] == 0.0)
+        w = want_s**2
+        gap = np.full(len(w), np.inf)
+        gap[:-1] = np.minimum(gap[:-1], w[:-1] - w[1:])
+        gap[1:] = np.minimum(gap[1:], w[:-1] - w[1:])
+        separated = (gap >= SEPARATED * w[0]) & (np.arange(len(w)) < rank)
+        assert separated.sum() >= 0.9 * rank
+        cosines = np.abs(np.einsum("ij,ij->i", vt, want_vt))[separated]
+        assert np.all(cosines >= 1 - 1e-9)
+        assert np.allclose(vt @ vt.T, np.eye(len(vt)), atol=1e-12)
+
+    def test_whitens_ill_conditioned_full_rank(self):
+        rng = np.random.default_rng(3)
+        m, n = 2000, 50
+        U = np.linalg.qr(rng.normal(size=(m, n)))[0]
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        X = (U * np.logspace(0, -4, n)) @ V.T
+        sv = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
+        assert 0.9e-4 <= sv[-1] / sv[0] <= 1.1e-4
+        model = whiten_fit(X.copy())
+        assert model.rotation.shape == (n, n)
+        C = np.cov(whiten(model, X), rowvar=False, ddof=1)
+        assert np.abs(C - np.eye(n)).max() <= 1e-6
+
+    def test_kept_directions_equal_qr_route(self, default_split, monkeypatch):
+        # the number of whitening directions kept sets each kernel's output
+        # width: the default kernels on the default train split, and the
+        # criterion-7 grid on its first 1,500 rows, as that criterion fits it
+        X = feature_matrix(default_split.train)
+
+        def widths(svd_sv):
+            monkeypatch.setattr(embed, "_svd_sv", svd_sv)
+            memo: dict = {}
+            fits = [kernel_fit(parse_kernel_spec(name), X, memo) for name in DEFAULT_KERNEL_NAMES]
+            fits += [kernel_fit(parse_kernel_spec(name), X[:1500]) for name in WHITEN_GRID]
+            return [kernel_output_width(kernel, X.shape[1]) for kernel in fits]
+
+        assert widths(_svd_sv) == widths(reference_svd_sv)
 
 
 def reference_monomials(B: np.ndarray, degree: int) -> np.ndarray:

@@ -662,7 +662,9 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        assert len(serialize_bundle(default_bundle)) == 322_656
+        # the array bytes are fixed by the bundle's shapes; the JSON header
+        # varies with the digits of its float thresholds and biases
+        assert len(serialize_bundle(default_bundle)) == 322_648
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
