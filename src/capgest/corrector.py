@@ -94,12 +94,22 @@ def select_threshold_zero_fp(
     detects the most train positives, and any higher threshold strictly fewer.
     Returns None when no train score lies above the floor.
     """
+    floor = _negatives_max(train_scores, train_labels, holdout_scores, holdout_labels)
+    safe = train_scores[train_scores > floor]
+    return float(safe.min()) if len(safe) else None
+
+
+def _negatives_max(
+    train_scores: np.ndarray,
+    train_labels: np.ndarray,
+    holdout_scores: np.ndarray,
+    holdout_labels: np.ndarray,
+) -> float:
+    """The largest negative score of both sweeps, -inf without negatives."""
     negatives = np.concatenate(
         (train_scores[train_labels == 0], holdout_scores[holdout_labels == 0])
     )
-    floor = negatives.max() if len(negatives) else -np.inf
-    safe = train_scores[train_scores > floor]
-    return float(safe.min()) if len(safe) else None
+    return negatives.max() if len(negatives) else -np.inf
 
 
 THRESHOLD_MARGIN = 1e-9  # relative to max(1, |threshold|)
@@ -123,12 +133,8 @@ def with_margin(
     the threshold, so the train TP is the same either way.
     """
     lowered = threshold - THRESHOLD_MARGIN * max(1.0, abs(threshold))
-    negatives = np.concatenate(
-        (train_scores[train_labels == 0], holdout_scores[holdout_labels == 0])
-    )
-    if len(negatives) and not lowered > negatives.max():
-        return threshold
-    return lowered
+    floor = _negatives_max(train_scores, train_labels, holdout_scores, holdout_labels)
+    return lowered if lowered > floor else threshold
 
 
 # ---------------------------------------------------------------------------
