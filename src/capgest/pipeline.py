@@ -197,6 +197,19 @@ def _check_shapes(bundle: ModelBundle) -> None:
         if not finite:
             raise InconsistentBundle(f"{part} holds non-finite values")
 
+    # an in-range row x has |x - mean| <= 1 + |mean| per feature, so its base
+    # features q reach at most ``reach``; with p a reference, every term of
+    # the KNN's |p|^2 - 2 q.p + |q|^2 is at most (|q| + |p|)^2 <= 2 span.span
+    mean = bundle.base_pca.mean if bundle.base_pca.centered else np.zeros(n_features)
+    reach = (1.0 + np.abs(mean)) @ np.abs(components)
+    span = reach + np.abs(points).max(axis=0)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * (span @ span)):
+            raise InconsistentBundle(
+                "base_pca and base_knn.points give in-range rows squared distances "
+                "beyond the float range"
+            )
+
 
 def _state_leaves(value, part: str):
     """(name, value) of each array and scalar of a ``bundle_state`` part."""

@@ -10,11 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgest import neighbors, pipeline
 from capgest.cli import main
 from capgest.config import PipelineConfig, format_config, load_config, parse_config_text
 from capgest.errors import (
+    CapgestError,
     CorruptFile,
     DataError,
     DimensionMismatch,
@@ -621,8 +624,143 @@ class TestBundleConsistency:
         assert re.search(match, captured.err) and captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "name, cell", [("base_pca", ("components", (0, 0))), ("base_knn", ("points", (0, 1)))]
+    )
+    def test_overflowing_base_refused(self, small_bundle, small_split, tmp_path, name, cell):
+        # finite, but an in-range row's squared distances overflow: predict
+        # raised a bare ValueError from the KNN scan
+        state = bundle_state(small_bundle)
+        field, at = cell
+        state[name][field] = state[name][field].copy()
+        state[name][field][at] = 1e308
+        match = "squared distances beyond the float range"
+        path = tmp_path / "huge.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        # the KNN model's squared norms overflow before the check runs
+        with np.errstate(over="ignore"):
+            with pytest.raises(InconsistentBundle, match=match):
+                bundle_from_state(state)
+            with pytest.raises(CorruptFile, match=match):
+                load_bundle(path)
+        # a large value that keeps them finite still loads and predicts
+        state[name][field][at] = 1e100
+        bundle = bundle_from_state(state)
+        assert set(bundle.predict_batch(feature_matrix(small_split.hold[:20])).tolist()) <= set(GestureLabel)
+
+
 def first_lda(bundle):
     return next(i for i, c in enumerate(bundle.correctors) if isinstance(c.model, LdaModel))
+
+
+def file_parts(blob: bytes) -> tuple[dict, list[np.ndarray]]:
+    """The JSON header and the arrays, as stored, of a serialized bundle."""
+    payload = blob[40:]
+    (size,) = struct.unpack_from("<I", payload)
+    header = json.loads(payload[4 : 4 + size])
+    arrays, offset = [], 4 + size
+    for dtype, shape in header["arrays"]:
+        offset += -offset % 8
+        count = int(np.prod(shape))
+        arrays.append(np.frombuffer(payload, dtype, count, offset).reshape(shape).copy())
+        offset += count * np.dtype(dtype).itemsize
+    return header, arrays
+
+
+def json_leaves(value, path=()):
+    """The path and value of every scalar of a JSON value, in walk order."""
+    if isinstance(value, dict):
+        return [leaf for key, v in value.items() for leaf in json_leaves(v, (*path, key))]
+    if isinstance(value, list):
+        return [leaf for i, v in enumerate(value) for leaf in json_leaves(v, (*path, i))]
+    return [(path, value)]
+
+
+def json_value(leaf, strings):
+    """Values to put in place of a JSON scalar ``leaf``: near it, of another
+    type, or another string of the same bundle."""
+    near = st.nothing()
+    if type(leaf) is int:
+        near = st.integers(leaf - 3, leaf + 3)
+    elif isinstance(leaf, float):
+        near = st.sampled_from([-leaf, leaf * 1e300, leaf + 1e-9, 0.0])
+    return st.one_of(
+        near,
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**64), 2**64),
+        st.floats(),
+        st.sampled_from(strings),
+        st.text(max_size=6),
+        st.lists(st.integers(-2, 30), max_size=3),
+        st.just({}),
+    )
+
+
+def array_value(array):
+    """Values for a cell of ``array``: any of its dtype, half of them drawn
+    from the edge cases (non-finite, huge, out of the label range)."""
+    if array.dtype.kind == "f":
+        edges = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0]
+        return st.one_of(st.sampled_from(edges), st.floats(width=64))
+    info = np.iinfo(array.dtype)
+    edges = [int(info.min), -1, len(GestureLabel), int(info.max)]
+    return st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
+
+
+PROBE_RNG = np.random.default_rng(2024)
+
+
+class TestEditedBundle:
+    """One value of a saved bundle changed, with a valid digest: the file is
+    refused, or it maps every in-range row to a GestureLabel."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, small_bundle, small_split, tmp_path_factory):
+        header, arrays = file_parts(serialize_bundle(small_bundle))
+        probe = np.vstack(
+            [
+                feature_matrix(small_split.hold[:12]),
+                PROBE_RNG.uniform(0.0, 1.0, (12, 100)),
+                np.zeros((1, 100)),
+                np.ones((1, 100)),
+            ]
+        )
+        return header, arrays, probe, tmp_path_factory.mktemp("edited") / "b.capgest"
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refused_or_predicts(self, saved, data):
+        header, arrays, probe, path = saved
+        header, arrays = json.loads(json.dumps(header)), list(arrays)
+        if data.draw(st.booleans(), label="edit the JSON state"):
+            leaves = json_leaves(header["state"])
+            strings = sorted({v for _, v in leaves if isinstance(v, str)})
+            (*keys, name), leaf = data.draw(st.sampled_from(leaves), label="leaf")
+            holder = header["state"]
+            for key in keys:
+                holder = holder[key]
+            holder[name] = data.draw(json_value(leaf, strings), label="value")
+        else:
+            i = data.draw(st.sampled_from([i for i, a in enumerate(arrays) if a.size]), label="array")
+            arrays[i] = arrays[i].copy()
+            cell = data.draw(st.integers(0, arrays[i].size - 1), label="cell")
+            arrays[i].flat[cell] = data.draw(array_value(arrays[i]), label="value")
+        path.write_bytes(format_4_blob(header, arrays))  # with a valid digest
+        # a huge finite value overflows in the products: a warning, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                bundle = load_bundle(path)
+            except (CorruptFile, VersionMismatch):
+                return
+            try:
+                batch = bundle.predict_batch(probe)
+                single = [bundle.predict(x) for x in probe]
+            except CapgestError:
+                return
+        assert batch.shape == (len(probe),) and set(batch.tolist()) <= set(GestureLabel)
+        assert all(type(label) is GestureLabel for label in single)
+
 
 def same_cell_index(a, b):
     return (
