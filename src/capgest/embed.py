@@ -403,8 +403,8 @@ def _fit(
             Z = std.apply(X_train)
             memo[_BASIS] = std, pca_fit(Z, min(Z.shape), centered=True)
         std, full = memo[_BASIS]
-        # the SVD and the per-column sign fix do not depend on the rank kept,
-        # so truncated components equal a fresh fit's
+        # the decomposition and the per-column sign fix do not depend on the
+        # rank kept, so truncated components equal a fresh fit's
         C = full.components[:, : spec.n_pc]
         # the pca scores are X @ A - a: standardizing and projecting in one
         # map, so X_train is standardized only once, for the basis
@@ -426,7 +426,7 @@ def _fit(
         # standardize and whiten the expansion in place.  The train output
         # needs the raw expansion afterwards: a poly one is built again (30 ms
         # for poly:8:3 on the default split), so no raw copy is held through
-        # the whitening's QR; a knn one, a neighbor sweep, is copied instead
+        # the whitening; a knn one, a neighbor sweep, is copied instead
         F = _expansion(spec, B, train_base)
         raw = F.copy() if spec.kind == "knn" else None
         std = Standardizer.fit(F)
