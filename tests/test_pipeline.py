@@ -645,8 +645,8 @@ class TestBundleConsistency:
                 load_bundle(path)
         # a large value that keeps them finite still loads and predicts
         state[name][field][at] = 1e100
-        bundle = bundle_from_state(state)
-        assert set(bundle.predict_batch(feature_matrix(small_split.hold[:20])).tolist()) <= set(GestureLabel)
+        labels = bundle_from_state(state).predict_batch(feature_matrix(small_split.hold[:20]))
+        assert set(labels.tolist()) <= set(GestureLabel)
 
 
 def first_lda(bundle):
@@ -708,9 +708,6 @@ def array_value(array):
     return st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
 
 
-PROBE_RNG = np.random.default_rng(2024)
-
-
 class TestEditedBundle:
     """One value of a saved bundle changed, with a valid digest: the file is
     refused, or it maps every in-range row to a GestureLabel."""
@@ -721,7 +718,7 @@ class TestEditedBundle:
         probe = np.vstack(
             [
                 feature_matrix(small_split.hold[:12]),
-                PROBE_RNG.uniform(0.0, 1.0, (12, 100)),
+                np.random.default_rng(2024).uniform(0.0, 1.0, (12, 100)),
                 np.zeros((1, 100)),
                 np.ones((1, 100)),
             ]
