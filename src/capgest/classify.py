@@ -37,9 +37,12 @@ class KnnModel:
         if not (type(self.k) is int and 1 <= self.k <= len(self.points)):
             raise EmptyModel(f"k={self.k!r} is not an int from 1 to {len(self.points)}")
         classes, codes = np.unique(self.labels, return_inverse=True)
-        sq_norms = neighbors.sq_norms(self.points)
+        # a huge reference overflows here; the bundle check refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norms = neighbors.sq_norms(self.points)
+            cell_index = neighbors.cell_index(self.points, self.k, sq_norms)
         object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "cell_index", neighbors.cell_index(self.points, self.k, sq_norms))
+        object.__setattr__(self, "cell_index", cell_index)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "codes", codes.ravel())
 

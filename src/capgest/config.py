@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .classify import BINARY_FITS
 from .embed import parse_kernel_spec
@@ -36,7 +37,9 @@ class PipelineConfig:
         "concat(pca:10,poly:5:4)",
     )
     corrector_classifiers: tuple[str, ...] = ("centroid", "lda")
-    group_kernel: str = "pca:9"
+    # the router's kernel, where a base label gates several groups; a
+    # constant, not a config key
+    group_kernel: ClassVar[str] = "pca:9"
     min_support: int = 10
     # splits
     user_counts: tuple[int, int, int, int] = (8, 3, 2, 2)
@@ -59,19 +62,14 @@ class PipelineConfig:
                 raise FileFormatError(
                     f"corrector_classifiers: {kind!r} is not one of {list(BINARY_FITS)}"
                 )
-        for key, specs in (
-            ("group_kernel", (self.group_kernel,)),
-            ("corrector_kernels", self.corrector_kernels),
-        ):
-            for spec in specs:
-                try:
-                    parse_kernel_spec(spec)
-                except ParamOutOfRange as exc:
-                    raise FileFormatError(f"{key}: {exc}") from None
+        for spec in self.corrector_kernels:
+            try:
+                parse_kernel_spec(spec)
+            except ParamOutOfRange as exc:
+                raise FileFormatError(f"corrector_kernels: {exc}") from None
 
 
 _INT_KEYS = {"n_pcs", "knn_k", "min_support", "split_seed"}
-_STR_KEYS = {"group_kernel"}
 _STR_LIST_KEYS = {"corrector_kernels", "corrector_classifiers", "pinned_hold"}
 _INT_LIST_KEYS = {"user_counts"}
 
@@ -91,8 +89,6 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         try:
             if key in _INT_KEYS:
                 overrides[key] = int(value)
-            elif key in _STR_KEYS:
-                overrides[key] = value
             elif key in _STR_LIST_KEYS:
                 overrides[key] = tuple(
                     part.strip() for part in value.split(";") if part.strip()

@@ -4,7 +4,8 @@ Errors of the frozen base model are bucketed into (truth, prediction)
 groups.  Each group gets a binary classifier over high-dimensional kernel
 features whose decision threshold is chosen so it never fires on a sample
 the base model got right, on both the training and holdout sweeps.  At
-inference a group classifier routes suspicious samples to their corrector.
+inference a sample's base label gates the groups that predict it; where it
+gates several, a group classifier routes the sample to one of them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     InconsistentBundle,
     NonFiniteInput,
     NonNumericInput,
-    TooFewGroups,
 )
 from .signals import FEATURE_BOUNDS, GestureLabel
 
@@ -143,15 +143,18 @@ def with_margin(
 
 @dataclass(frozen=True)
 class GroupClassifier:
-    """Routes misclassified-looking samples to an error group.
+    """Routes a sample whose base label gates several error groups to one of them.
 
     A nearest-centroid classifier over the group kernel's features, one
-    centroid per group id.
+    centroid per discovered group id.
     """
 
     kernel: FittedKernel
-    group_ids: tuple[int, ...]
     centroid: CentroidModel
+
+    @property
+    def group_ids(self) -> tuple[int, ...]:
+        return tuple(self.centroid.classes.tolist())
 
     def assign(self, features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         """Row of the nearest of ``centroids`` for each raw feature row.
@@ -165,30 +168,12 @@ class GroupClassifier:
 
 
 def train_group_classifier(
-    error_features: np.ndarray,
-    group_ids: np.ndarray,
-    kernel: FittedKernel,
-    min_support: int = 10,
+    error_features: np.ndarray, group_ids: np.ndarray, kernel: FittedKernel
 ) -> GroupClassifier:
-    """Fit the multiclass router on misclassified training samples.
-
-    ``error_features`` are raw (100-feature) vectors of training errors;
-    ``group_ids`` their true group ids.  Groups under ``min_support`` are
-    ignored.  Raises TooFewGroups when fewer than two remain, in which case
-    the cascade falls back to gating by base prediction alone.
-    """
-    group_ids = np.asarray(group_ids).astype(np.int64)
-    counts = Counter(group_ids.tolist())
-    active = sorted(g for g, c in counts.items() if c >= min_support)
-    if len(active) < 2:
-        raise TooFewGroups(f"need >= 2 groups with support {min_support}, got {active}")
-    keep = np.isin(group_ids, active)
-    feats = kernel_apply(kernel, np.asarray(error_features)[keep])
-    return GroupClassifier(
-        kernel=kernel,
-        group_ids=tuple(active),
-        centroid=centroid_fit(feats, group_ids[keep]),
-    )
+    """Fit the router on the raw (100-feature) rows of training errors and
+    their group ids: one centroid of the kernel's features per id."""
+    feats = kernel_apply(kernel, np.asarray(error_features))
+    return GroupClassifier(kernel=kernel, centroid=centroid_fit(feats, group_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +271,15 @@ def train_corrector(
 class Route:
     """How the cascade treats the samples of one base label."""
 
-    gated: tuple[int, ...]                     # group ids predicting this label, sorted
-    allowed: tuple[int, ...]                   # the ids among them a sample can be routed to
-    centroids: np.ndarray | None               # group-classifier centroid row per allowed id
-    correctors: tuple[Corrector | None, ...]   # corrector per allowed id, or None
+    group_ids: tuple[int, ...]                 # discovered ids predicting this label, sorted
+    centroids: np.ndarray | None               # router centroid row per id; None for one id
+    correctors: tuple[Corrector | None, ...]   # corrector per id, or None
 
 
 @dataclass(frozen=True)
 class RoutingTable:
-    """Routing derived from a bundle's group classifier and correctors.
+    """Routing derived from a bundle's discovered groups, group classifier and
+    correctors.
 
     Built once per bundle and never serialized.  ``routes`` holds only the
     base labels where some corrector can fire.
@@ -305,31 +290,28 @@ class RoutingTable:
 
 
 def build_routing_table(
-    group_classifier: GroupClassifier | None, correctors: Sequence[Corrector]
+    discovered_group_ids: Sequence[int],
+    group_classifier: GroupClassifier | None,
+    correctors: Sequence[Corrector],
 ) -> RoutingTable:
-    """Gate group ids by their predicted label and fix the routing choices.
+    """Gate the discovered group ids by their predicted label.
 
-    With a group classifier a sample is routed among the classifier's ids
-    that its base label gates, including ids without a corrector (picking
-    one keeps the base label).  Without one, a sample is routed only when
-    its base label gates exactly one group.
+    A sample goes to the one group its base label gates, or, where that label
+    gates several, to the one the group classifier picks among them.  A group
+    without a corrector keeps the base label.
     """
-    by_id = {c.group.group_id: c for c in correctors}
-    classifier_ids = () if group_classifier is None else group_classifier.group_ids
-    all_ids = sorted(set(by_id) | set(classifier_ids))
+    by_id = {c.group_id: c for c in correctors}
     routes = {}
     for label in range(N_LABELS):
-        gated = tuple(g for g in all_ids if g % N_LABELS == label)
+        ids = tuple(g for g in discovered_group_ids if g % N_LABELS == label)
+        routed = tuple(by_id.get(g) for g in ids)
+        if not any(c is not None for c in routed):
+            continue
         centroids = None
-        if group_classifier is None:
-            allowed = gated if len(gated) == 1 else ()
-        else:
-            allowed = tuple(g for g in gated if g in classifier_ids)
+        if len(ids) > 1:
             model = group_classifier.centroid
-            centroids = model.centroids[np.searchsorted(model.classes, allowed)]
-        routed = tuple(by_id.get(g) for g in allowed)
-        if any(c is not None for c in routed):
-            routes[label] = Route(gated, allowed, centroids, routed)
+            centroids = model.centroids[np.searchsorted(model.classes, ids)]
+        routes[label] = Route(ids, centroids, routed)
     return RoutingTable(routes=routes, correctors=by_id)
 
 
@@ -424,7 +406,7 @@ def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
         if route is None:
             return
         pick = 0
-        if len(route.allowed) > 1:
+        if len(route.group_ids) > 1:
             pick = int(bundle.group_classifier.assign(features, route.centroids)[0])
         if route.correctors[pick] is not None:
             yield route.correctors[pick], None
@@ -435,7 +417,7 @@ def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
         if label not in present:
             continue
         rows = np.flatnonzero(base == label)
-        if len(route.allowed) == 1:
+        if len(route.group_ids) == 1:
             picks = np.zeros(len(rows), dtype=np.int64)
         else:
             picks = bundle.group_classifier.assign(features[rows], route.centroids)

@@ -62,10 +62,6 @@ class SingleClass(DataError):
 
 # --- corrector cascade ------------------------------------------------------
 
-class TooFewGroups(DataError):
-    """Group classifier needs at least two trainable groups."""
-
-
 class NonFiniteInput(DataError):
     """A feature row given for prediction contains NaN or inf."""
 

@@ -63,7 +63,6 @@ from .errors import (
     EmptySplit,
     InconsistentBundle,
     OversizeBundle,
-    TooFewGroups,
     VersionMismatch,
 )
 from .signals import (
@@ -76,7 +75,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 7
+BUNDLE_FORMAT_VERSION = 8
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 _LABEL_VALUES = [int(label) for label in GestureLabel]
@@ -99,7 +98,9 @@ class ModelBundle:
         _check_shapes(self)
         # derived from the fields above on every construction, never serialized
         object.__setattr__(
-            self, "routing", build_routing_table(self.group_classifier, self.correctors)
+            self,
+            "routing",
+            build_routing_table(self.discovered_group_ids, self.group_classifier, self.correctors),
         )
 
     def predict(self, feature_vector: np.ndarray) -> GestureLabel:
@@ -155,18 +156,31 @@ def _check_shapes(bundle: ModelBundle) -> None:
     if labels.dtype.kind not in "iu" or not np.isin(labels, _LABEL_VALUES).all():
         raise InconsistentBundle("base_knn.labels holds values that are no GestureLabel")
 
-    expect_ints("discovered_group_ids", bundle.discovered_group_ids)
-    expect_ints("corrector group ids", [c.group_id for c in bundle.correctors])
+    discovered = bundle.discovered_group_ids
+    expect_ints("discovered_group_ids", discovered)
+    if list(discovered) != sorted(set(discovered)) or not all(
+        0 <= g < N_LABELS**2 and g // N_LABELS != g % N_LABELS for g in discovered
+    ):
+        raise InconsistentBundle(
+            f"discovered_group_ids {discovered} are not error group ids in ascending order"
+        )
+    corrector_ids = [c.group_id for c in bundle.correctors]
+    expect_ints("corrector group ids", corrector_ids)
+    if not set(corrector_ids) <= set(discovered):
+        raise InconsistentBundle(f"corrector group ids {corrector_ids} are not all discovered")
+    gated = [g % N_LABELS for g in discovered]
     gc = bundle.group_classifier
+    if (gc is not None) != (len(set(gated)) < len(gated)):
+        raise InconsistentBundle(
+            f"group classifier {'present' if gc else 'missing'}: a bundle has one exactly "
+            f"where a base label gates several of discovered_group_ids {discovered}"
+        )
     if gc is not None:
-        expect_ints("group classifier ids", gc.group_ids)
-        width = output_width("group classifier", gc.kernel)
         classes = gc.centroid.classes
+        if classes.dtype.kind not in "iu" or classes.tolist() != list(discovered):
+            raise InconsistentBundle(f"group classifier ids {classes.tolist()} are not discovered")
+        width = output_width("group classifier", gc.kernel)
         expect("group classifier centroids", gc.centroid.centroids.shape, (len(classes), width))
-        if not set(gc.group_ids) <= set(classes.tolist()):
-            raise InconsistentBundle(
-                f"group classifier ids {gc.group_ids} lack centroids (classes {classes.tolist()})"
-            )
 
     widths = {
         name: output_width(f"corrector kernel {name}", k)
@@ -231,9 +245,11 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     """Train the base model and its corrector cascade on one split.
 
     PCA is fit on the train partition; the KNN references come from the
-    validation partition (two-stage protocol).  Error groups, the group
-    classifier, and the correctors are trained on train-partition base-model
-    errors, with the validation partition as the zero-FP holdout sweep.
+    validation partition (two-stage protocol).  Error groups and the
+    correctors are trained on train-partition base-model errors, with the
+    validation partition as the zero-FP holdout sweep.  Where a base label
+    gates several groups, a group classifier over all discovered groups'
+    training errors routes among them.
 
     The corrector grid runs one kernel at a time, widest expansion first
     (see :func:`_expansion_width`; equal widths keep config order): fit the
@@ -262,27 +278,24 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     # one memo shares the PCA basis, any kernel nested in several specs and
     # every train output still read
     memo: dict = {}
-    group_spec = parse_kernel_spec(config.group_kernel)
-    group_kernel = kernel_fit(group_spec, x_train, memo)
     group_classifier = None
-    err_mask = preds_train != y_train
-    if np.any(err_mask) and groups:
-        err_group_ids = N_LABELS * y_train[err_mask] + preds_train[err_mask]
-        try:
-            group_classifier = train_group_classifier(
-                x_train[err_mask], err_group_ids, group_kernel, min_support=config.min_support
-            )
-        except TooFewGroups:
-            group_classifier = None  # cascade gates by base prediction alone
+    gated = [int(g.predicted) for g in groups]
+    if len(set(gated)) < len(gated):
+        # a router only where a base label gates several groups, fitted on
+        # the training errors of every discovered group
+        ids = N_LABELS * y_train + preds_train
+        rows = np.isin(ids, [g.group_id for g in groups])
+        kernel = kernel_fit(parse_kernel_spec(config.group_kernel), x_train, memo)
+        group_classifier = train_group_classifier(x_train[rows], ids[rows], kernel)
 
     names = list(dict.fromkeys(config.corrector_kernels))
     specs = {name: parse_kernel_spec(name) for name in names}
     order = sorted(names, key=lambda name: -_expansion_width(specs[name]))
     # the step after which nothing reads a spec's train and validation
-    # outputs; the group kernel's fit is step -1
+    # outputs (the router's pca kernel leaves only pca outputs, which stay)
     last_read: dict[KernelSpec, int] = {}
-    for step, spec in enumerate([group_spec, *(specs[name] for name in order)], start=-1):
-        for nested in _nested(spec):
+    for step, name in enumerate(order):
+        for nested in _nested(specs[name]):
             last_read[nested] = step
 
     # a group's candidates are the rows the base model gave its predicted
@@ -326,7 +339,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
                 memo.pop(spec.encode(), None)
                 val_outputs.pop(spec.encode(), None)
 
-    release(-1)
     kernels: dict[str, FittedKernel] = {}
     for step, name in enumerate(order):
         kernel = kernels[name] = kernel_fit(specs[name], x_train, memo)
@@ -535,7 +547,7 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-7 payload is a little-endian u32 header length, the JSON header
+# A format-8 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass carries its class name under _TAG, and

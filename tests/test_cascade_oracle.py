@@ -12,14 +12,15 @@ checks:
   ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
   also ran.
 - ``reference_predict`` is the per-sample cascade before that one: it
-  rebuilt the gating from the bundle on every call and routed one row at a
-  time.
+  gates by the bundle's discovered group ids on every call, without the
+  routing table, and routes one row at a time.
 
 ``corrected_predict`` and ``corrected_predict_batch`` must give the labels of
 both, and every corrector must score the rows routed to it byte for byte as
 ``reference_batch`` scores them: as a batch, and one row at a time.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -31,11 +32,18 @@ from hypothesis.extra.numpy import arrays
 
 from capgest.classify import CentroidModel, knn_cell_share, knn_fit, knn_predict_batch
 from capgest.config import PipelineConfig
-from capgest.corrector import N_LABELS, Corrector, corrected_predict, corrected_predict_batch
+from capgest.corrector import (
+    N_LABELS,
+    Corrector,
+    corrected_predict,
+    corrected_predict_batch,
+    discover_groups,
+)
 from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
+from capgest.errors import InconsistentBundle
 from capgest.neighbors import cell_index, query_topk, sq_norms
 from capgest.pipeline import train_pipeline
-from capgest.signals import N_FEATURES, GestureLabel, feature_matrix
+from capgest.signals import N_FEATURES, GestureLabel, feature_matrix, label_array
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +154,7 @@ def reference_batch(bundle, features, log):
         if label not in present:
             continue
         rows = np.flatnonzero(base == label)
-        if len(route.allowed) == 1:
+        if len(route.group_ids) == 1:
             picks = np.zeros(len(rows), dtype=np.int64)
         else:
             picks = reference_assign(bundle.group_classifier, features[rows], route.centroids)
@@ -163,32 +171,26 @@ def reference_batch(bundle, features, log):
     return out
 
 
-def _reference_pick(gc, features, allowed_ids):
-    allowed = [g for g in allowed_ids if g in gc.group_ids]
-    if not allowed:
-        return None
-    if len(allowed) == 1:
-        return allowed[0]
-    cols = [int(np.where(gc.centroid.classes == g)[0][0]) for g in allowed]
+def _reference_pick(gc, features, gated):
+    cols = [int(np.where(gc.centroid.classes == g)[0][0]) for g in gated]
     diff = features[:, None, :] - gc.centroid.centroids[cols][None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[0]
-    return allowed[int(np.argmin(dist))]
+    return gated[int(np.argmin(dist))]
 
 
 def reference_predict(bundle, feature_vector):
-    """The former per-sample cascade."""
+    """The per-sample cascade: the base label gates the discovered groups
+    that predict it, and the group classifier picks where it gates several."""
     fv = np.atleast_2d(np.asarray(feature_vector, dtype=np.float64))
     base = int(reference_knn_predict_batch(bundle.base_knn, reference_pca_transform(bundle.base_pca, fv))[0])
     correctors = {c.group.group_id: c for c in bundle.correctors}
-    classifier_ids = () if bundle.group_classifier is None else bundle.group_classifier.group_ids
-    gated = [g for g in sorted(set(correctors) | set(classifier_ids)) if g % N_LABELS == base]
+    gated = [g for g in bundle.discovered_group_ids if g % N_LABELS == base]
     if not gated:
         return GestureLabel(base)
-    if bundle.group_classifier is not None:
+    chosen = gated[0]
+    if len(gated) > 1:
         feats = reference_kernel_apply(bundle.group_classifier.kernel, fv)
         chosen = _reference_pick(bundle.group_classifier, feats, gated)
-    else:
-        chosen = gated[0] if len(gated) == 1 else None
     corrector = correctors.get(chosen)
     if corrector is None:
         return GestureLabel(base)
@@ -263,15 +265,27 @@ def lattice_rows(max_rows=12, lattices=((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))):
 def corrector_less_route(bundle):
     """``bundle`` without the corrector of the first id of a multi-id route."""
     label, route = next(
-        (label, r) for label, r in bundle.routing.routes.items() if len(r.allowed) > 1
+        (label, r) for label, r in bundle.routing.routes.items() if len(r.group_ids) > 1
     )
-    dropped = route.allowed[0]
+    dropped = route.group_ids[0]
     out = replace(
         bundle, correctors=tuple(c for c in bundle.correctors if c.group.group_id != dropped)
     )
-    assert out.routing.routes[label].allowed == route.allowed
+    assert out.routing.routes[label].group_ids == route.group_ids
     assert out.routing.routes[label].correctors[0] is None
     return out, label
+
+
+@pytest.fixture(scope="session")
+def one_group_bundle(small_bundle, small_split):
+    """The small bundle's training with ``min_support`` set so that only the
+    largest error group is discovered: no label gates several groups."""
+    X, y = feature_matrix(small_split.train), label_array(small_split.train)
+    base = small_bundle.predict_base_batch(X)  # min_support does not touch the base model
+    largest, second = sorted(Counter((N_LABELS * y + base)[base != y].tolist()).values())[:-3:-1]
+    assert largest > second
+    assert len(discover_groups(y, base, largest)) == 1
+    return train_pipeline(PipelineConfig(min_support=largest), small_split)
 
 
 @pytest.fixture(scope="session")
@@ -285,24 +299,24 @@ def kernel_bundle(small_split):
 
 
 @pytest.fixture(scope="session")
-def variants(small_bundle, kernel_bundle):
+def variants(small_bundle, kernel_bundle, one_group_bundle):
     return {
         "trained": small_bundle,
         "kernels": kernel_bundle,
-        "no group classifier": replace(small_bundle, group_classifier=None),
+        "one group": one_group_bundle,
         "route without corrector": corrector_less_route(small_bundle)[0],
     }
 
 
-VARIANTS = ("trained", "kernels", "no group classifier", "route without corrector")
+VARIANTS = ("trained", "kernels", "one group", "route without corrector")
 
 
 class TestOracle:
     def test_every_eval_window(self, variants, small_split):
         X = eval_rows(small_split)
         trained = variants["trained"]
-        # rows reach a route with one allowed id, where no router runs
-        single = [label for label, r in trained.routing.routes.items() if len(r.allowed) == 1]
+        # rows reach a route with one group id, where no router runs
+        single = [label for label, r in trained.routing.routes.items() if len(r.group_ids) == 1]
         assert single and np.isin(trained.predict_base_batch(X), single).any()
         # the kernel bundle scores with poly, concat and knn kernels
         assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
@@ -311,11 +325,16 @@ class TestOracle:
         assert_matches_reference(trained, X)
         assert_matches_reference(variants["kernels"], X)
 
-    def test_without_group_classifier(self, variants, small_split):
-        bundle = variants["no group classifier"]
-        # only labels that gate exactly one group keep a route
-        assert bundle.routing.routes
-        assert all(len(r.gated) == 1 for r in bundle.routing.routes.values())
+    def test_one_group_bundle(self, variants, small_split):
+        bundle = variants["one group"]
+        assert len(bundle.discovered_group_ids) == 1
+        assert bundle.group_classifier is None
+        with pytest.raises(InconsistentBundle, match="group classifier present"):
+            replace(bundle, group_classifier=variants["trained"].group_classifier)
+        # the one group has a corrector, so its label routes to it
+        assert [r.group_ids for r in bundle.routing.routes.values()] == [
+            bundle.discovered_group_ids
+        ]
         assert_matches_reference(bundle, eval_rows(small_split))
 
     def test_routed_group_without_corrector(self, small_bundle, small_split):

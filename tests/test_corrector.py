@@ -20,7 +20,6 @@ from capgest.corrector import (
 )
 from capgest.classify import centroid_fit
 from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec
-from capgest.errors import TooFewGroups
 from capgest.signals import GestureLabel, feature_matrix, label_array
 
 
@@ -275,33 +274,31 @@ def stub_corrector(group_id):
 
 
 class TestGroupClassifier:
-    def test_needs_two_groups(self):
-        X = np.clip(np.random.default_rng(0).normal(0.3, 0.1, (40, 100)), 0, 1)
-        kernel = kernel_fit(parse_kernel_spec("pca:9"), X)
-        with pytest.raises(TooFewGroups):
-            train_group_classifier(X, np.full(40, 21), kernel)
-
     def test_assign_respects_gate(self):
         rng = np.random.default_rng(2)
-        X = np.clip(rng.normal(0.3, 0.1, (60, 100)), 0, 1)
+        X = rng.normal(0.3, 0.1, (90, 100))
         X[:30, :20] += 0.3
+        X[60:, 40:60] += 0.3
         X = np.clip(X, 0, 1)
-        ids = np.array([21] * 30 + [1] * 30)
+        ids = np.array([21] * 30 + [1] * 30 + [9] * 30)
         kernel = kernel_fit(parse_kernel_spec("pca:9"), X)
         gc = train_group_classifier(X, ids, kernel)
+        assert gc.group_ids == (1, 9, 21)
         # groups 1 (index_bend->shoot) and 21 (none->shoot) are gated by
-        # base label 1; group 9 (shoot->none) by label 4, but the classifier
-        # never learned it, so label 4 has no route
-        correctors = [stub_corrector(g) for g in (1, 9, 21)]
-        table = build_routing_table(gc, correctors)
+        # base label 1, and group 9 (shoot->none) by label 4; group 9 has no
+        # corrector, so label 4 has no route
+        table = build_routing_table(gc.group_ids, gc, [stub_corrector(g) for g in (1, 21)])
         assert sorted(table.routes) == [1]
         route = table.routes[1]
-        assert route.gated == route.allowed == (1, 21)
+        assert route.group_ids == (1, 21)
         assert [c.group.group_id for c in route.correctors] == [1, 21]
+        # the router picks only among the label's groups
         picks = gc.assign(X, route.centroids)
-        assert picks.tolist() == [1] * 30 + [0] * 30
-        # without a classifier a label routes only when it gates one group
-        assert sorted(build_routing_table(None, correctors).routes) == [4]
+        assert picks.tolist()[:60] == [1] * 30 + [0] * 30
+        # a label that gates one group routes to it without the router
+        table = build_routing_table((9, 21), None, [stub_corrector(g) for g in (9, 21)])
+        assert sorted(table.routes) == [1, 4]
+        assert table.routes[4].group_ids == (9,) and table.routes[4].centroids is None
 
 
 class TestCascade:

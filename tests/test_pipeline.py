@@ -5,6 +5,7 @@ import pickle
 import re
 import struct
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -37,19 +38,19 @@ from capgest.classify import (
     KnnModel,
     LdaModel,
     binary_scores,
+    centroid_fit,
     knn_cell_share,
     knn_fit,
     knn_predict_batch,
 )
 from capgest.corrector import (
     Corrector,
+    GroupClassifier,
     audit_records,
     discover_groups,
     select_threshold_zero_fp,
-    train_group_classifier,
 )
 from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_fit, pca_transform
-from capgest.errors import TooFewGroups
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
@@ -186,7 +187,10 @@ def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> Mod
     """The group-outer corrector grid that ``train_pipeline`` replaced, kept as
     the oracle: every kernel fitted and applied to both partitions up front,
     then per group the kernels in config order and the classifiers in order,
-    a later cell kept only on strictly more train TP."""
+    a later cell kept only on strictly more train TP.  The router's centroids
+    are the means of the group kernel's features over each discovered
+    group's training errors, fitted only where a base label gates several
+    groups."""
     x_train, y_train = feature_matrix(split.train), label_array(split.train)
     x_val, y_val = feature_matrix(split.validation), label_array(split.validation)
     base_pca = pca_fit(x_train, config.n_pcs, centered=False)
@@ -201,17 +205,14 @@ def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> Mod
         for name in dict.fromkeys((config.group_kernel, *names))
     }
     group_classifier = None
-    err = preds_train != y_train
-    if err.any() and groups:
-        try:
-            group_classifier = train_group_classifier(
-                x_train[err],
-                len(GestureLabel) * y_train[err] + preds_train[err],
-                kernels[config.group_kernel],
-                min_support=config.min_support,
-            )
-        except TooFewGroups:
-            pass
+    if len({int(g.predicted) for g in groups}) < len(groups):
+        kernel = kernels[config.group_kernel]
+        ids = len(GestureLabel) * y_train + preds_train
+        discovered = {g.group_id for g in groups}
+        rows = [i for i, gid in enumerate(ids.tolist()) if gid in discovered]
+        group_classifier = GroupClassifier(
+            kernel=kernel, centroid=centroid_fit(kernel_apply(kernel, x_train[rows]), ids[rows])
+        )
     feats_train = {name: kernel_apply(kernels[name], x_train) for name in names}
     feats_val = {name: kernel_apply(kernels[name], x_val) for name in names}
 
@@ -438,6 +439,54 @@ def re_shape(shape):
     return re.escape(str(tuple(shape)))
 
 
+# Edits of a bundle_state dict for test_bundle_that_loads_predicts: each
+# changes the state of ``bundle`` and returns the message that refuses it.
+
+def set_cell(where, cell, value):
+    """An edit that sets ``cell`` of the array at the keys ``where(bundle)``."""
+
+    def edit(state, bundle):
+        *keys, name = where(bundle)
+        holder = state
+        for key in keys:
+            holder = holder[key]
+        holder[name] = holder[name].copy()
+        holder[name][cell] = value
+        part = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in [*keys, name])
+        problem = "values that are no GestureLabel" if name == "labels" else "non-finite values"
+        return f"{part[1:]} holds {problem}"
+
+    return edit
+
+
+def drop_router(state, bundle):
+    # the small bundle has a base label that gates several groups
+    state["group_classifier"] = None
+    return "group classifier missing: a bundle has one exactly where a base label gates several"
+
+
+def other_router_ids(state, bundle):
+    centroid = state["group_classifier"]["centroid"]
+    classes = centroid["classes"] = centroid["classes"].copy()
+    n = len(GestureLabel)
+    classes[0] = next(
+        g for g in range(n * n) if g // n != g % n and g not in bundle.discovered_group_ids
+    )
+    return "group classifier ids"
+
+
+def undiscovered_corrector(state, bundle):
+    group_id = bundle.correctors[0].group_id
+    state["discovered_group_ids"].remove(group_id)
+    return "corrector group ids"
+
+
+def float_group_id(state, bundle):
+    ids = state["discovered_group_ids"]
+    ids[-1] = float(ids[-1])
+    return f"discovered_group_ids {tuple(ids)} are not all ints"
+
+
 class TestBundleConsistency:
     """A bundle whose parts disagree on widths is rejected when it is built."""
 
@@ -543,7 +592,8 @@ class TestBundleConsistency:
         with pytest.raises(InconsistentBundle, match="discovered_group_ids"):
             replace(small_bundle, discovered_group_ids=(*ids[:-1], float(ids[-1])))
         gc = small_bundle.group_classifier
-        bad = replace(gc, group_ids=(str(gc.group_ids[0]), *gc.group_ids[1:]))
+        classes = gc.centroid.classes.astype(np.float64)
+        bad = replace(gc, centroid=replace(gc.centroid, classes=classes))
         with pytest.raises(InconsistentBundle, match="group classifier ids"):
             replace(small_bundle, group_classifier=bad)
 
@@ -587,30 +637,29 @@ class TestBundleConsistency:
             load_bundle(path)
 
     @pytest.mark.parametrize(
-        "where, cell, value",
+        "edit",
         [
-            (lambda b: ["base_knn", "labels"], 0, 9),
-            (lambda b: ["base_knn", "labels"], 0, -1),
-            (lambda b: ["base_pca", "components"], (0, 0), np.nan),
-            (lambda b: ["corrector_kernels", b.correctors[0].kernel_name, "matrix"], (1, 1), np.inf),
-            (lambda b: ["correctors", first_lda(b), "model", "w"], 0, np.nan),
+            set_cell(lambda b: ["base_knn", "labels"], 0, 9),
+            set_cell(lambda b: ["base_knn", "labels"], 0, -1),
+            set_cell(lambda b: ["base_pca", "components"], (0, 0), np.nan),
+            set_cell(lambda b: ["corrector_kernels", b.correctors[0].kernel_name, "matrix"], (1, 1), np.inf),
+            set_cell(lambda b: ["correctors", first_lda(b), "model", "w"], 0, np.nan),
+            drop_router,
+            other_router_ids,
+            undiscovered_corrector,
+            float_group_id,
         ],
-        ids=["knn-label-9", "knn-label-minus-1", "pca-nan", "kernel-inf", "lda-w-nan"],
+        ids=[
+            "knn-label-9", "knn-label-minus-1", "pca-nan", "kernel-inf", "lda-w-nan",
+            "router-missing", "router-ids", "corrector-undiscovered", "float-id",
+        ],
     )
-    def test_bundle_that_loads_predicts(self, small_bundle, tmp_path, capsys, where, cell, value):
-        # once loaded, each of these bundles predicted a label that is no
-        # GestureLabel, raised a bare numpy error, or had a corrector whose
-        # NaN scores never fire
+    def test_bundle_that_loads_predicts(self, small_bundle, tmp_path, capsys, edit):
+        # once loaded, each of the first five bundles predicted a label that
+        # is no GestureLabel, raised a bare numpy error, or had a corrector
+        # whose NaN scores never fire; the last four break the routing rule
         state = bundle_state(small_bundle)
-        *keys, name = where(small_bundle)
-        part = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in [*keys, name])
-        holder = state
-        for key in keys:
-            holder = holder[key]
-        holder[name] = holder[name].copy()
-        holder[name][cell] = value
-        problem = "values that are no GestureLabel" if name == "labels" else "non-finite values"
-        match = re.escape(f"{part[1:]} holds {problem}")
+        match = re.escape(edit(state, small_bundle))
         with pytest.raises(InconsistentBundle, match=match):
             bundle_from_state(state)
         path = tmp_path / "bad.capgest"
@@ -622,7 +671,6 @@ class TestBundleConsistency:
         assert main(["predict", "--bundle", str(path), "--features", str(features)]) == 2
         captured = capsys.readouterr()
         assert re.search(match, captured.err) and captured.out == ""
-
 
     @pytest.mark.parametrize(
         "name, cell", [("base_pca", ("components", (0, 0))), ("base_knn", ("points", (0, 1)))]
@@ -637,8 +685,9 @@ class TestBundleConsistency:
         match = "squared distances beyond the float range"
         path = tmp_path / "huge.capgest"
         path.write_bytes(format_4_blob(*format_4_parts(state)))
-        # the KNN model's squared norms overflow before the check runs
-        with np.errstate(over="ignore"):
+        # refused without a warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InconsistentBundle, match=match):
                 bundle_from_state(state)
             with pytest.raises(CorruptFile, match=match):
@@ -799,7 +848,7 @@ class TestPersistence:
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
         # the array bytes are fixed by the bundle's shapes; the JSON header
         # varies with the digits of its float thresholds and biases
-        assert len(serialize_bundle(default_bundle)) == 322_648
+        assert len(serialize_bundle(default_bundle)) == 322_584
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -881,12 +930,14 @@ class TestPersistence:
         # base_knn_fit; a format-5 corrector held a classifier kind, a
         # centroid and an LDA slot, and its group as two label enums; a
         # format-6 kernel stage held a standardizer, a PCA and a whitening
-        # model, and the bundle a metadata section nothing read
-        assert BUNDLE_FORMAT_VERSION == 7
+        # model, and the bundle a metadata section nothing read; a format-7
+        # group classifier held its id list beside its centroids' classes,
+        # and the config the group_kernel key
+        assert BUNDLE_FORMAT_VERSION == 8
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2, 4, 5, 6):
+        for old in (1, 2, 4, 5, 6, 7):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
@@ -1011,6 +1062,9 @@ class TestConfig:
             parse_config_text("n_pcs")
         with pytest.raises(FileFormatError):
             parse_config_text("base_knn_fit = maybe")
+        # the router's kernel is a constant; format 7's config key is refused
+        with pytest.raises(FileFormatError, match="group_kernel"):
+            parse_config_text("group_kernel = pca:9")
 
     @pytest.mark.parametrize(
         "text, key",
