@@ -282,10 +282,10 @@ def one_group_bundle(small_bundle, small_split):
     largest error group is discovered: no label gates several groups."""
     X, y = feature_matrix(small_split.train), label_array(small_split.train)
     base = small_bundle.predict_base_batch(X)  # min_support does not touch the base model
-    largest, second = sorted(Counter((N_LABELS * y + base)[base != y].tolist()).values())[:-3:-1]
-    assert largest > second
-    assert len(discover_groups(y, base, largest)) == 1
-    return train_pipeline(PipelineConfig(min_support=largest), small_split)
+    counts = sorted(Counter((N_LABELS * y + base)[base != y].tolist()).values(), reverse=True)
+    assert counts[0] > counts[1]
+    assert len(discover_groups(y, base, counts[0])) == 1
+    return train_pipeline(PipelineConfig(min_support=counts[0]), small_split)
 
 
 @pytest.fixture(scope="session")
@@ -303,12 +303,12 @@ def variants(small_bundle, kernel_bundle, one_group_bundle):
     return {
         "trained": small_bundle,
         "kernels": kernel_bundle,
-        "one group": one_group_bundle,
+        "no group classifier": one_group_bundle,
         "route without corrector": corrector_less_route(small_bundle)[0],
     }
 
 
-VARIANTS = ("trained", "kernels", "one group", "route without corrector")
+VARIANTS = ("trained", "kernels", "no group classifier", "route without corrector")
 
 
 class TestOracle:
@@ -326,7 +326,7 @@ class TestOracle:
         assert_matches_reference(variants["kernels"], X)
 
     def test_one_group_bundle(self, variants, small_split):
-        bundle = variants["one group"]
+        bundle = variants["no group classifier"]
         assert len(bundle.discovered_group_ids) == 1
         assert bundle.group_classifier is None
         with pytest.raises(InconsistentBundle, match="group classifier present"):
