@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .classify import BINARY_FITS
 from .embed import parse_kernel_spec
 from .errors import FileFormatError, ParamOutOfRange
 
@@ -36,7 +35,6 @@ class PipelineConfig:
         "poly:8:3",
         "concat(pca:10,poly:5:4)",
     )
-    corrector_classifiers: tuple[str, ...] = ("centroid", "lda")
     # the router's kernel, where a base label gates several groups; a
     # constant, not a config key
     group_kernel: ClassVar[str] = "pca:9"
@@ -57,11 +55,6 @@ class PipelineConfig:
                 "user_counts must be four ints >= 0 (train; validation; test; hold), "
                 f"got {'; '.join(map(str, counts))}"
             )
-        for kind in self.corrector_classifiers:
-            if kind not in BINARY_FITS:
-                raise FileFormatError(
-                    f"corrector_classifiers: {kind!r} is not one of {list(BINARY_FITS)}"
-                )
         for spec in self.corrector_kernels:
             try:
                 parse_kernel_spec(spec)
@@ -70,7 +63,7 @@ class PipelineConfig:
 
 
 _INT_KEYS = {"n_pcs", "knn_k", "min_support", "split_seed"}
-_STR_LIST_KEYS = {"corrector_kernels", "corrector_classifiers", "pinned_hold"}
+_STR_LIST_KEYS = {"corrector_kernels", "pinned_hold"}
 _INT_LIST_KEYS = {"user_counts"}
 
 

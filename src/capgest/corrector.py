@@ -219,10 +219,9 @@ def train_corrector(
     train_truths: np.ndarray,
     holdout_candidates: np.ndarray,
     holdout_truths: np.ndarray,
-    classifier_kinds: Sequence[str] = tuple(BINARY_FITS),
 ) -> Corrector | None:
-    """Search the classifiers for the best zero-FP corrector of ``group`` on
-    one kernel's features.
+    """Search the classifiers of :data:`BINARY_FITS`, in its order, for the
+    best zero-FP corrector of ``group`` on one kernel's features.
 
     The candidates are the kernel features of the train and holdout rows the
     base model labelled ``group.predicted``, and the truths are those rows'
@@ -239,8 +238,8 @@ def train_corrector(
         return None  # every classifier needs both classes
 
     best: Corrector | None = None
-    for kind in classifier_kinds:
-        model = BINARY_FITS[kind](train_candidates, y_train)
+    for fit in BINARY_FITS.values():
+        model = fit(train_candidates, y_train)
         s_train = binary_scores(model, train_candidates)
         s_holdout = binary_scores(model, holdout_candidates)
         threshold = select_threshold_zero_fp(s_train, y_train, s_holdout, y_holdout)
@@ -365,7 +364,7 @@ def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
     ``feature_vector`` is one row, 1-D or (1, 100); any other shape raises
     DimensionMismatch.
     """
-    width = bundle.base_pca.components.shape[0]
+    width = bundle.base_pca.shape[0]
     _, out = _cascade(bundle, feature_rows(feature_vector, width, one=True))
     return GestureLabel(int(out[0]))
 
@@ -378,7 +377,7 @@ def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
     the zero-FP threshold.  A sample with no route, or routed to a group
     without a corrector, keeps its base prediction.
     """
-    return _cascade(bundle, feature_rows(features, bundle.base_pca.components.shape[0]))[1]
+    return _cascade(bundle, feature_rows(features, bundle.base_pca.shape[0]))[1]
 
 
 def _cascade(bundle, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

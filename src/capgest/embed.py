@@ -1,10 +1,11 @@
 """Dimension reduction and high-dimensional feature kernels.
 
-Uncentered PCA with an explained-variance ranking feeds the base model;
-three explicit feature constructions (PCA, polynomial, neighbor-distance)
-plus whitening feed the error correctors.  A fitted kernel stage stores its
-standardizing, projecting and whitening steps composed into one affine map
-``x @ matrix - offset``; the steps themselves are fit-time intermediates.
+The base model is one matrix: the uncentered principal components its
+windows are projected on.  Three explicit feature constructions (PCA,
+polynomial, neighbor-distance) plus whitening feed the error correctors.  A
+fitted kernel stage stores its standardizing, centering, projecting and
+whitening steps composed into one affine map ``x @ matrix - offset``; the
+steps themselves are fit-time intermediates.
 The Fisher-separability intrinsic-dimension estimate characterizes the
 resulting feature spaces.
 """
@@ -76,23 +77,15 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 # PCA
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PcaModel:
-    components: np.ndarray          # (n_features, n_components), orthonormal
-    singular_values: np.ndarray     # descending
-    explained_variance_ratio: np.ndarray
-    centered: bool
-    mean: np.ndarray | None = None
-
-
-def pca_fit(X: np.ndarray, n_components: int, centered: bool = False) -> PcaModel:
-    """Principal components, optionally without centering, from the
+def pca_fit(X: np.ndarray, n_components: int) -> np.ndarray:
+    """The first ``n_components`` uncentered principal components of ``X``,
+    as an orthonormal (n_features, n_components) matrix, from the
     eigendecomposition of the Gram matrix (:func:`_svd_sv`).
 
-    The base model keeps ``centered=False``: the inputs are already
-    normalized to [0, 1], so the second-moment directions are used directly.
-    Rank deficiency shows up as singular values of exactly 0, not as a
-    failure.
+    The base model projects on them directly: the inputs are already
+    normalized to [0, 1], so the second-moment directions are used without
+    centering.  A rank-deficient ``X`` is no failure: the components past
+    its rank span null directions.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -103,20 +96,8 @@ def pca_fit(X: np.ndarray, n_components: int, centered: bool = False) -> PcaMode
         raise ParamOutOfRange(
             f"n_components={n_components} out of range for shape {X.shape}"
         )
-    mean = None
-    if centered:
-        mean = X.mean(axis=0)
-        X = X - mean
-    s, vt = _svd_sv(X)
-    total = float(np.sum(s**2))
-    ratios = s**2 / total if total > 0 else np.zeros_like(s)
-    return PcaModel(
-        components=_fix_signs(vt[:n_components].T),
-        singular_values=s[:n_components].copy(),
-        explained_variance_ratio=ratios[:n_components].copy(),
-        centered=centered,
-        mean=mean,
-    )
+    _, vt = _svd_sv(X)
+    return _fix_signs(vt[:n_components].T)
 
 
 def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
@@ -134,11 +115,8 @@ def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
     return X
 
 
-def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    X = as_rows(X, model.components.shape[0])
-    if model.centered:
-        X = X - model.mean
-    return X @ model.components
+def pca_transform(components: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return as_rows(X, components.shape[0]) @ components
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +338,11 @@ def kernel_fit(
 
     ``memo`` carries work between calls on the same ``X_train``: every fitted
     kernel by its encoding, together with its output on ``X_train`` (see
-    :func:`train_output`), and the standardizer with the full-rank centered
-    PCA that every ``pca`` stage truncates.  So a kernel nested in several
-    specs is fitted once, the training matrix is decomposed once, and no
-    kernel is applied to the training matrix after its fit.  The caller may
+    :func:`train_output`), and the standardizer, the center and the
+    full-rank components of the standardized matrix that every ``pca`` stage
+    truncates.  So a kernel nested in several specs is fitted once, the
+    training matrix is decomposed once, and no kernel is applied to the
+    training matrix after its fit.  The caller may
     delete a kernel's entry to free its output; a later fit that needs the
     kernel, alone or nested, then fits it again.
     """
@@ -401,15 +380,18 @@ def _fit(
         if _BASIS not in memo:
             std = Standardizer.fit(X_train)
             Z = std.apply(X_train)
-            memo[_BASIS] = std, pca_fit(Z, min(Z.shape), centered=True)
-        std, full = memo[_BASIS]
+            center = Z.mean(axis=0)
+            Z -= center
+            memo[_BASIS] = std, center, pca_fit(Z, min(Z.shape))
+        std, center, full = memo[_BASIS]
         # the decomposition and the per-column sign fix do not depend on the
         # rank kept, so truncated components equal a fresh fit's
-        C = full.components[:, : spec.n_pc]
-        # the pca scores are X @ A - a: standardizing and projecting in one
-        # map, so X_train is standardized only once, for the basis
+        C = full[:, : spec.n_pc]
+        # the pca scores are X @ A - a: standardizing, centering and
+        # projecting in one map, so X_train is standardized only once, for
+        # the basis
         A = C / std.scale[:, None]
-        a = (std.mean / std.scale + full.mean) @ C
+        a = (std.mean / std.scale + center) @ C
         F = X_train
         whiten = whiten_fit(F @ A - a)
         R = whiten.rotation * whiten.scale

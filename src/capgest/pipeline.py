@@ -46,7 +46,6 @@ from .corrector import (
 from .embed import (
     FittedKernel,
     KernelSpec,
-    PcaModel,
     kernel_apply,
     kernel_fit,
     kernel_output_width,
@@ -75,7 +74,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 8
+BUNDLE_FORMAT_VERSION = 9
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 N_LABELS = len(GestureLabel)
 _LABEL_VALUES = [int(label) for label in GestureLabel]
@@ -86,7 +85,7 @@ class ModelBundle:
     """The full deployable artifact."""
 
     config: PipelineConfig
-    base_pca: PcaModel
+    base_pca: np.ndarray  # (n_features, n_pcs) uncentered principal components
     base_knn: KnnModel
     group_classifier: GroupClassifier | None
     correctors: tuple[Corrector, ...]
@@ -110,7 +109,7 @@ class ModelBundle:
         return corrected_predict_batch(self, features)
 
     def predict_base_batch(self, features: np.ndarray) -> np.ndarray:
-        features = feature_rows(features, self.base_pca.components.shape[0])
+        features = feature_rows(features, self.base_pca.shape[0])
         return knn_predict_batch(self.base_knn, pca_transform(self.base_pca, features))
 
 
@@ -143,12 +142,13 @@ def _check_shapes(bundle: ModelBundle) -> None:
         except DimensionMismatch as exc:
             raise InconsistentBundle(f"{part}: {exc}") from None
 
-    components = bundle.base_pca.components
-    if components.ndim != 2:
-        raise InconsistentBundle(f"base_pca.components has shape {components.shape}")
+    components = bundle.base_pca
+    if not isinstance(components, np.ndarray) or components.ndim != 2:
+        shape = getattr(components, "shape", None)
+        raise InconsistentBundle(
+            f"base_pca is no 2-D array ({type(components).__name__}, shape {shape})"
+        )
     n_features, n_pcs = components.shape
-    if bundle.base_pca.centered:
-        expect("base_pca.mean", bundle.base_pca.mean.shape, (n_features,))
     points = bundle.base_knn.points
     expect("base_knn.points", points.shape[1:], (n_pcs,))
     labels = bundle.base_knn.labels
@@ -168,6 +168,8 @@ def _check_shapes(bundle: ModelBundle) -> None:
     expect_ints("corrector group ids", corrector_ids)
     if not set(corrector_ids) <= set(discovered):
         raise InconsistentBundle(f"corrector group ids {corrector_ids} are not all discovered")
+    if len(set(corrector_ids)) != len(corrector_ids):
+        raise InconsistentBundle(f"corrector group ids {corrector_ids} are not distinct")
     gated = [g % N_LABELS for g in discovered]
     gc = bundle.group_classifier
     if (gc is not None) != (len(set(gated)) < len(gated)):
@@ -211,11 +213,10 @@ def _check_shapes(bundle: ModelBundle) -> None:
         if not finite:
             raise InconsistentBundle(f"{part} holds non-finite values")
 
-    # an in-range row x has |x - mean| <= 1 + |mean| per feature, so its base
-    # features q reach at most ``reach``; with p a reference, every term of
-    # the KNN's |p|^2 - 2 q.p + |q|^2 is at most (|q| + |p|)^2 <= 2 span.span
-    mean = bundle.base_pca.mean if bundle.base_pca.centered else np.zeros(n_features)
-    reach = (1.0 + np.abs(mean)) @ np.abs(components)
+    # an in-range row x has |x| <= 1 per feature, so its base features q
+    # reach at most ``reach``; with p a reference, every term of the KNN's
+    # |p|^2 - 2 q.p + |q|^2 is at most (|q| + |p|)^2 <= 2 span.span
+    reach = np.abs(components).sum(axis=0)
     span = reach + np.abs(points).max(axis=0)
     with np.errstate(over="ignore"):
         if not np.isfinite(4.0 * (span @ span)):
@@ -267,7 +268,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     x_val = feature_matrix(split.validation)
     y_val = label_array(split.validation)
 
-    base_pca = pca_fit(x_train, config.n_pcs, centered=False)
+    base_pca = pca_fit(x_train, config.n_pcs)
     base_knn = knn_fit(pca_transform(base_pca, x_val), y_val, config.knn_k)
 
     preds_train = knn_predict_batch(base_knn, pca_transform(base_pca, x_train))
@@ -315,15 +316,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
             cand_train, cand_val = feats_train[rows], feats_val[rows_val]
             truths, truths_val = y_train[rows], y_val[rows_val]
             for group in label_groups:
-                trained = train_corrector(
-                    group,
-                    name,
-                    cand_train,
-                    truths,
-                    cand_val,
-                    truths_val,
-                    classifier_kinds=config.corrector_classifiers,
-                )
+                trained = train_corrector(group, name, cand_train, truths, cand_val, truths_val)
                 if trained is None:
                     continue
                 key = (-trained.train_tp, rank)
@@ -460,7 +453,7 @@ def evaluate(bundle: ModelBundle, samples: Sequence[Sample]) -> EvalReport:
     """Accuracy of the base and corrected paths, overall and per error group."""
     if not samples:
         raise EmptyEvalSet("evaluation needs at least one sample")
-    x = feature_rows(feature_matrix(samples), bundle.base_pca.components.shape[0])
+    x = feature_rows(feature_matrix(samples), bundle.base_pca.shape[0])
     y = label_array(samples)
     base, corrected = _cascade(bundle, x)
 
@@ -547,7 +540,7 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-8 payload is a little-endian u32 header length, the JSON header
+# A format-9 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass carries its class name under _TAG, and
@@ -557,8 +550,8 @@ def cross_validate(
 _TAG, _ARRAY = "@type", "@array"
 # the only classes loading calls: the bundle's own dataclasses
 _CODEC_TYPES = {cls.__name__: cls for cls in (
-    ModelBundle, PipelineConfig, PcaModel, KnnModel, GroupClassifier, CentroidModel, LdaModel,
-    Corrector, FittedKernel, KernelSpec,
+    ModelBundle, PipelineConfig, KnnModel, GroupClassifier, CentroidModel, LdaModel, Corrector,
+    FittedKernel, KernelSpec,
 )}
 # int arrays are stored in the narrowest of these that holds them and load as int64
 _INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")

@@ -134,15 +134,15 @@ class TestExitCodes:
         assert not (tmp_path / "m.capgest").exists()
 
     def test_old_bundle_format_is_2(self, workspace, tmp_path, capsys):
-        # a format-7 bundle stored the group classifier's ids twice
+        # a format-8 bundle wrapped the base projection in a PCA model
         blob = workspace["bundle"].read_bytes()
         old = tmp_path / "old.capgest"
-        old.write_bytes(blob[:4] + (7).to_bytes(4, "little") + blob[8:])
+        old.write_bytes(blob[:4] + (8).to_bytes(4, "little") + blob[8:])
         path = tmp_path / "good.csv"
         path.write_text(",".join(["0.25"] * N_FEATURES) + "\n", encoding="utf-8")
         assert main(["predict", "--bundle", str(old), "--features", str(path)]) == 2
         captured = capsys.readouterr()
-        assert "format version 7" in captured.err
+        assert "format version 8" in captured.err
         assert captured.out == ""
 
     def test_data_error_is_2(self, tmp_path, capsys):

@@ -43,35 +43,26 @@ RNG = np.random.default_rng(12345)
 class TestPca:
     def test_uncentered_matches_svd_oracle(self):
         X = RNG.uniform(0, 1, (50, 8))
-        model = pca_fit(X, 4, centered=False)
-        _, s, vt = np.linalg.svd(X, full_matrices=False)
+        components = pca_fit(X, 4)
+        _, _, vt = np.linalg.svd(X, full_matrices=False)
         # components equal up to sign
-        assert np.allclose(np.abs(model.components), np.abs(vt[:4].T))
-        assert np.allclose(model.singular_values, s[:4])
-        assert np.allclose(
-            model.explained_variance_ratio, s[:4] ** 2 / (s**2).sum()
-        )
+        assert np.allclose(np.abs(components), np.abs(vt[:4].T))
 
     def test_sign_convention(self):
         X = RNG.normal(0, 1, (40, 6))
-        model = pca_fit(X, 6)
+        components = pca_fit(X, 6)
         for j in range(6):
-            col = model.components[:, j]
+            col = components[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_components_orthonormal(self):
-        model = pca_fit(RNG.normal(0, 1, (30, 10)), 5, centered=True)
-        assert np.allclose(model.components.T @ model.components, np.eye(5), atol=1e-12)
+        components = pca_fit(RNG.normal(0, 1, (30, 10)), 5)
+        assert np.allclose(components.T @ components, np.eye(5), atol=1e-12)
 
     def test_transform_projects(self):
         X = RNG.uniform(0, 1, (20, 7))
-        model = pca_fit(X, 3)
-        assert np.allclose(pca_transform(model, X), X @ model.components)
-
-    def test_centered_transform_uses_mean(self):
-        X = RNG.normal(5, 1, (25, 4))
-        model = pca_fit(X, 2, centered=True)
-        assert np.allclose(pca_transform(model, X).mean(axis=0), 0.0, atol=1e-10)
+        components = pca_fit(X, 3)
+        assert np.allclose(pca_transform(components, X), X @ components)
 
     def test_validation(self):
         with pytest.raises(ParamOutOfRange):
@@ -80,9 +71,9 @@ class TestPca:
             pca_fit(np.zeros(5), 1)
         with pytest.raises(DegenerateInput):
             pca_fit(np.full((5, 3), np.nan), 1)
-        model = pca_fit(RNG.normal(0, 1, (10, 4)), 2)
+        components = pca_fit(RNG.normal(0, 1, (10, 4)), 2)
         with pytest.raises(DimensionMismatch):
-            pca_transform(model, np.zeros((3, 5)))
+            pca_transform(components, np.zeros((3, 5)))
 
 
 def whiten(model, X):
@@ -245,12 +236,13 @@ class TestSharedFits:
         # shared basis truncated to it gives the same components
         X = small_train(400)
         Z = Standardizer.fit(X).apply(X)
-        fresh = pca_fit(Z, n_pc, centered=True)
+        center = Z.mean(axis=0)
+        fresh = pca_fit(Z - center, n_pc)
         memo: dict = {}
         kernel_fit(parse_kernel_spec("pca:50"), X, memo)  # the basis comes from another spec
-        _, full = memo[embed._BASIS]
-        assert full.mean.tobytes() == fresh.mean.tobytes()
-        assert full.components[:, :n_pc].tobytes() == fresh.components.tobytes()
+        _, shared_center, full = memo[embed._BASIS]
+        assert shared_center.tobytes() == center.tobytes()
+        assert full[:, :n_pc].tobytes() == fresh.tobytes()
         got = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X, memo))
         alone = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X))
         assert got.keys() == alone.keys() == {".matrix", ".offset"}
@@ -307,15 +299,18 @@ class TestSharedFits:
 
 def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
     """The former staged kernel, kept as the oracle: per stage a Standardizer,
-    for pca a PcaModel decomposed at the requested rank, and a WhitenModel,
-    each fitted on the previous stage's output."""
+    for pca the center and the components of the standardized input,
+    decomposed at the requested rank, and a WhitenModel, each fitted on the
+    previous stage's output."""
     if spec.kind == "concat":
         return {"spec": spec, "children": [staged_fit(c, X) for c in spec.children]}
     stage: dict = {"spec": spec}
     if spec.kind == "pca":
         stage["std"] = Standardizer.fit(X)
-        stage["pca"] = pca_fit(stage["std"].apply(X), spec.n_pc, centered=True)
-        stage["whiten"] = whiten_fit(pca_transform(stage["pca"], stage["std"].apply(X)))
+        Z = stage["std"].apply(X)
+        stage["center"] = Z.mean(axis=0)
+        stage["pca"] = pca_fit(Z - stage["center"], spec.n_pc)
+        stage["whiten"] = whiten_fit(staged_project(stage, X))
         return stage
     stage["base"] = staged_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X)
     stage["train_base"] = staged_apply(stage["base"], X)[:, : spec.n_pc]
@@ -336,13 +331,18 @@ def staged_expansion(stage: dict, X: np.ndarray) -> np.ndarray:
     return D
 
 
+def staged_project(stage: dict, X: np.ndarray) -> np.ndarray:
+    """A pca stage's scores: standardize, center, project."""
+    return pca_transform(stage["pca"], stage["std"].apply(X) - stage["center"])
+
+
 def staged_apply(stage: dict, X: np.ndarray) -> np.ndarray:
     """The former ``kernel_apply`` body: standardize, project, whiten."""
     spec = stage["spec"]
     if spec.kind == "concat":
         return np.hstack([staged_apply(c, X) for c in stage["children"]])
     if spec.kind == "pca":
-        return whiten(stage["whiten"], pca_transform(stage["pca"], stage["std"].apply(X)))
+        return whiten(stage["whiten"], staged_project(stage, X))
     return whiten(stage["whiten"], stage["std"].apply(staged_expansion(stage, X)))
 
 

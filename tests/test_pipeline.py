@@ -116,7 +116,7 @@ def array_leaves(value):
 
 class TestTraining:
     def test_bundle_structure(self, small_bundle):
-        assert small_bundle.base_pca.components.shape == (100, 3)
+        assert small_bundle.base_pca.shape == (100, 3)
         assert small_bundle.base_knn.k == 5
         assert len(small_bundle.discovered_group_ids) >= 2
         assert small_bundle.correctors  # at least one corrector trains
@@ -193,7 +193,7 @@ def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> Mod
     groups."""
     x_train, y_train = feature_matrix(split.train), label_array(split.train)
     x_val, y_val = feature_matrix(split.validation), label_array(split.validation)
-    base_pca = pca_fit(x_train, config.n_pcs, centered=False)
+    base_pca = pca_fit(x_train, config.n_pcs)
     base_knn = knn_fit(pca_transform(base_pca, x_val), y_val, config.knn_k)
     preds_train = knn_predict_batch(base_knn, pca_transform(base_pca, x_train))
     preds_val = knn_predict_batch(base_knn, pca_transform(base_pca, x_val))
@@ -226,8 +226,8 @@ def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> Mod
         best = None
         for name in names:
             f, f_h = feats_train[name][rows], feats_val[name][rows_val]
-            for kind in config.corrector_classifiers:
-                model = BINARY_FITS[kind](f, y)
+            for fit in BINARY_FITS.values():
+                model = fit(f, y)
                 s, s_h = binary_scores(model, f), binary_scores(model, f_h)
                 threshold = select_threshold_zero_fp(s, y, s_h, y_h)
                 if threshold is None:
@@ -487,6 +487,18 @@ def float_group_id(state, bundle):
     return f"discovered_group_ids {tuple(ids)} are not all ints"
 
 
+def corrector_twice(state, bundle):
+    # routing kept the last corrector of a group id: this one never fires
+    state["correctors"].append(dict(state["correctors"][0], threshold=1e300))
+    ids = [c.group_id for c in bundle.correctors] + [bundle.correctors[0].group_id]
+    return f"corrector group ids {ids} are not distinct"
+
+
+def pca_1_d(state, bundle):
+    state["base_pca"] = state["base_pca"][:, 0]
+    return "base_pca is no 2-D array (ndarray, shape (100,))"
+
+
 class TestBundleConsistency:
     """A bundle whose parts disagree on widths is rejected when it is built."""
 
@@ -551,9 +563,8 @@ class TestBundleConsistency:
         knn = small_bundle.base_knn
         with pytest.raises(InconsistentBundle, match="base_knn.points"):
             replace(small_bundle, base_knn=type(knn)(points=knn.points[:, :2], labels=knn.labels, k=knn.k))
-        pca = small_bundle.base_pca
         with pytest.raises(InconsistentBundle, match="group classifier"):
-            replace(small_bundle, base_pca=replace(pca, components=pca.components[:99]))
+            replace(small_bundle, base_pca=small_bundle.base_pca[:99])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_knn_points(self, small_bundle, bad):
@@ -641,23 +652,28 @@ class TestBundleConsistency:
         [
             set_cell(lambda b: ["base_knn", "labels"], 0, 9),
             set_cell(lambda b: ["base_knn", "labels"], 0, -1),
-            set_cell(lambda b: ["base_pca", "components"], (0, 0), np.nan),
+            set_cell(lambda b: ["base_pca"], (0, 0), np.nan),
             set_cell(lambda b: ["corrector_kernels", b.correctors[0].kernel_name, "matrix"], (1, 1), np.inf),
             set_cell(lambda b: ["correctors", first_lda(b), "model", "w"], 0, np.nan),
             drop_router,
             other_router_ids,
             undiscovered_corrector,
             float_group_id,
+            corrector_twice,
+            pca_1_d,
         ],
         ids=[
             "knn-label-9", "knn-label-minus-1", "pca-nan", "kernel-inf", "lda-w-nan",
             "router-missing", "router-ids", "corrector-undiscovered", "float-id",
+            "corrector-twice", "pca-1-d",
         ],
     )
     def test_bundle_that_loads_predicts(self, small_bundle, tmp_path, capsys, edit):
         # once loaded, each of the first five bundles predicted a label that
         # is no GestureLabel, raised a bare numpy error, or had a corrector
-        # whose NaN scores never fire; the last four break the routing rule
+        # whose NaN scores never fire; the next four break the routing rule,
+        # a second corrector of one group replaced the first, and a 1-D
+        # base projection made every row a DimensionMismatch
         state = bundle_state(small_bundle)
         match = re.escape(edit(state, small_bundle))
         with pytest.raises(InconsistentBundle, match=match):
@@ -672,16 +688,15 @@ class TestBundleConsistency:
         captured = capsys.readouterr()
         assert re.search(match, captured.err) and captured.out == ""
 
-    @pytest.mark.parametrize(
-        "name, cell", [("base_pca", ("components", (0, 0))), ("base_knn", ("points", (0, 1)))]
-    )
+    @pytest.mark.parametrize("name, cell", [("base_pca", (0, 0)), ("base_knn", (0, 1))])
     def test_overflowing_base_refused(self, small_bundle, small_split, tmp_path, name, cell):
         # finite, but an in-range row's squared distances overflow: predict
         # raised a bare ValueError from the KNN scan
         state = bundle_state(small_bundle)
-        field, at = cell
-        state[name][field] = state[name][field].copy()
-        state[name][field][at] = 1e308
+        # the base projection is an array; the references are a knn field
+        holder, key = (state, name) if name == "base_pca" else (state[name], "points")
+        holder[key] = holder[key].copy()
+        holder[key][cell] = 1e308
         match = "squared distances beyond the float range"
         path = tmp_path / "huge.capgest"
         path.write_bytes(format_4_blob(*format_4_parts(state)))
@@ -693,7 +708,7 @@ class TestBundleConsistency:
             with pytest.raises(CorruptFile, match=match):
                 load_bundle(path)
         # a large value that keeps them finite still loads and predicts
-        state[name][field][at] = 1e100
+        holder[key][cell] = 1e100
         labels = bundle_from_state(state).predict_batch(feature_matrix(small_split.hold[:20]))
         assert set(labels.tolist()) <= set(GestureLabel)
 
@@ -848,7 +863,7 @@ class TestPersistence:
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
         # the array bytes are fixed by the bundle's shapes; the JSON header
         # varies with the digits of its float thresholds and biases
-        assert len(serialize_bundle(default_bundle)) == 322_584
+        assert len(serialize_bundle(default_bundle)) == 322_336
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -887,17 +902,18 @@ class TestPersistence:
             "config", "base_pca", "base_knn", "group_classifier", "correctors",
             "corrector_kernels", "discovered_group_ids",
         ]
-        assert state["base_pca"]["@type"] == "PcaModel"
+        assert isinstance(state["base_pca"], np.ndarray)
         corrector = state["correctors"][0]
         assert corrector["group_id"] == small_bundle.correctors[0].group_id
         assert corrector["model"]["@type"] in ("CentroidModel", "LdaModel")
         header = json.dumps(format_4_parts(state)[0])
         for name in (
             "mu0", "GestureLabel", "ErrorGroup", "classifier_kind", '"group"',
-            "Standardizer", "WhitenModel", "whiten", "metadata",
+            "Standardizer", "WhitenModel", "whiten", "metadata", "PcaModel",
+            "corrector_classifiers",
         ):
             assert name not in header
-        assert len(pipeline._CODEC_TYPES) == 10
+        assert len(pipeline._CODEC_TYPES) == 9
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -932,12 +948,14 @@ class TestPersistence:
         # format-6 kernel stage held a standardizer, a PCA and a whitening
         # model, and the bundle a metadata section nothing read; a format-7
         # group classifier held its id list beside its centroids' classes,
-        # and the config the group_kernel key
-        assert BUNDLE_FORMAT_VERSION == 8
+        # and the config the group_kernel key; format 8 wrapped the base
+        # projection in a PCA model with four fields inference never read,
+        # and the config held the corrector_classifiers key
+        assert BUNDLE_FORMAT_VERSION == 9
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2, 4, 5, 6, 7):
+        for old in (1, 2, 4, 5, 6, 7, 8):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
@@ -966,7 +984,7 @@ class TestPersistence:
 
     def test_unknown_type_tag_rejected(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
-        state["base_pca"]["@type"] = "Popen"
+        state["base_knn"]["@type"] = "Popen"
         path = tmp_path / "m.capgest"
         path.write_bytes(format_4_blob(*format_4_parts(state)))
         with pytest.raises(CorruptFile, match="unknown type tag 'Popen'"):
@@ -1062,9 +1080,12 @@ class TestConfig:
             parse_config_text("n_pcs")
         with pytest.raises(FileFormatError):
             parse_config_text("base_knn_fit = maybe")
-        # the router's kernel is a constant; format 7's config key is refused
+        # the router's kernel and the corrector classifiers are constants;
+        # the config keys of formats 7 and 8 are refused
         with pytest.raises(FileFormatError, match="group_kernel"):
             parse_config_text("group_kernel = pca:9")
+        with pytest.raises(FileFormatError, match="corrector_classifiers"):
+            parse_config_text("corrector_classifiers = centroid; lda")
 
     @pytest.mark.parametrize(
         "text, key",
