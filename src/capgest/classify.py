@@ -155,14 +155,15 @@ def centroid_fit(X: np.ndarray, y: np.ndarray) -> CentroidModel:
     return CentroidModel(classes=classes, centroids=centroids)
 
 
-def _centroid_distances(model: CentroidModel, X: np.ndarray) -> np.ndarray:
-    """Distances of the rows of a float (n, d) matrix to each centroid, unchecked."""
-    diff = X[:, None, :] - model.centroids[None, :, :]
+def _centroid_distances(centroids: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Distances of the rows of a float (n, d) matrix to each row of
+    ``centroids``, unchecked."""
+    diff = X[:, None, :] - centroids[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def centroid_predict_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
-    dist = _centroid_distances(model, as_rows(X, model.centroids.shape[1]))
+    dist = _centroid_distances(model.centroids, as_rows(X, model.centroids.shape[1]))
     # argmin returns the first minimum; classes are sorted, so ties follow label order
     return model.classes[np.argmin(dist, axis=1)]
 
@@ -189,7 +190,7 @@ def centroid_score(
 def centroid_scores(model: CentroidModel, X: np.ndarray, pos_col: int) -> np.ndarray:
     """``centroid_score`` of the rows of a float (n, d) matrix, unchecked;
     ``pos_col`` is the positive class's row of ``model.centroids``."""
-    dist = _centroid_distances(model, X)
+    dist = _centroid_distances(model.centroids, X)
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg

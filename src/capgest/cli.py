@@ -66,7 +66,6 @@ def cmd_synth(args) -> int:
     gen = GenConfig(
         n_users=args.users,
         gestures_per_user_per_class=args.per_class,
-        none_ratio=args.none_ratio,
         seed=args.seed,
     )
     recordings, calib = gen_dataset(gen)
@@ -198,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-class", type=int, default=70,
         help="gesture recordings per user per class (default 70)",
-    )
-    p.add_argument(
-        "--none-ratio", type=float, default=1.5,
-        help="target NONE windows vs mean gesture class count (default 1.5)",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.set_defaults(func=cmd_synth)

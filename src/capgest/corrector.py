@@ -20,6 +20,7 @@ from .classify import (
     BINARY_FITS,
     CentroidModel,
     LdaModel,
+    _centroid_distances,
     binary_kind,
     binary_scores,
     centroid_fit,
@@ -162,9 +163,7 @@ class GroupClassifier:
         ``centroids`` are rows of this classifier's centroid matrix, in group
         id order, so a distance tie goes to the smaller group id.
         """
-        feats = kernel_apply(self.kernel, features)
-        diff = feats[:, None, :] - centroids[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).argmin(axis=1)
+        return _centroid_distances(centroids, kernel_apply(self.kernel, features)).argmin(axis=1)
 
 
 def train_group_classifier(

@@ -334,17 +334,14 @@ _BASIS = "basis"  # memo key of the shared PCA basis; no kernel spec encodes to 
 def kernel_fit(
     spec: KernelSpec, X_train: np.ndarray, memo: dict | None = None
 ) -> FittedKernel:
-    """Fit ``spec`` on ``X_train``.
+    """Fit ``spec`` on ``X_train``; the fit computes no output of its own.
 
     ``memo`` carries work between calls on the same ``X_train``: every fitted
-    kernel by its encoding, together with its output on ``X_train`` (see
-    :func:`train_output`), and the standardizer, the center and the
+    kernel by its encoding, and the standardizer, the center and the
     full-rank components of the standardized matrix that every ``pca`` stage
-    truncates.  So a kernel nested in several specs is fitted once, the
-    training matrix is decomposed once, and no kernel is applied to the
-    training matrix after its fit.  The caller may
-    delete a kernel's entry to free its output; a later fit that needs the
-    kernel, alone or nested, then fits it again.
+    truncates.  So a kernel nested in several specs is fitted once and the
+    training matrix is decomposed once.  A ``poly`` or ``knn`` fit reads its
+    base pca stage's output on ``X_train`` from :func:`kernel_apply`.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
@@ -354,26 +351,13 @@ def kernel_fit(
     key = spec.encode()
     if key not in memo:
         memo[key] = _fit(spec, X_train, memo)
-    return memo[key][0]
+    return memo[key]
 
 
-def train_output(spec: KernelSpec, memo: dict) -> np.ndarray:
-    """Output on ``X_train`` of the kernel ``kernel_fit(spec, X_train, memo)``
-    fitted into ``memo``; bit-equal to ``kernel_apply(kernel, X_train)``.
-    The memo holds it until the caller deletes the spec's entry."""
-    return memo[spec.encode()][1]
-
-
-def _fit(
-    spec: KernelSpec, X_train: np.ndarray, memo: dict
-) -> tuple[FittedKernel, np.ndarray]:
-    """The fitted kernel and its output on ``X_train``, computed as
-    :func:`kernel_apply` computes it."""
+def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
     if spec.kind == "concat":
-        children = tuple(kernel_fit(c, X_train, memo) for c in spec.children)
-        return (
-            FittedKernel(spec=spec, children=children),
-            np.hstack([train_output(c.spec, memo) for c in children]),
+        return FittedKernel(
+            spec=spec, children=tuple(kernel_fit(c, X_train, memo) for c in spec.children)
         )
     base = train_base = None
     if spec.kind == "pca":
@@ -392,8 +376,7 @@ def _fit(
         # the basis
         A = C / std.scale[:, None]
         a = (std.mean / std.scale + center) @ C
-        F = X_train
-        whiten = whiten_fit(F @ A - a)
+        whiten = whiten_fit(X_train @ A - a)
         R = whiten.rotation * whiten.scale
         matrix, offset = A @ R, (a + whiten.mean) @ R
     else:
@@ -402,15 +385,11 @@ def _fit(
                 f"knn kernel needs k_nn < n_train ({spec.k_nn} >= {X_train.shape[0]})"
             )
         base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
-        B = train_output(base.spec, memo)
+        B = kernel_apply(base, X_train)
         if spec.kind == "knn":
             train_base = B[:, : spec.n_pc]
-        # standardize and whiten the expansion in place.  The train output
-        # needs the raw expansion afterwards: a poly one is built again (30 ms
-        # for poly:8:3 on the default split), so no raw copy is held through
-        # the whitening; a knn one, a neighbor sweep, is copied instead
+        # standardize and whiten the expansion in place
         F = _expansion(spec, B, train_base)
-        raw = F.copy() if spec.kind == "knn" else None
         std = Standardizer.fit(F)
         F -= std.mean
         F /= std.scale  # bit-equal to std.apply(F)
@@ -418,13 +397,9 @@ def _fit(
         del F
         R = whiten.rotation * whiten.scale
         matrix, offset = R / std.scale[:, None], (std.mean / std.scale + whiten.mean) @ R
-        F = _expansion(spec, B, train_base) if raw is None else raw
-    kernel = FittedKernel(
+    return FittedKernel(
         spec=spec, matrix=matrix, offset=offset, base=base, train_base=train_base
     )
-    out = F @ matrix
-    out -= offset  # bit-equal to kernel_apply's ``F @ matrix - offset``, without a copy
-    return kernel, out
 
 
 def _expansion(spec: KernelSpec, B: np.ndarray, train_base: np.ndarray | None) -> np.ndarray:
@@ -453,7 +428,9 @@ def kernel_apply(kernel: FittedKernel, X: np.ndarray) -> np.ndarray:
         return np.hstack([kernel_apply(c, X) for c in kernel.children])
     if spec.kind != "pca":
         X = _expansion(spec, kernel_apply(kernel.base, X), kernel.train_base)
-    return X @ kernel.matrix - kernel.offset
+    out = X @ kernel.matrix
+    out -= kernel.offset  # bit-equal to ``X @ matrix - offset``, without a copy
+    return out
 
 
 def kernel_output_width(kernel: FittedKernel, n_features: int) -> int:

@@ -49,11 +49,9 @@ from .embed import (
     kernel_apply,
     kernel_fit,
     kernel_output_width,
-    monomial_count,
     parse_kernel_spec,
     pca_fit,
     pca_transform,
-    train_output,
 )
 from .errors import (
     CorruptFile,
@@ -252,12 +250,13 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     gates several groups, a group classifier over all discovered groups'
     training errors routes among them.
 
-    The corrector grid runs one kernel at a time, widest expansion first
-    (see :func:`_expansion_width`; equal widths keep config order): fit the
-    kernel, apply it to the validation matrix, search every group's
-    classifiers on both outputs, and free the outputs unless a ``concat``
-    later in that order reads them.  So the widest fit runs while no other
-    expansion is held.  A group keeps the cell with the most train TP; a tie
+    Every configured kernel is fitted first, in config order; a fit holds
+    no outputs, so the widest fit runs while no expansion is held.  The
+    corrector grid then runs one kernel at a time, widest output first
+    (:func:`kernel_output_width`; equal widths keep config order): apply the
+    kernel to the train and validation matrices (:func:`_output`), search
+    every group's classifiers on both outputs, and drop every output that no
+    later kernel nests.  A group keeps the cell with the most train TP; a tie
     goes to the kernel earlier in ``config.corrector_kernels``, then to the
     earlier classifier.
     """
@@ -276,8 +275,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
 
     groups = discover_groups(y_train, preds_train, config.min_support)
 
-    # one memo shares the PCA basis, any kernel nested in several specs and
-    # every train output still read
+    # one memo shares the PCA basis and any kernel nested in several specs
     memo: dict = {}
     group_classifier = None
     gated = [int(g.predicted) for g in groups]
@@ -290,14 +288,8 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         group_classifier = train_group_classifier(x_train[rows], ids[rows], kernel)
 
     names = list(dict.fromkeys(config.corrector_kernels))
-    specs = {name: parse_kernel_spec(name) for name in names}
-    order = sorted(names, key=lambda name: -_expansion_width(specs[name]))
-    # the step after which nothing reads a spec's train and validation
-    # outputs (the router's pca kernel leaves only pca outputs, which stay)
-    last_read: dict[KernelSpec, int] = {}
-    for step, name in enumerate(order):
-        for nested in _nested(specs[name]):
-            last_read[nested] = step
+    kernels = {name: kernel_fit(parse_kernel_spec(name), x_train, memo) for name in names}
+    order = sorted(names, key=lambda name: -kernel_output_width(kernels[name], x_train.shape[1]))
 
     # a group's candidates are the rows the base model gave its predicted
     # label, so groups that share that label share their candidate rows
@@ -323,24 +315,15 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
                 if group.group_id not in best or key < best[group.group_id][0]:
                     best[group.group_id] = key, trained
 
+    train_outputs: dict[str, np.ndarray] = {}
     val_outputs: dict[str, np.ndarray] = {}
-
-    def release(step: int) -> None:
-        # pca outputs are narrow and read by every poly and knn fit: keep them
-        for spec, last in last_read.items():
-            if last == step and spec.kind != "pca":
-                memo.pop(spec.encode(), None)
-                val_outputs.pop(spec.encode(), None)
-
-    kernels: dict[str, FittedKernel] = {}
     for step, name in enumerate(order):
-        kernel = kernels[name] = kernel_fit(specs[name], x_train, memo)
-        search(
-            name,
-            train_output(kernel.spec, memo),
-            _apply_each_once({name: kernel}, x_val, val_outputs)[name],
-        )
-        release(step)
+        kernel = kernels[name]
+        search(name, _output(kernel, x_train, train_outputs), _output(kernel, x_val, val_outputs))
+        later = {nested.encode() for n in order[step + 1 :] for nested in _nested(kernels[n].spec)}
+        for outputs in (train_outputs, val_outputs):
+            for key in outputs.keys() - later:
+                del outputs[key]
 
     correctors = [best[g.group_id][1] for g in groups if g.group_id in best]
     # the bundle keeps only the kernels inference reads, in config order
@@ -358,16 +341,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     )
 
 
-def _expansion_width(spec: KernelSpec) -> int:
-    """Width of the expansion a kernel fit whitens: ``n_pc`` for pca, the
-    monomial count for poly, ``k_nn`` for knn, the children's sum for concat."""
-    if spec.kind == "concat":
-        return sum(_expansion_width(c) for c in spec.children)
-    if spec.kind == "poly":
-        return monomial_count(spec.n_pc, spec.n_poly)
-    return spec.k_nn if spec.kind == "knn" else spec.n_pc
-
-
 def _nested(spec: KernelSpec):
     """``spec`` and every spec a ``concat`` nests in it."""
     yield spec
@@ -375,29 +348,21 @@ def _nested(spec: KernelSpec):
         yield from _nested(child)
 
 
-def _apply_each_once(
-    kernels: Mapping[str, FittedKernel], X: np.ndarray, outputs: dict | None = None
-) -> dict:
-    """Each kernel's output on ``X``, bit-equal to ``kernel_apply``.
+def _output(kernel: FittedKernel, X: np.ndarray, outputs: dict) -> np.ndarray:
+    """The kernel's output on ``X``, bit-equal to ``kernel_apply(kernel, X)``.
 
-    Every distinct spec is applied once; a ``concat`` kernel stacks its
-    children's outputs, so a kernel nested in several names is not reapplied.
-    ``outputs`` keeps each spec's output by its encoding across calls on the
-    same ``X``; the caller may delete an entry once nothing reads it.
+    ``outputs`` caches each spec's output on one ``X`` by its encoding, and
+    a ``concat`` stacks its children's cached outputs, so a kernel nested in
+    several names is applied once per matrix.  The caller drops an entry once
+    nothing reads it.
     """
-    if outputs is None:
-        outputs = {}
-
-    def output(kernel: FittedKernel) -> np.ndarray:
-        key = kernel.spec.encode()
-        if key not in outputs:
-            if kernel.spec.kind == "concat":
-                outputs[key] = np.hstack([output(c) for c in kernel.children])
-            else:
-                outputs[key] = kernel_apply(kernel, X)
-        return outputs[key]
-
-    return {name: output(k) for name, k in kernels.items()}
+    key = kernel.spec.encode()
+    if key not in outputs:
+        if kernel.spec.kind == "concat":
+            outputs[key] = np.hstack([_output(c, X, outputs) for c in kernel.children])
+        else:
+            outputs[key] = kernel_apply(kernel, X)
+    return outputs[key]
 
 
 # ---------------------------------------------------------------------------

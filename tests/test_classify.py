@@ -68,7 +68,7 @@ def knn_problems(draw):
 
 def reference_centroid_score(model, x, positive_class):
     """The former score formula, kept to check the fast path bit for bit."""
-    dist = _centroid_distances(model, x)
+    dist = _centroid_distances(model.centroids, x)
     pos_col = int(np.where(model.classes == positive_class)[0][0])
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]

@@ -109,6 +109,13 @@ class TestExitCodes:
             main(["train", "--data", "x"])  # missing --out
         assert exc.value.code == 1
 
+    def test_removed_none_ratio_flag_is_1(self, tmp_path):
+        # synth never read it: capgest train windows with assemble_sliding's
+        # default NONE ratio
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "d"), "--none-ratio", "9"])
+        assert exc.value.code == 1
+
     def test_removed_config_key_is_2(self, workspace, tmp_path, capsys):
         # the KNN references are always the validation partition
         cfg = tmp_path / "c.cfg"

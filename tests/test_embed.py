@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from capgest import embed, neighbors
 from capgest.config import PipelineConfig
 from capgest.embed import (
+    FittedKernel,
     KernelSpec,
     Standardizer,
     _monomials,
@@ -24,7 +26,6 @@ from capgest.embed import (
     pca_fit,
     pca_transform,
     separability_probability,
-    train_output,
     whiten_fit,
 )
 from capgest.errors import (
@@ -267,34 +268,35 @@ class TestSharedFits:
         # per poly expansion (5:4, 8:3); fitting each alone takes 15
         assert len(calls) == 8
 
-    def test_train_outputs_equal_apply(self):
+    def test_memo_holds_kernels_and_basis(self):
         X = small_train(400)
         memo: dict = {}
         for name in [*DEFAULT_KERNEL_NAMES, "knn:5:20"]:
             kernel_fit(parse_kernel_spec(name), X, memo)
-        # the configured kernels and every kernel nested in them
-        names = [key for key in memo if key != embed._BASIS]
-        assert {"pca:5", "pca:8", "pca:10"} <= set(names)
-        for name in names:
-            spec = parse_kernel_spec(name)
-            want = kernel_apply(kernel_fit(spec, X, memo), X)
-            got = train_output(spec, memo)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
+        # the configured kernels and every kernel nested in them, and no output
+        kernels = {key: value for key, value in memo.items() if key != embed._BASIS}
+        assert {"pca:5", "pca:8", "pca:10", "knn:5:20"} <= set(kernels)
+        for key, kernel in kernels.items():
+            assert isinstance(kernel, FittedKernel) and kernel.spec.encode() == key
+        std, center, full = memo[embed._BASIS]
+        assert isinstance(std, Standardizer)
+        assert center.shape == (X.shape[1],) and full.shape == (X.shape[1], X.shape[1])
 
-    def test_fits_apply_no_kernel(self, monkeypatch):
-        calls = []
+    def test_fits_apply_only_poly_bases(self, monkeypatch):
+        calls = Counter()
         apply = embed.kernel_apply
 
         def counting_apply(kernel, X):
-            calls.append(kernel.spec.encode())
+            calls[kernel.spec.encode()] += 1
             return apply(kernel, X)
 
         monkeypatch.setattr(embed, "kernel_apply", counting_apply)
         memo: dict = {}
         for name in DEFAULT_KERNEL_NAMES:
             kernel_fit(parse_kernel_spec(name), small_train(400), memo)
-        assert calls == []
+        # each poly fit reads its base pca output on the train matrix, once
+        # per base; no fit applies the kernel it fits
+        assert calls == {"pca:5": 1, "pca:8": 1}
 
 
 def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:

@@ -50,7 +50,14 @@ from capgest.corrector import (
     discover_groups,
     select_threshold_zero_fp,
 )
-from capgest.embed import kernel_apply, kernel_fit, parse_kernel_spec, pca_fit, pca_transform
+from capgest.embed import (
+    kernel_apply,
+    kernel_fit,
+    kernel_output_width,
+    parse_kernel_spec,
+    pca_fit,
+    pca_transform,
+)
 from capgest.pipeline import (
     BUNDLE_FORMAT_VERSION,
     BUNDLE_MAGIC,
@@ -169,18 +176,19 @@ class TestTraining:
         # concat stacks the outputs of pca:10 and poly:5:4 instead of reapplying them
         assert calls == {"pca:20": 1, "poly:5:4": 1, "pca:10": 1}
 
-    def test_validation_outputs_equal_kernel_apply(self, small_split):
+    def test_outputs_equal_kernel_apply(self, small_split):
         X = feature_matrix(small_split.train)
         x_val = feature_matrix(small_split.validation)
         names = ("pca:9", "poly:5:4", "concat(pca:10,poly:5:4)", "concat(poly:5:4,pca:9)")
         memo: dict = {}
         kernels = {n: kernel_fit(parse_kernel_spec(n), X, memo) for n in names}
-        got = pipeline._apply_each_once(kernels, x_val)
-        assert list(got) == list(names)
-        for name, kernel in kernels.items():
-            want = kernel_apply(kernel, x_val)
-            assert got[name].dtype == want.dtype and got[name].shape == want.shape
-            assert got[name].tobytes() == want.tobytes()
+        for x in (X, x_val):
+            outputs: dict = {}
+            for name, kernel in kernels.items():
+                got = pipeline._output(kernel, x, outputs)
+                want = kernel_apply(kernel, x)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
 
 
 def reference_train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
@@ -271,11 +279,17 @@ class TestKernelAtATimeGrid:
         config = PipelineConfig(
             corrector_kernels=names if kernel_order == "config" else names[::-1]
         )
-        # train_pipeline runs the widest kernel first, so a tie on train TP
-        # between kernels must still go to the one earlier in the config
-        order = sorted(names, key=lambda n: -pipeline._expansion_width(parse_kernel_spec(n)))
-        assert order != list(config.corrector_kernels)
+        # train_pipeline runs the widest kernel output first, so a tie on
+        # train TP between kernels must still go to the one earlier in the config
         split = split_by_user(small_samples, config.user_counts, seed=seed)
+        x_train = feature_matrix(split.train)
+        memo: dict = {}
+        widths = {
+            n: kernel_output_width(kernel_fit(parse_kernel_spec(n), x_train, memo), x_train.shape[1])
+            for n in names
+        }
+        order = sorted(config.corrector_kernels, key=lambda n: -widths[n])
+        assert order != list(config.corrector_kernels)
         want = serialize_bundle(reference_train_pipeline(config, split))
         assert serialize_bundle(train_pipeline(config, split)) == want
 
@@ -296,9 +310,12 @@ def heap_peak(fn) -> int:
 class TestPeakMemory:
     # the unit is one train-row matrix as wide as the widest default
     # expansion, poly:8:3's 164 monomials; on the small corpus 4,841 rows,
-    # 6.35 MB.  Measured: the poly:8:3 fit 2.18 units (3.10 while it held the
-    # raw expansion through the whitening), train_pipeline 4.38-4.55 units
-    # (6.16-6.32 while it held every kernel's outputs for the whole grid)
+    # 6.35 MB.  Measured: the poly:8:3 fit 2.08 units (2.18 while it also
+    # computed its train output, 3.10 while it held the raw expansion through
+    # the whitening), kernel_apply of it on the train matrix 2.01 units (3.01
+    # while it subtracted the offset into a copy), train_pipeline 4.26 units
+    # (4.39 while the fits computed the train outputs, 6.16-6.32 while it
+    # held every kernel's outputs for the whole grid)
 
     def unit(self, split) -> int:
         return len(split.train) * 164 * 8
@@ -306,6 +323,12 @@ class TestPeakMemory:
     def test_poly_fit_holds_no_raw_copy(self, small_split):
         x = feature_matrix(small_split.train)
         peak = heap_peak(lambda: kernel_fit(parse_kernel_spec("poly:8:3"), x, {}))
+        assert peak < 2.5 * self.unit(small_split)
+
+    def test_poly_apply_holds_no_offset_copy(self, small_split):
+        x = feature_matrix(small_split.train)
+        kernel = kernel_fit(parse_kernel_spec("poly:8:3"), x)
+        peak = heap_peak(lambda: kernel_apply(kernel, x))
         assert peak < 2.5 * self.unit(small_split)
 
     def test_grid_holds_one_kernel_at_a_time(self, small_split):
