@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(text: str) -> int:
+    """An argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _budget(text: str) -> float:
+    """An argparse type: a finite float > 0 (``p95 >= nan`` never fails)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _load_samples(data_dir: Path):
@@ -164,7 +181,8 @@ def cmd_predict(args) -> int:
                 )
                 return EXIT_DATA
             rows.append(values)
-        preds = bundle.predict_batch(np.asarray(rows))
+        # (0, N_FEATURES) when every line is a comment or blank
+        preds = bundle.predict_batch(np.array(rows, dtype=float).reshape(len(rows), N_FEATURES))
     else:
         samples = _load_samples(Path(args.recordings))
         preds = bundle.predict_batch(feature_matrix(samples))
@@ -193,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--users", type=int, default=15, help="number of users (default 15)")
+    p.add_argument("--users", type=_count, default=15, help="number of users (default 15)")
     p.add_argument(
-        "--per-class", type=int, default=70,
+        "--per-class", type=_count, default=70,
         help="gesture recordings per user per class (default 70)",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -224,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="user-grouped cross-validation")
     add_common(p)
-    p.add_argument("--combos", type=int, default=10, help="number of splits (default 10)")
+    p.add_argument("--combos", type=_count, default=10, help="number of splits (default 10)")
     p.add_argument("--config", help="key-value config file")
     p.add_argument("--split-seed", type=int, help="override base split seed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -235,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p, bundle=True)
     p.add_argument(
-        "--budget-ms", type=float, default=1.0,
+        "--budget-ms", type=_budget, default=1.0,
         help="p95 latency budget in ms; exceeding it exits 3 (default 1.0)",
     )
     p.set_defaults(func=cmd_bench)

@@ -250,15 +250,13 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     gates several groups, a group classifier over all discovered groups'
     training errors routes among them.
 
-    Every configured kernel is fitted first, in config order; a fit holds
-    no outputs, so the widest fit runs while no expansion is held.  The
-    corrector grid then runs one kernel at a time, widest output first
-    (:func:`kernel_output_width`; equal widths keep config order): apply the
-    kernel to the train and validation matrices (:func:`_output`), search
-    every group's classifiers on both outputs, and drop every output that no
-    later kernel nests.  A group keeps the cell with the most train TP; a tie
-    goes to the kernel earlier in ``config.corrector_kernels``, then to the
-    earlier classifier.
+    The corrector grid runs one kernel at a time, in config order: fit the
+    kernel, apply it once to the train and once to the validation matrix
+    (:func:`kernel_apply`), search every group's classifiers on both
+    outputs, and drop them before the next kernel, so training holds one
+    kernel's outputs at a time.  A group keeps the cell with the most train
+    TP; a tie goes to the kernel earlier in ``config.corrector_kernels``,
+    then to the earlier classifier.
     """
     if not split.train or not split.validation:
         raise EmptySplit("train and validation partitions must be nonempty")
@@ -288,21 +286,18 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         group_classifier = train_group_classifier(x_train[rows], ids[rows], kernel)
 
     names = list(dict.fromkeys(config.corrector_kernels))
-    kernels = {name: kernel_fit(parse_kernel_spec(name), x_train, memo) for name in names}
-    order = sorted(names, key=lambda name: -kernel_output_width(kernels[name], x_train.shape[1]))
 
     # a group's candidates are the rows the base model gave its predicted
     # label, so groups that share that label share their candidate rows
     by_label: dict[int, list[ErrorGroup]] = {}
     for group in groups:
         by_label.setdefault(int(group.predicted), []).append(group)
-    # group id -> the best cell's corrector, under the key (-train TP, the
-    # kernel's position in the config); search keeps a kernel's first best
-    # classifier
-    best: dict[int, tuple[tuple[int, int], Corrector]] = {}
+    # group id -> the best cell's corrector; the grid runs in config order
+    # and a later cell wins only on more train TP, so a tie goes to the
+    # earlier kernel (train_corrector keeps a kernel's first best classifier)
+    best: dict[int, Corrector] = {}
 
     def search(name: str, feats_train: np.ndarray, feats_val: np.ndarray) -> None:
-        rank = names.index(name)
         for label, label_groups in by_label.items():
             rows, rows_val = preds_train == label, preds_val == label
             cand_train, cand_val = feats_train[rows], feats_val[rows_val]
@@ -311,21 +306,17 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
                 trained = train_corrector(group, name, cand_train, truths, cand_val, truths_val)
                 if trained is None:
                     continue
-                key = (-trained.train_tp, rank)
-                if group.group_id not in best or key < best[group.group_id][0]:
-                    best[group.group_id] = key, trained
+                kept = best.get(group.group_id)
+                if kept is None or trained.train_tp > kept.train_tp:
+                    best[group.group_id] = trained
 
-    train_outputs: dict[str, np.ndarray] = {}
-    val_outputs: dict[str, np.ndarray] = {}
-    for step, name in enumerate(order):
-        kernel = kernels[name]
-        search(name, _output(kernel, x_train, train_outputs), _output(kernel, x_val, val_outputs))
-        later = {nested.encode() for n in order[step + 1 :] for nested in _nested(kernels[n].spec)}
-        for outputs in (train_outputs, val_outputs):
-            for key in outputs.keys() - later:
-                del outputs[key]
+    kernels: dict[str, FittedKernel] = {}
+    for name in names:
+        kernel = kernels[name] = kernel_fit(parse_kernel_spec(name), x_train, memo)
+        # the outputs live only for this call, so the next fit holds none
+        search(name, kernel_apply(kernel, x_train), kernel_apply(kernel, x_val))
 
-    correctors = [best[g.group_id][1] for g in groups if g.group_id in best]
+    correctors = [best[g.group_id] for g in groups if g.group_id in best]
     # the bundle keeps only the kernels inference reads, in config order
     used = {c.kernel_name for c in correctors}
     corrector_kernels = {name: kernels[name] for name in names if name in used}
@@ -339,30 +330,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         corrector_kernels=corrector_kernels,
         discovered_group_ids=tuple(g.group_id for g in groups),
     )
-
-
-def _nested(spec: KernelSpec):
-    """``spec`` and every spec a ``concat`` nests in it."""
-    yield spec
-    for child in spec.children:
-        yield from _nested(child)
-
-
-def _output(kernel: FittedKernel, X: np.ndarray, outputs: dict) -> np.ndarray:
-    """The kernel's output on ``X``, bit-equal to ``kernel_apply(kernel, X)``.
-
-    ``outputs`` caches each spec's output on one ``X`` by its encoding, and
-    a ``concat`` stacks its children's cached outputs, so a kernel nested in
-    several names is applied once per matrix.  The caller drops an entry once
-    nothing reads it.
-    """
-    key = kernel.spec.encode()
-    if key not in outputs:
-        if kernel.spec.kind == "concat":
-            outputs[key] = np.hstack([_output(c, X, outputs) for c in kernel.children])
-        else:
-            outputs[key] = kernel_apply(kernel, X)
-    return outputs[key]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ class TestHappyPaths:
         assert len(lines) == 2
         assert lines[0] in ("index_bend", "shoot", "flick_index", "flick_middle", "none")
 
+    def test_predict_from_comment_only_features(self, workspace, tmp_path, capsys):
+        # no rows, no labels: as --recordings on a directory with no windows
+        path = tmp_path / "empty.csv"
+        path.write_text("# probe\n\n  \n", encoding="utf-8")
+        assert main(
+            ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
     def test_inspect(self, workspace, capsys):
         assert main(["inspect", "--bundle", str(workspace["bundle"]), "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
@@ -108,6 +118,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", "x"])  # missing --out
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("bench", "--budget-ms", "nan"),
+            ("bench", "--budget-ms", "inf"),
+            ("bench", "--budget-ms", "0"),
+            ("bench", "--budget-ms", "-1"),
+            ("synth", "--users", "0"),
+            ("synth", "--users", "-2"),
+            ("synth", "--per-class", "0"),
+            ("cv", "--combos", "0"),
+            ("cv", "--combos", "x"),
+        ],
+    )
+    def test_bad_cli_number_is_1(self, tmp_path, capsys, command, flag, value):
+        args = {
+            "bench": ["--data", str(tmp_path), "--bundle", str(tmp_path / "m.capgest")],
+            "synth": ["--out", str(tmp_path / "d")],
+            "cv": ["--data", str(tmp_path)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, f"{flag}={value}"])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_removed_none_ratio_flag_is_1(self, tmp_path):
         # synth never read it: capgest train windows with assemble_sliding's
