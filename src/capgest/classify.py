@@ -117,10 +117,12 @@ def lda_fit(X: np.ndarray, y: np.ndarray) -> LdaModel:
     x0, x1 = X[y == 0], X[y == 1]
     mu0, mu1 = x0.mean(axis=0), x1.mean(axis=0)
     d = X.shape[1]
-    # one centered copy per class, so each product is numpy's symmetric
-    # ``c.T @ c`` (one rank-k update), not a general product of two arrays
-    c0, c1 = x0 - mu0, x1 - mu1
-    s_w = c0.T @ c0 + c1.T @ c1
+    # the class rows are copies: center them in place, so each product is
+    # numpy's symmetric ``c.T @ c`` (one rank-k update), not a general product
+    # of two arrays, and no second copy of X is made
+    x0 -= mu0
+    x1 -= mu1
+    s_w = x0.T @ x0 + x1.T @ x1
     diff = mu1 - mu0
     lam = 1e-6 * np.trace(s_w) / d
     if lam <= 0:

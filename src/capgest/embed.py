@@ -37,6 +37,9 @@ _SV_DROP = 1e-10
 # base spaces of the default corpus, where distinct rows lie 5e-3 or more
 # apart), which standardizing and whitening would scale to unit variance.
 _SAME_POINT = 1e-4
+# rows per block of the blocked fit steps (_monomials, Standardizer.fit): their
+# temporaries are this many rows tall, not as tall as the training matrix
+_ROW_BLOCK = 1024
 
 
 def _svd_sv(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,13 +170,28 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
+        """Column means and scales of a float (n, p) matrix; a scale is the
+        column's ``X.std(axis=0)``, or 1 where that is below 1e-12.
+
+        The squared deviations are summed in row blocks, so no centered copy
+        of ``X`` is made.  numpy sums axis 0 of a C-ordered matrix of two or
+        more columns (every kernel's input) row after row, so carrying the
+        running sum into each block as its first row gives ``X.std``'s bits.
+        """
+        n, p = X.shape
         mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        total = np.zeros(p)
+        buf = np.empty((min(n, _ROW_BLOCK) + 1, p))
+        for lo in range(0, n, _ROW_BLOCK):
+            block = X[lo : lo + _ROW_BLOCK]
+            dev = buf[1 : len(block) + 1]
+            np.subtract(block, mean, out=dev)
+            np.square(dev, out=dev)
+            buf[0] = total
+            np.add.reduce(buf[: len(block) + 1], axis=0, out=total)
+        std = np.sqrt(total / n)
         scale = np.where(std > 1e-12, std, 1.0)
         return cls(mean=mean, scale=scale)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +308,31 @@ def _monomials(B: np.ndarray, degree: int) -> np.ndarray:
 
     Columns are ordered by degree, then by ``combinations_with_replacement``;
     each product equals b_i * b_j * ... taken left to right in index order.
+    Rows are built in blocks of ``_ROW_BLOCK``, so the gathers are block
+    sized; a matrix of at most that many rows is one block.
     """
     n, p = B.shape
     factor, steps = _monomial_plan(p, degree)
     out = np.empty((n, p + len(factor)))
+    for lo in range(0, n, _ROW_BLOCK):
+        _monomial_rows(B[lo : lo + _ROW_BLOCK], factor, steps, out[lo : lo + _ROW_BLOCK])
+    return out
+
+
+def _monomial_rows(
+    B: np.ndarray,
+    factor: np.ndarray,
+    steps: tuple[tuple[slice, np.ndarray], ...],
+    out: np.ndarray,
+) -> None:
+    """Write the monomials of B's rows into ``out`` by :func:`_monomial_plan`'s
+    gathers."""
+    p = B.shape[1]
     out[:, :p] = B
     out[:, p:] = B.take(factor, axis=1)
     # IEEE products commute: last factor * parent is bit-equal to parent * last factor
     for cols, parent in steps:
         out[:, cols] *= out.take(parent, axis=1)
-    return out
 
 
 def monomial_count(n_features: int, degree: int) -> int:
@@ -363,10 +396,13 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
     if spec.kind == "pca":
         if _BASIS not in memo:
             std = Standardizer.fit(X_train)
-            Z = std.apply(X_train)
+            # one standardized copy, centered in place
+            Z = X_train - std.mean
+            Z /= std.scale
             center = Z.mean(axis=0)
             Z -= center
             memo[_BASIS] = std, center, pca_fit(Z, min(Z.shape))
+            del Z
         std, center, full = memo[_BASIS]
         # the decomposition and the per-column sign fix do not depend on the
         # rank kept, so truncated components equal a fresh fit's
@@ -392,7 +428,7 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
         F = _expansion(spec, B, train_base)
         std = Standardizer.fit(F)
         F -= std.mean
-        F /= std.scale  # bit-equal to std.apply(F)
+        F /= std.scale  # bit-equal to (F - mean) / scale
         whiten = whiten_fit(F)
         del F
         R = whiten.rotation * whiten.scale

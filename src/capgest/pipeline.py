@@ -250,13 +250,14 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     gates several groups, a group classifier over all discovered groups'
     training errors routes among them.
 
-    The corrector grid runs one kernel at a time, in config order: fit the
-    kernel, apply it once to the train and once to the validation matrix
-    (:func:`kernel_apply`), search every group's classifiers on both
-    outputs, and drop them before the next kernel, so training holds one
-    kernel's outputs at a time.  A group keeps the cell with the most train
-    TP; a tie goes to the kernel earlier in ``config.corrector_kernels``,
-    then to the earlier classifier.
+    The corrector grid runs one kernel at a time, in config order, and
+    within a kernel one gated base label at a time: apply the kernel
+    (:func:`kernel_apply`) to the train and validation rows the base model
+    gave that label, search the classifiers of every group the label gates
+    on those candidates, and drop them before the next label.  So training
+    never holds a kernel's output on a whole matrix.  A group keeps the cell
+    with the most train TP; a tie goes to the kernel earlier in
+    ``config.corrector_kernels``, then to the earlier classifier.
     """
     if not split.train or not split.validation:
         raise EmptySplit("train and validation partitions must be nonempty")
@@ -297,24 +298,25 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     # earlier kernel (train_corrector keeps a kernel's first best classifier)
     best: dict[int, Corrector] = {}
 
-    def search(name: str, feats_train: np.ndarray, feats_val: np.ndarray) -> None:
-        for label, label_groups in by_label.items():
-            rows, rows_val = preds_train == label, preds_val == label
-            cand_train, cand_val = feats_train[rows], feats_val[rows_val]
-            truths, truths_val = y_train[rows], y_val[rows_val]
-            for group in label_groups:
-                trained = train_corrector(group, name, cand_train, truths, cand_val, truths_val)
-                if trained is None:
-                    continue
-                kept = best.get(group.group_id)
-                if kept is None or trained.train_tp > kept.train_tp:
-                    best[group.group_id] = trained
+    def search(name: str, kernel: FittedKernel, label: int) -> None:
+        rows, rows_val = preds_train == label, preds_val == label
+        cand_train = kernel_apply(kernel, x_train[rows])
+        cand_val = kernel_apply(kernel, x_val[rows_val])
+        truths, truths_val = y_train[rows], y_val[rows_val]
+        for group in by_label[label]:
+            trained = train_corrector(group, name, cand_train, truths, cand_val, truths_val)
+            if trained is None:
+                continue
+            kept = best.get(group.group_id)
+            if kept is None or trained.train_tp > kept.train_tp:
+                best[group.group_id] = trained
 
     kernels: dict[str, FittedKernel] = {}
     for name in names:
-        kernel = kernels[name] = kernel_fit(parse_kernel_spec(name), x_train, memo)
-        # the outputs live only for this call, so the next fit holds none
-        search(name, kernel_apply(kernel, x_train), kernel_apply(kernel, x_val))
+        kernels[name] = kernel_fit(parse_kernel_spec(name), x_train, memo)
+        for label in by_label:
+            # the label's candidate outputs live only for this call
+            search(name, kernels[name], label)
 
     correctors = [best[g.group_id] for g in groups if g.group_id in best]
     # the bundle keeps only the kernels inference reads, in config order

@@ -150,7 +150,33 @@ class TestKnn:
             knn_predict_batch(model, np.zeros((1, 5)))
 
 
+def reference_lda_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The former ``lda_fit`` body, which centered a second copy of each
+    class, kept as the oracle: its ``w`` and ``bias``."""
+    x0, x1 = X[y == 0], X[y == 1]
+    mu0, mu1 = x0.mean(axis=0), x1.mean(axis=0)
+    c0, c1 = x0 - mu0, x1 - mu1
+    s_w = c0.T @ c0 + c1.T @ c1
+    lam = 1e-6 * np.trace(s_w) / X.shape[1]
+    if lam <= 0:
+        lam = 1e-12
+    w = np.linalg.solve(s_w + lam * np.eye(X.shape[1]), mu1 - mu0)
+    return w, float(w @ (mu0 + mu1) / 2.0)
+
+
 class TestLda:
+    @pytest.mark.parametrize("n, d", [(2, 1), (40, 3), (700, 20), (3000, 164)])
+    def test_byte_equal_to_two_copy_centering(self, n, d):
+        rng = np.random.default_rng(n + d)
+        X = rng.normal(0.0, 1.0, (n, d)) * rng.uniform(0.01, 100.0, d) + rng.normal(0.0, 50.0, d)
+        y = np.arange(n) % 2
+        rng.shuffle(y)
+        X[y == 1] += 0.5
+        model = lda_fit(X, y)
+        w, bias = reference_lda_fit(X, y)
+        assert model.w.tobytes() == w.tobytes()
+        assert model.bias == bias
+
     def test_needs_both_classes(self):
         with pytest.raises(SingleClass):
             lda_fit(np.zeros((5, 2)), np.zeros(5))

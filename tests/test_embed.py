@@ -102,17 +102,45 @@ class TestWhiten:
             whiten_fit(np.full((10, 3), 0.7))  # no spread at all
 
 
+def standardize(std: Standardizer, X: np.ndarray) -> np.ndarray:
+    """The former ``Standardizer.apply`` body."""
+    return (X - std.mean) / std.scale
+
+
+def reference_standardizer(X: np.ndarray) -> Standardizer:
+    """The former ``Standardizer.fit`` body, one full-size ``X.std``, kept as
+    the oracle for the blocked variance."""
+    std = X.std(axis=0)
+    return Standardizer(mean=X.mean(axis=0), scale=np.where(std > 1e-12, std, 1.0))
+
+
+BLOCK = embed._ROW_BLOCK
+
+
 class TestStandardizer:
     def test_zero_mean_unit_std(self):
         X = RNG.normal(3, 5, (100, 4))
-        Z = Standardizer.fit(X).apply(X)
+        Z = standardize(Standardizer.fit(X), X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_kept_finite(self):
         X = np.column_stack([np.full(50, 2.0), RNG.normal(0, 1, 50)])
-        Z = Standardizer.fit(X).apply(X)
+        Z = standardize(Standardizer.fit(X), X)
         assert np.allclose(Z[:, 0], 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("p", [2, 5, 100, 164])
+    def test_byte_equal_to_full_std(self, n, p):
+        rng = np.random.default_rng(n * 1000 + p)
+        # columns of very different spreads around large offsets, and a
+        # constant one, whose scale is 1
+        X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(1e-3, 1e4, p) + rng.normal(0.0, 1e6, p)
+        X[:, 1] = 7.3
+        got, want = Standardizer.fit(X), reference_standardizer(X)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.scale.tobytes() == want.scale.tobytes()
+        assert got.scale[1] == 1.0
 
 
 KERNEL_TEXTS = [
@@ -236,7 +264,7 @@ class TestSharedFits:
         # the former pca kernel body decomposed at the requested rank; the
         # shared basis truncated to it gives the same components
         X = small_train(400)
-        Z = Standardizer.fit(X).apply(X)
+        Z = standardize(Standardizer.fit(X), X)
         center = Z.mean(axis=0)
         fresh = pca_fit(Z - center, n_pc)
         memo: dict = {}
@@ -309,7 +337,7 @@ def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
     stage: dict = {"spec": spec}
     if spec.kind == "pca":
         stage["std"] = Standardizer.fit(X)
-        Z = stage["std"].apply(X)
+        Z = standardize(stage["std"], X)
         stage["center"] = Z.mean(axis=0)
         stage["pca"] = pca_fit(Z - stage["center"], spec.n_pc)
         stage["whiten"] = whiten_fit(staged_project(stage, X))
@@ -318,7 +346,7 @@ def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
     stage["train_base"] = staged_apply(stage["base"], X)[:, : spec.n_pc]
     F = staged_expansion(stage, X)
     stage["std"] = Standardizer.fit(F)
-    stage["whiten"] = whiten_fit(stage["std"].apply(F))
+    stage["whiten"] = whiten_fit(standardize(stage["std"], F))
     return stage
 
 
@@ -335,7 +363,7 @@ def staged_expansion(stage: dict, X: np.ndarray) -> np.ndarray:
 
 def staged_project(stage: dict, X: np.ndarray) -> np.ndarray:
     """A pca stage's scores: standardize, center, project."""
-    return pca_transform(stage["pca"], stage["std"].apply(X) - stage["center"])
+    return pca_transform(stage["pca"], standardize(stage["std"], X) - stage["center"])
 
 
 def staged_apply(stage: dict, X: np.ndarray) -> np.ndarray:
@@ -345,7 +373,7 @@ def staged_apply(stage: dict, X: np.ndarray) -> np.ndarray:
         return np.hstack([staged_apply(c, X) for c in stage["children"]])
     if spec.kind == "pca":
         return whiten(stage["whiten"], staged_project(stage, X))
-    return whiten(stage["whiten"], stage["std"].apply(staged_expansion(stage, X)))
+    return whiten(stage["whiten"], standardize(stage["std"], staged_expansion(stage, X)))
 
 
 # composing the stages into one map moves each output by rounding only:
@@ -479,6 +507,19 @@ def reference_monomials(B: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def single_gather_monomials(B: np.ndarray, degree: int) -> np.ndarray:
+    """The former one-block ``_monomials`` body, each gather over all rows,
+    kept as the oracle for the blocked one."""
+    n, p = B.shape
+    factor, steps = embed._monomial_plan(p, degree)
+    out = np.empty((n, p + len(factor)))
+    out[:, :p] = B
+    out[:, p:] = B.take(factor, axis=1)
+    for cols, parent in steps:
+        out[:, cols] *= out.take(parent, axis=1)
+    return out
+
+
 def _poly_specs(spec: KernelSpec) -> list[KernelSpec]:
     if spec.kind == "concat":
         return [p for child in spec.children for p in _poly_specs(child)]
@@ -511,6 +552,30 @@ class TestMonomials:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_pc", [1, 5, 8])
+    def test_blocks_byte_equal_to_one_gather(self, n_rows, degree, n_pc):
+        B = RNG.normal(0.0, 1.5, (n_rows, n_pc + 3))[:, :n_pc]
+        got = _monomials(B, degree)
+        want = single_gather_monomials(B, degree)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_rows, passes", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (3 * BLOCK + 7, 4)])
+    def test_one_row_is_one_pass(self, monkeypatch, n_rows, passes):
+        # inference expands one row at a time (poly:5:4); it runs one block
+        calls = []
+        rows = embed._monomial_rows
+
+        def counting(B, *args):
+            calls.append(len(B))
+            return rows(B, *args)
+
+        monkeypatch.setattr(embed, "_monomial_rows", counting)
+        _monomials(RNG.normal(0.0, 1.0, (n_rows, 5)), 4)
+        assert len(calls) == passes and sum(calls) == n_rows
 
 
 class TestIntrinsicDimension:
