@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: synth, train, eval, cv, bench, predict, inspect.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 budget violation.
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
+malformed input file, or an output path that cannot be written), 3 budget
+violation.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 from . import dataio
 from .config import PipelineConfig, format_config, load_config
 from .corrector import audit_records, format_audit
-from .errors import BudgetError, CapgestError
+from .errors import BudgetError, CapgestError, DataError
 from .pipeline import (
-    BUNDLE_SIZE_BUDGET,
     bench_latency,
     cross_validate,
     evaluate,
@@ -87,7 +88,10 @@ def cmd_synth(args) -> int:
     )
     recordings, calib = gen_dataset(gen)
     out = Path(args.out)
-    dataio.write_dataset(out, recordings, calib)
+    try:
+        dataio.write_dataset(out, recordings, calib)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from None
     print(f"wrote {len(recordings)} recordings for {gen.n_users} users to {out}")
     return EXIT_OK
 
@@ -102,7 +106,10 @@ def cmd_train(args) -> int:
         pinned_hold=config.pinned_hold,
     )
     bundle = train_pipeline(config, split)
-    size = save_bundle(bundle, Path(args.out))
+    try:
+        size = save_bundle(bundle, Path(args.out))
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from None
     print(
         f"trained bundle: {len(bundle.discovered_group_ids)} error groups, "
         f"{len(bundle.correctors)} correctors, {size} bytes -> {args.out}"
@@ -164,7 +171,7 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(Path(args.bundle))
     if args.features:
         rows = []
-        lines = Path(args.features).read_text(encoding="utf-8").splitlines()
+        lines = dataio.read_text(Path(args.features)).splitlines()
         for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):

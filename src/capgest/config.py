@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
+from .dataio import read_text
 from .embed import parse_kernel_spec
 from .errors import FileFormatError, ParamOutOfRange
 
@@ -96,11 +97,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
 
 
 def load_config(path: Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, base=base)
+    return parse_config_text(read_text(Path(path)), base=base)
 
 
 def format_config(config: PipelineConfig) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -274,25 +274,13 @@ class Route:
     correctors: tuple[Corrector | None, ...]   # corrector per id, or None
 
 
-@dataclass(frozen=True)
-class RoutingTable:
-    """Routing derived from a bundle's discovered groups, group classifier and
-    correctors.
-
-    Built once per bundle and never serialized.  ``routes`` holds only the
-    base labels where some corrector can fire.
-    """
-
-    routes: Mapping[int, Route]           # base label -> route
-    correctors: Mapping[int, Corrector]   # group id -> corrector
-
-
 def build_routing_table(
     discovered_group_ids: Sequence[int],
     group_classifier: GroupClassifier | None,
     correctors: Sequence[Corrector],
-) -> RoutingTable:
-    """Gate the discovered group ids by their predicted label.
+) -> dict[int, Route]:
+    """The route of each base label where some corrector can fire: the
+    discovered group ids that predict the label, gated by it.
 
     A sample goes to the one group its base label gates, or, where that label
     gates several, to the one the group classifier picks among them.  A group
@@ -310,7 +298,7 @@ def build_routing_table(
             model = group_classifier.centroid
             centroids = model.centroids[np.searchsorted(model.classes, ids)]
         routes[label] = Route(ids, centroids, routed)
-    return RoutingTable(routes=routes, correctors=by_id)
+    return routes
 
 
 def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np.ndarray:
@@ -397,7 +385,7 @@ def _cascade(bundle, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
     """Each corrector that some rows are routed to, with the indices
     of those rows, or None for all rows of a batch of one."""
-    routes = bundle.routing.routes
+    routes = bundle.routing
     if len(base) == 1:
         # its label's route and its one pick, without the scan and the masks
         route = routes.get(int(base[0]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .signals import (
     CHANNEL_NAMES,
     N_CHANNELS,
     CalibrationRange,
-    CalibrationTable,
     GestureLabel,
     GestureMark,
     Recording,
@@ -37,12 +36,20 @@ MARKS_MAGIC = "# capgest-marks v1"
 CALIBRATION_MAGIC = "# capgest-calibration v1"
 
 
-def _read_lines(path: Path, magic: str) -> list[str]:
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 input file: a dataset, config or feature file.
+
+    A path that cannot be read, a directory among them, and bytes that are
+    not UTF-8 raise FileFormatError.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    lines = list(filter(None, map(str.strip, text.splitlines())))
+
+
+def _read_lines(path: Path, magic: str) -> list[str]:
+    lines = list(filter(None, map(str.strip, read_text(path).splitlines())))
     if not lines or lines[0] != magic:
         raise FileFormatError(f"{path}: expected first line {magic!r}")
     return lines[1:]
@@ -143,33 +150,32 @@ def read_marks(path: Path) -> list[GestureMark]:
     return marks
 
 
-def write_calibration(path: Path, table: CalibrationTable) -> None:
+def write_calibration(path: Path, calib: Mapping[tuple[str, int], CalibrationRange]) -> None:
+    """One row per (user, channel), sorted by that key."""
     rows = [CALIBRATION_MAGIC, "user_id,channel,min_raw,max_raw"]
-    for (user_id, channel), rng in table.items():
+    for (user_id, channel), rng in sorted(calib.items()):
         rows.append(f"{user_id},{channel},{rng.min_raw!r},{rng.max_raw!r}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def read_calibration(path: Path) -> CalibrationTable:
+def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
     lines = _read_lines(path, CALIBRATION_MAGIC)
-    table = CalibrationTable()
+    calib = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise FileFormatError(f"{path}: bad calibration row {ln!r}")
         try:
-            table.set(
-                parts[0],
-                int(parts[1]),
-                CalibrationRange(float(parts[2]), float(parts[3])),
-            )
+            calib[parts[0], int(parts[1])] = CalibrationRange(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad calibration row {ln!r}") from exc
-    return table
+    return calib
 
 
 def write_dataset(
-    root: Path, recordings: Sequence[Recording], calib: CalibrationTable
+    root: Path,
+    recordings: Sequence[Recording],
+    calib: Mapping[tuple[str, int], CalibrationRange],
 ) -> None:
     """Write a dataset directory: recordings/ + calibration.csv."""
     rec_dir = root / "recordings"
@@ -184,7 +190,9 @@ def write_dataset(
     write_calibration(root / "calibration.csv", calib)
 
 
-def read_dataset(root: Path) -> tuple[list[Recording], CalibrationTable]:
+def read_dataset(
+    root: Path,
+) -> tuple[list[Recording], dict[tuple[str, int], CalibrationRange]]:
     """Read a dataset directory written by :func:`write_dataset`."""
     root = Path(root)
     rec_dir = root / "recordings"
@@ -212,7 +220,8 @@ def read_dataset(root: Path) -> tuple[list[Recording], CalibrationTable]:
                     lo = min(lo, bounds[key][0])
                     hi = max(hi, bounds[key][1])
                 bounds[key] = (lo, hi)
-        calib = CalibrationTable()
-        for (user_id, ch), (lo, hi) in bounds.items():
-            calib.set(user_id, ch, CalibrationRange(lo, hi if hi > lo else lo + 1.0))
+        calib = {
+            key: CalibrationRange(lo, hi if hi > lo else lo + 1.0)
+            for key, (lo, hi) in bounds.items()
+        }
     return recordings, calib

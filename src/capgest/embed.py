@@ -17,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ _SV_DROP = 1e-10
 # base spaces of the default corpus, where distinct rows lie 5e-3 or more
 # apart), which standardizing and whitening would scale to unit variance.
 _SAME_POINT = 1e-4
-# rows per block of the blocked fit steps (_monomials, Standardizer.fit): their
+# rows per block of the blocked fit steps (_monomials, standardize_fit): their
 # temporaries are this many rows tall, not as tall as the training matrix
 _ROW_BLOCK = 1024
 
@@ -126,16 +125,11 @@ def pca_transform(components: np.ndarray, X: np.ndarray) -> np.ndarray:
 # Whitening (a fit-time step of the kernels)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WhitenModel:
-    mean: np.ndarray
-    rotation: np.ndarray   # (n_features, n_kept)
-    scale: np.ndarray      # multiply rotated coordinates by this
+def whiten_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the (n_features, n_kept) matrix ``R`` that give the
+    training output ``(X - mean) @ R`` identity covariance.
 
-
-def whiten_fit(X: np.ndarray) -> WhitenModel:
-    """Fit the transform that gives the training output identity covariance.
-
+    ``R`` is the sign-fixed rotation times the per-direction scale.
     Directions with singular value below ``_SV_DROP`` (1e-10) are dropped
     rather than divided by, so rank-deficient kernel outputs stay finite:
     :func:`_svd_sv` gives every null direction, one whose squared singular
@@ -154,44 +148,36 @@ def whiten_fit(X: np.ndarray) -> WhitenModel:
     keep = s >= _SV_DROP
     if not np.any(keep):
         raise DegenerateInput("whitening needs at least 2 distinct samples")
-    rotation = _fix_signs(vt[keep].T)
     scale = math.sqrt(X.shape[0] - 1) / s[keep]
-    return WhitenModel(mean=mean, rotation=rotation, scale=scale)
+    return mean, _fix_signs(vt[keep].T) * scale
 
 
 # ---------------------------------------------------------------------------
 # Per-feature standardization (a fit-time step of the kernels)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Standardizer:
-    mean: np.ndarray
-    scale: np.ndarray
+def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and scales of a float (n, p) matrix; a scale is the
+    column's ``X.std(axis=0)``, or 1 where that is below 1e-12.
 
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "Standardizer":
-        """Column means and scales of a float (n, p) matrix; a scale is the
-        column's ``X.std(axis=0)``, or 1 where that is below 1e-12.
-
-        The squared deviations are summed in row blocks, so no centered copy
-        of ``X`` is made.  numpy sums axis 0 of a C-ordered matrix of two or
-        more columns (every kernel's input) row after row, so carrying the
-        running sum into each block as its first row gives ``X.std``'s bits.
-        """
-        n, p = X.shape
-        mean = X.mean(axis=0)
-        total = np.zeros(p)
-        buf = np.empty((min(n, _ROW_BLOCK) + 1, p))
-        for lo in range(0, n, _ROW_BLOCK):
-            block = X[lo : lo + _ROW_BLOCK]
-            dev = buf[1 : len(block) + 1]
-            np.subtract(block, mean, out=dev)
-            np.square(dev, out=dev)
-            buf[0] = total
-            np.add.reduce(buf[: len(block) + 1], axis=0, out=total)
-        std = np.sqrt(total / n)
-        scale = np.where(std > 1e-12, std, 1.0)
-        return cls(mean=mean, scale=scale)
+    The squared deviations are summed in row blocks, so no centered copy of
+    ``X`` is made.  numpy sums axis 0 of a C-ordered matrix of two or more
+    columns (every kernel's input) row after row, so carrying the running
+    sum into each block as its first row gives ``X.std``'s bits.
+    """
+    n, p = X.shape
+    mean = X.mean(axis=0)
+    total = np.zeros(p)
+    buf = np.empty((min(n, _ROW_BLOCK) + 1, p))
+    for lo in range(0, n, _ROW_BLOCK):
+        block = X[lo : lo + _ROW_BLOCK]
+        dev = buf[1 : len(block) + 1]
+        np.subtract(block, mean, out=dev)
+        np.square(dev, out=dev)
+        buf[0] = total
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=total)
+    std = np.sqrt(total / n)
+    return mean, np.where(std > 1e-12, std, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +356,10 @@ def kernel_fit(
     """Fit ``spec`` on ``X_train``; the fit computes no output of its own.
 
     ``memo`` carries work between calls on the same ``X_train``: every fitted
-    kernel by its encoding, and the standardizer, the center and the
-    full-rank components of the standardized matrix that every ``pca`` stage
-    truncates.  So a kernel nested in several specs is fitted once and the
-    training matrix is decomposed once.  A ``poly`` or ``knn`` fit reads its
+    kernel by its encoding, and the column means and scales, the center and
+    the full-rank components of the standardized matrix that every ``pca``
+    stage truncates.  So a kernel nested in several specs is fitted once and
+    the training matrix is decomposed once.  A ``poly`` or ``knn`` fit reads its
     base pca stage's output on ``X_train`` from :func:`kernel_apply`.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
@@ -395,26 +381,25 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
     base = train_base = None
     if spec.kind == "pca":
         if _BASIS not in memo:
-            std = Standardizer.fit(X_train)
+            mean, scale = standardize_fit(X_train)
             # one standardized copy, centered in place
-            Z = X_train - std.mean
-            Z /= std.scale
+            Z = X_train - mean
+            Z /= scale
             center = Z.mean(axis=0)
             Z -= center
-            memo[_BASIS] = std, center, pca_fit(Z, min(Z.shape))
+            memo[_BASIS] = mean, scale, center, pca_fit(Z, min(Z.shape))
             del Z
-        std, center, full = memo[_BASIS]
+        mean, scale, center, full = memo[_BASIS]
         # the decomposition and the per-column sign fix do not depend on the
         # rank kept, so truncated components equal a fresh fit's
         C = full[:, : spec.n_pc]
         # the pca scores are X @ A - a: standardizing, centering and
         # projecting in one map, so X_train is standardized only once, for
         # the basis
-        A = C / std.scale[:, None]
-        a = (std.mean / std.scale + center) @ C
-        whiten = whiten_fit(X_train @ A - a)
-        R = whiten.rotation * whiten.scale
-        matrix, offset = A @ R, (a + whiten.mean) @ R
+        A = C / scale[:, None]
+        a = (mean / scale + center) @ C
+        w_mean, R = whiten_fit(X_train @ A - a)
+        matrix, offset = A @ R, (a + w_mean) @ R
     else:
         if spec.kind == "knn" and spec.k_nn >= X_train.shape[0]:
             raise ParamOutOfRange(
@@ -426,13 +411,12 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
             train_base = B[:, : spec.n_pc]
         # standardize and whiten the expansion in place
         F = _expansion(spec, B, train_base)
-        std = Standardizer.fit(F)
-        F -= std.mean
-        F /= std.scale  # bit-equal to (F - mean) / scale
-        whiten = whiten_fit(F)
+        mean, scale = standardize_fit(F)
+        F -= mean
+        F /= scale  # bit-equal to (F - mean) / scale
+        w_mean, R = whiten_fit(F)
         del F
-        R = whiten.rotation * whiten.scale
-        matrix, offset = R / std.scale[:, None], (std.mean / std.scale + whiten.mean) @ R
+        matrix, offset = R / scale[:, None], (mean / scale + w_mean) @ R
     return FittedKernel(
         spec=spec, matrix=matrix, offset=offset, base=base, train_base=train_base
     )

@@ -33,7 +33,7 @@ from .corrector import (
     Corrector,
     ErrorGroup,
     GroupClassifier,
-    RoutingTable,
+    Route,
     _cascade,
     build_routing_table,
     corrected_predict,
@@ -89,7 +89,8 @@ class ModelBundle:
     correctors: tuple[Corrector, ...]
     corrector_kernels: Mapping[str, FittedKernel]
     discovered_group_ids: tuple[int, ...]
-    routing: RoutingTable = field(init=False, repr=False, compare=False)
+    # base label -> route, for the labels where some corrector can fire
+    routing: dict[int, Route] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_shapes(self)
@@ -392,7 +393,7 @@ def evaluate(bundle: ModelBundle, samples: Sequence[Sample]) -> EvalReport:
     base, corrected = _cascade(bundle, x)
 
     per_group = []
-    correctors = bundle.routing.correctors
+    correctors = {c.group_id: c for c in bundle.correctors}
     for group_id in bundle.discovered_group_ids:
         group = ErrorGroup.from_id(group_id)
         mask = base == int(group.predicted)

@@ -128,29 +128,6 @@ class CalibrationRange:
             )
 
 
-class CalibrationTable:
-    """Lookup of calibration ranges keyed by (user_id, channel)."""
-
-    def __init__(
-        self, ranges: Mapping[tuple[str, int], CalibrationRange] | None = None
-    ) -> None:
-        self._ranges: dict[tuple[str, int], CalibrationRange] = dict(ranges or {})
-
-    def set(self, user_id: str, channel: int, rng: CalibrationRange) -> None:
-        self._ranges[(user_id, channel)] = rng
-
-    def get(self, user_id: str, channel: int) -> CalibrationRange:
-        try:
-            return self._ranges[(user_id, channel)]
-        except KeyError:
-            raise MissingCalibration(
-                f"no calibration for user={user_id!r} channel={channel}"
-            ) from None
-
-    def items(self):
-        return sorted(self._ranges.items())
-
-
 @dataclass(frozen=True)
 class Sample:
     """A normalized 5x20 signal window with its gesture label."""
@@ -191,14 +168,24 @@ PARTITION_NAMES = ("train", "validation", "test", "hold")
 # Operations
 # ---------------------------------------------------------------------------
 
-def normalize(recording: Recording, calib: CalibrationTable) -> Recording:
-    """Map raw traces to [0, 1] with the user's per-channel calibration.
+def normalize(
+    recording: Recording, calib: Mapping[tuple[str, int], CalibrationRange]
+) -> Recording:
+    """Map raw traces to [0, 1] with the user's per-channel calibration,
+    ``calib[user_id, channel]``.
 
     0 means fingers fully open, 1 means full press.  Values outside the
     calibrated range are clamped: live sensors drift past calibration and a
-    hard failure there would be useless in deployment.
+    hard failure there would be useless in deployment.  A missing
+    (user, channel) raises MissingCalibration.
     """
-    ranges = [calib.get(recording.user_id, ch) for ch in range(N_CHANNELS)]
+    try:
+        ranges = [calib[recording.user_id, ch] for ch in range(N_CHANNELS)]
+    except KeyError as exc:
+        user_id, channel = exc.args[0]
+        raise MissingCalibration(
+            f"no calibration for user={user_id!r} channel={channel}"
+        ) from None
     lo = np.array([[r.min_raw] for r in ranges])
     span = np.array([[r.max_raw - r.min_raw] for r in ranges])
     return replace(
@@ -209,11 +196,6 @@ def normalize(recording: Recording, calib: CalibrationTable) -> Recording:
 def _eligible_start(mark: GestureMark) -> int:
     # window end must trail the gesture: from 2/3 of its span to its end
     return mark.start + math.ceil(2.0 / 3.0 * (mark.end - mark.start))
-
-
-def flatten(sample: Sample) -> np.ndarray:
-    """Channel-major 100-feature vector (0-19 thumb, 20-39 index, ...)."""
-    return sample.matrix.reshape(N_FEATURES).copy()
 
 
 def split_by_user(
@@ -273,7 +255,7 @@ def split_by_user(
 
 def assemble_sliding(
     recordings: Sequence[Recording],
-    calib: CalibrationTable,
+    calib: Mapping[tuple[str, int], CalibrationRange],
     stride_frames: int = 1,
     none_ratio: float = 1.5,
     max_mark_overlap: float = 0.75,
@@ -336,7 +318,8 @@ def assemble_sliding(
 
 
 def feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
-    """Stack flattened samples into an (n, 100) matrix, row i ``flatten(samples[i])``."""
+    """Stack samples into an (n, 100) matrix; row i is ``samples[i].matrix``
+    channel-major (features 0-19 thumb, 20-39 index, ...)."""
     if not samples:
         return np.empty((0, N_FEATURES))
     return np.stack([s.matrix for s in samples]).reshape(len(samples), N_FEATURES)

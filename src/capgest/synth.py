@@ -17,7 +17,6 @@ from .signals import (
     N_CHANNELS,
     SAMPLE_RATE_HZ,
     CalibrationRange,
-    CalibrationTable,
     GestureLabel,
     GestureMark,
     Recording,
@@ -37,35 +36,23 @@ class ChannelPulse:
     attack_fraction: float = 0.5   # < 0.5 means a sharper release than rise
 
 
-@dataclass(frozen=True)
-class GestureTemplate:
-    label: GestureLabel
-    pulses: tuple[ChannelPulse, ...]
-
-
 # Channel roles: 0 thumb, 1 index, 2 middle, 3 ring, 4 pinky.
 # Flicks are shorter than bends and release more sharply.
-GESTURE_TEMPLATES: dict[GestureLabel, GestureTemplate] = {
-    GestureLabel.INDEX_BEND: GestureTemplate(
-        GestureLabel.INDEX_BEND,
-        (ChannelPulse(channel=1, amplitude=0.80, duration_ms=500.0),),
+GESTURE_TEMPLATES: dict[GestureLabel, tuple[ChannelPulse, ...]] = {
+    GestureLabel.INDEX_BEND: (ChannelPulse(channel=1, amplitude=0.80, duration_ms=500.0),),
+    GestureLabel.SHOOT: (
+        ChannelPulse(channel=1, amplitude=0.75, duration_ms=520.0),
+        ChannelPulse(channel=2, amplitude=0.70, duration_ms=520.0, onset_offset_ms=30.0),
     ),
-    GestureLabel.SHOOT: GestureTemplate(
-        GestureLabel.SHOOT,
-        (
-            ChannelPulse(channel=1, amplitude=0.75, duration_ms=520.0),
-            ChannelPulse(channel=2, amplitude=0.70, duration_ms=520.0, onset_offset_ms=30.0),
-        ),
+    GestureLabel.FLICK_INDEX: (
+        ChannelPulse(channel=1, amplitude=0.85, duration_ms=230.0, attack_fraction=0.35),
     ),
-    GestureLabel.FLICK_INDEX: GestureTemplate(
-        GestureLabel.FLICK_INDEX,
-        (ChannelPulse(channel=1, amplitude=0.85, duration_ms=230.0, attack_fraction=0.35),),
-    ),
-    GestureLabel.FLICK_MIDDLE: GestureTemplate(
-        GestureLabel.FLICK_MIDDLE,
-        (ChannelPulse(channel=2, amplitude=0.85, duration_ms=250.0, attack_fraction=0.35),),
+    GestureLabel.FLICK_MIDDLE: (
+        ChannelPulse(channel=2, amplitude=0.85, duration_ms=250.0, attack_fraction=0.35),
     ),
 }
+# chance that a NONE recording carries a gesture-like triangular bump
+NONE_BUMP_PROBABILITY = 0.55
 
 
 @dataclass(frozen=True)
@@ -94,7 +81,6 @@ class GenConfig:
     gestures_per_user_per_class: int = 70
     none_recordings_per_user: int = 12
     none_ratio: float = 1.5          # NONE windows vs mean gesture class count
-    none_bump_probability: float = 0.55
     stride_frames: int = 1
     max_mark_overlap: float = 0.75
     seed: int = 0
@@ -131,12 +117,7 @@ def _triangle_shape(n_frames: int, peak_fraction: float) -> np.ndarray:
     return np.minimum(up, down)
 
 
-def gen_recording(
-    profile: UserProfile,
-    label: GestureLabel,
-    seed,
-    none_bump_probability: float = 0.55,
-) -> Recording:
+def gen_recording(profile: UserProfile, label: GestureLabel, seed) -> Recording:
     """One raw-unit recording: a marked gesture pulse, or unmarked wander.
 
     With all jitters and noise at zero, inactive channels sit exactly at the
@@ -146,7 +127,7 @@ def gen_recording(
     ms_per_frame = 1000.0 / SAMPLE_RATE_HZ
 
     if label is GestureLabel.NONE:
-        normalized, marks = _gen_none(profile, rng, none_bump_probability, ms_per_frame)
+        normalized, marks = _gen_none(profile, rng, ms_per_frame)
     else:
         normalized, marks = _gen_gesture(profile, label, rng, ms_per_frame)
 
@@ -162,12 +143,11 @@ def gen_recording(
 
 
 def _gen_gesture(profile, label, rng, ms_per_frame):
-    template = GESTURE_TEMPLATES[label]
     pre_pad = int(rng.integers(14, 24))
     post_pad = int(rng.integers(8, 16))
 
     lanes = []
-    for pulse in template.pulses:
+    for pulse in GESTURE_TEMPLATES[label]:
         dur_ms = max(
             3 * ms_per_frame, pulse.duration_ms + rng.normal(0.0, profile.sigma_time_ms)
         )
@@ -193,7 +173,7 @@ def _gen_gesture(profile, label, rng, ms_per_frame):
     return normalized, (mark,)
 
 
-def _gen_none(profile, rng, bump_probability, ms_per_frame):
+def _gen_none(profile, rng, ms_per_frame):
     total = int(rng.integers(40, 70))
     normalized = np.repeat(profile.baseline[:, None], total, axis=1)
     # slow low-amplitude wander on every channel
@@ -207,7 +187,7 @@ def _gen_none(profile, rng, bump_probability, ms_per_frame):
             normalized[ch] += amp * np.sin(2.0 * np.pi * t / period + phase)
     # occasional gesture-like triangular bump: confusable in 3 PCs,
     # distinguishable from the raised-cosine pulses in the full feature space
-    if rng.random() < bump_probability:
+    if rng.random() < NONE_BUMP_PROBABILITY:
         channel = int(rng.integers(1, 3))  # index or middle
         dur_ms = rng.uniform(150.0, 450.0)
         n_frames = max(3, int(round(dur_ms / ms_per_frame)))
@@ -220,15 +200,17 @@ def _gen_none(profile, rng, bump_probability, ms_per_frame):
     return normalized, ()
 
 
-def gen_dataset(config: GenConfig) -> tuple[list[Recording], CalibrationTable]:
-    """All users' raw recordings plus their calibration table."""
+def gen_dataset(
+    config: GenConfig,
+) -> tuple[list[Recording], dict[tuple[str, int], CalibrationRange]]:
+    """All users' raw recordings plus their calibration ranges by (user, channel)."""
     recordings: list[Recording] = []
-    calib = CalibrationTable()
+    calib = {}
     for u in range(config.n_users):
         user_id = f"u{u + 1:02d}"
         profile = gen_profile((config.seed, 0xA11CE, u), user_id=user_id)
         for ch, rng_ in profile.calibration():
-            calib.set(user_id, ch, rng_)
+            calib[user_id, ch] = rng_
         for class_idx, label in enumerate(GestureLabel):
             if label is GestureLabel.NONE:
                 n_rec = config.none_recordings_per_user
@@ -236,17 +218,14 @@ def gen_dataset(config: GenConfig) -> tuple[list[Recording], CalibrationTable]:
                 n_rec = config.gestures_per_user_per_class
             for r in range(n_rec):
                 recordings.append(
-                    gen_recording(
-                        profile,
-                        label,
-                        seed=(config.seed, u, class_idx, r),
-                        none_bump_probability=config.none_bump_probability,
-                    )
+                    gen_recording(profile, label, seed=(config.seed, u, class_idx, r))
                 )
     return recordings, calib
 
 
-def build_sliding_dataset(config: GenConfig) -> tuple[list[Sample], CalibrationTable]:
+def build_sliding_dataset(
+    config: GenConfig,
+) -> tuple[list[Sample], dict[tuple[str, int], CalibrationRange]]:
     """Generate recordings and assemble the sliding-window sample set."""
     recordings, calib = gen_dataset(config)
     samples = assemble_sliding(

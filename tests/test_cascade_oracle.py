@@ -147,7 +147,7 @@ def reference_batch(bundle, features, log):
     base = reference_knn_predict_batch(bundle.base_knn, z)
     out = base.copy()
     present = set(base.tolist())
-    for label, route in bundle.routing.routes.items():
+    for label, route in bundle.routing.items():
         if label not in present:
             continue
         rows = np.flatnonzero(base == label)
@@ -262,14 +262,14 @@ def lattice_rows(max_rows=12, lattices=((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))):
 def corrector_less_route(bundle):
     """``bundle`` without the corrector of the first id of a multi-id route."""
     label, route = next(
-        (label, r) for label, r in bundle.routing.routes.items() if len(r.group_ids) > 1
+        (label, r) for label, r in bundle.routing.items() if len(r.group_ids) > 1
     )
     dropped = route.group_ids[0]
     out = replace(
         bundle, correctors=tuple(c for c in bundle.correctors if c.group.group_id != dropped)
     )
-    assert out.routing.routes[label].group_ids == route.group_ids
-    assert out.routing.routes[label].correctors[0] is None
+    assert out.routing[label].group_ids == route.group_ids
+    assert out.routing[label].correctors[0] is None
     return out, label
 
 
@@ -313,7 +313,7 @@ class TestOracle:
         X = eval_rows(small_split)
         trained = variants["trained"]
         # rows reach a route with one group id, where no router runs
-        single = [label for label, r in trained.routing.routes.items() if len(r.group_ids) == 1]
+        single = [label for label, r in trained.routing.items() if len(r.group_ids) == 1]
         assert single and np.isin(trained.predict_base_batch(X), single).any()
         # the kernel bundle scores with poly, concat and knn kernels
         assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
@@ -329,7 +329,7 @@ class TestOracle:
         with pytest.raises(InconsistentBundle, match="group classifier present"):
             replace(bundle, group_classifier=variants["trained"].group_classifier)
         # the one group has a corrector, so its label routes to it
-        assert [r.group_ids for r in bundle.routing.routes.values()] == [
+        assert [r.group_ids for r in bundle.routing.values()] == [
             bundle.discovered_group_ids
         ]
         assert_matches_reference(bundle, eval_rows(small_split))
@@ -338,7 +338,7 @@ class TestOracle:
         bundle, label = corrector_less_route(small_bundle)
         X = eval_rows(small_split)
         rows = X[small_bundle.predict_base_batch(X) == label]
-        picks = bundle.group_classifier.assign(rows, bundle.routing.routes[label].centroids)
+        picks = bundle.group_classifier.assign(rows, bundle.routing[label].centroids)
         assert np.any(picks == 0)  # some samples really route to the corrector-less group
         assert_matches_reference(bundle, X)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -231,3 +232,66 @@ class TestExitCodes:
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
         assert "line 1: expected 100 features, got 3" in capsys.readouterr().err
+
+
+class TestUnreadableFiles:
+    """An input that cannot be read as UTF-8 text and an output path that
+    cannot be written are data errors: exit 2 and one line on stderr."""
+
+    @staticmethod
+    def one_error_line(capsys, *parts):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert all(part in lines[0] for part in parts), lines[0]
+        assert captured.out == ""
+
+    def test_config_not_utf8(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"knn_k = 3 # \xe9t\xe9\n")
+        out = tmp_path / "m.capgest"
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 2
+        self.one_error_line(capsys, str(cfg), "utf-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["recording", "marks", "calibration"])
+    def test_dataset_file_not_utf8(self, workspace, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        path = {
+            "recording": data / "recordings" / "u01_r0000.csv",
+            "marks": data / "recordings" / "u01_r0000.marks.csv",
+            "calibration": data / "calibration.csv",
+        }[kind]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.capgest")])
+        assert code == 2
+        self.one_error_line(capsys, str(path), "utf-8")
+
+    def test_features_not_utf8(self, workspace, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"# r\xe9sum\xe9\n" + ",".join(["0.25"] * N_FEATURES).encode() + b"\n")
+        assert main(["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]) == 2
+        self.one_error_line(capsys, str(path), "utf-8")
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_features_missing_or_directory(self, workspace, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]) == 2
+        self.one_error_line(capsys, f"cannot read {path}")
+
+    def test_train_out_not_writable(self, workspace, tmp_path, capsys):
+        # a directory where the bundle file should go, and a path below a file
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for out in (tmp_path, tmp_path / "file" / "m.capgest"):
+            assert main(["train", "--data", str(workspace["data"]), "--out", str(out)]) == 2
+            self.one_error_line(capsys, str(out))
+
+    def test_synth_out_not_writable(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for out in (tmp_path / "file", tmp_path / "file" / "d"):
+            code = main(["synth", "--out", str(out), "--users", "1", "--per-class", "1"])
+            assert code == 2
+            self.one_error_line(capsys, str(out))

@@ -287,18 +287,18 @@ class TestGroupClassifier:
         # groups 1 (index_bend->shoot) and 21 (none->shoot) are gated by
         # base label 1, and group 9 (shoot->none) by label 4; group 9 has no
         # corrector, so label 4 has no route
-        table = build_routing_table(gc.group_ids, gc, [stub_corrector(g) for g in (1, 21)])
-        assert sorted(table.routes) == [1]
-        route = table.routes[1]
+        routes = build_routing_table(gc.group_ids, gc, [stub_corrector(g) for g in (1, 21)])
+        assert sorted(routes) == [1]
+        route = routes[1]
         assert route.group_ids == (1, 21)
         assert [c.group.group_id for c in route.correctors] == [1, 21]
         # the router picks only among the label's groups
         picks = gc.assign(X, route.centroids)
         assert picks.tolist()[:60] == [1] * 30 + [0] * 30
         # a label that gates one group routes to it without the router
-        table = build_routing_table((9, 21), None, [stub_corrector(g) for g in (9, 21)])
-        assert sorted(table.routes) == [1, 4]
-        assert table.routes[4].group_ids == (9,) and table.routes[4].centroids is None
+        routes = build_routing_table((9, 21), None, [stub_corrector(g) for g in (9, 21)])
+        assert sorted(routes) == [1, 4]
+        assert routes[4].group_ids == (9,) and routes[4].centroids is None
 
 
 class TestCascade:

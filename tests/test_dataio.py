@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from capgest import dataio
 from capgest.cli import main
+from capgest.config import load_config
 from capgest.errors import FileFormatError
 from capgest.signals import (
     CalibrationRange,
-    CalibrationTable,
     GestureLabel,
     GestureMark,
     Recording,
@@ -50,13 +51,24 @@ class TestRoundTrips:
         assert dataio.read_marks(path) == marks
 
     def test_calibration(self, tmp_path):
-        table = CalibrationTable()
-        table.set("u01", 0, CalibrationRange(310.5, 900.25))
-        table.set("u02", 4, CalibrationRange(290.0, 1100.0))
+        table = {
+            ("u01", 0): CalibrationRange(310.5, 900.25),
+            ("u02", 4): CalibrationRange(290.0, 1100.0),
+        }
         path = tmp_path / "c.csv"
         dataio.write_calibration(path, table)
-        back = dataio.read_calibration(path)
-        assert back.items() == table.items()
+        assert dataio.read_calibration(path) == table
+
+    def test_calibration_rows_sorted_by_user_and_channel(self, tmp_path):
+        keys = [(u, ch) for u in ("u2", "u10", "u01") for ch in (4, 0, 3, 1, 2)]
+        for order in (keys, keys[::-1], keys[7:] + keys[:7]):
+            calib = {key: CalibrationRange(100.0 + key[1], 900.5) for key in order}
+            dataio.write_dataset(tmp_path, [], calib)
+            lines = (tmp_path / "calibration.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[:2] == [dataio.CALIBRATION_MAGIC, "user_id,channel,min_raw,max_raw"]
+            assert lines[2:] == [
+                f"{u},{ch},{100.0 + ch!r},900.5" for u, ch in sorted(keys)
+            ]
 
     def test_dataset_directory(self, tmp_path):
         config = GenConfig(n_users=2, gestures_per_user_per_class=1, none_recordings_per_user=1)
@@ -64,7 +76,7 @@ class TestRoundTrips:
         dataio.write_dataset(tmp_path, recordings, calib)
         back_recs, back_calib = dataio.read_dataset(tmp_path)
         assert len(back_recs) == len(recordings)
-        assert back_calib.items() == calib.items()
+        assert back_calib == calib
         by_key = {(r.user_id, r.n_frames, r.gesture_marks) for r in recordings}
         assert {(r.user_id, r.n_frames, r.gesture_marks) for r in back_recs} == by_key
 
@@ -73,11 +85,11 @@ class TestFallbackCalibration:
     def test_merges_bounds_across_recordings(self, tmp_path):
         lo = make_recording(n_frames=10)
         hi = Recording(user_id="u01", channels=lo.channels + 500.0)
-        dataio.write_dataset(tmp_path, [lo, hi], CalibrationTable())
+        dataio.write_dataset(tmp_path, [lo, hi], {})
         (tmp_path / "calibration.csv").unlink()
         _, calib = dataio.read_dataset(tmp_path)
         for ch in range(5):
-            rng = calib.get("u01", ch)
+            rng = calib["u01", ch]
             assert rng.min_raw == lo.channels[ch].min()
             assert rng.max_raw == hi.channels[ch].max()
 
@@ -118,6 +130,21 @@ class TestFormatErrors:
         )
         with pytest.raises(FileFormatError):
             dataio.read_marks(path)
+
+    @pytest.mark.parametrize(
+        "reader", [dataio.read_recording, dataio.read_marks, dataio.read_calibration, load_config]
+    )
+    def test_bytes_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"# capgest-marks v1\nstart,end,label\n0,9,\xff\xfe\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [dataio.read_recording, load_config])
+    def test_missing_or_directory_path(self, tmp_path, reader):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(FileFormatError, match=re.escape(f"cannot read {path}: ")):
+                reader(path)
 
     def test_missing_recordings_dir(self, tmp_path):
         with pytest.raises(FileFormatError, match="recordings"):

@@ -13,7 +13,6 @@ from capgest.config import PipelineConfig
 from capgest.embed import (
     FittedKernel,
     KernelSpec,
-    Standardizer,
     _monomials,
     _svd_sv,
     dataset_intrinsic_dimension,
@@ -26,6 +25,7 @@ from capgest.embed import (
     pca_fit,
     pca_transform,
     separability_probability,
+    standardize_fit,
     whiten_fit,
 )
 from capgest.errors import (
@@ -78,7 +78,8 @@ class TestPca:
 
 
 def whiten(model, X):
-    return (X - model.mean) @ model.rotation * model.scale
+    mean, R = model
+    return (X - mean) @ R
 
 
 class TestWhiten:
@@ -91,9 +92,21 @@ class TestWhiten:
         base = RNG.normal(0, 1, (100, 3))
         X = np.hstack([base, base @ RNG.normal(0, 1, (3, 4))])  # rank 3 in 7-d
         model = whiten_fit(X.copy())
-        assert model.rotation.shape[1] == 3
+        assert model[1].shape == (7, 3)
         W = whiten(model, X)
         assert np.all(np.isfinite(W))
+
+    @pytest.mark.parametrize("shape", [(200, 12), (1500, 164), (60, 100)])
+    def test_matrix_is_rotation_times_scale(self, shape):
+        # the kernel fits multiplied the sign-fixed rotation by the scale;
+        # the returned matrix is that product, bit for bit
+        X = _rank_deficient(*shape, seed=sum(shape)) + 0.5
+        mean, R = whiten_fit(X.copy())
+        s, vt = _svd_sv(X - X.mean(axis=0))
+        keep = s >= embed._SV_DROP
+        want = embed._fix_signs(vt[keep].T) * (math.sqrt(shape[0] - 1) / s[keep])
+        assert mean.tobytes() == X.mean(axis=0).tobytes()
+        assert R.shape == want.shape and R.tobytes() == want.tobytes()
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
@@ -102,16 +115,17 @@ class TestWhiten:
             whiten_fit(np.full((10, 3), 0.7))  # no spread at all
 
 
-def standardize(std: Standardizer, X: np.ndarray) -> np.ndarray:
-    """The former ``Standardizer.apply`` body."""
-    return (X - std.mean) / std.scale
+def standardize(std: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """``X`` standardized by a ``standardize_fit`` result (mean, scale)."""
+    mean, scale = std
+    return (X - mean) / scale
 
 
-def reference_standardizer(X: np.ndarray) -> Standardizer:
-    """The former ``Standardizer.fit`` body, one full-size ``X.std``, kept as
-    the oracle for the blocked variance."""
+def reference_standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column means and scales from one full-size ``X.std``, kept as the
+    oracle for the blocked variance."""
     std = X.std(axis=0)
-    return Standardizer(mean=X.mean(axis=0), scale=np.where(std > 1e-12, std, 1.0))
+    return X.mean(axis=0), np.where(std > 1e-12, std, 1.0)
 
 
 BLOCK = embed._ROW_BLOCK
@@ -120,13 +134,13 @@ BLOCK = embed._ROW_BLOCK
 class TestStandardizer:
     def test_zero_mean_unit_std(self):
         X = RNG.normal(3, 5, (100, 4))
-        Z = standardize(Standardizer.fit(X), X)
+        Z = standardize(standardize_fit(X), X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_kept_finite(self):
         X = np.column_stack([np.full(50, 2.0), RNG.normal(0, 1, 50)])
-        Z = standardize(Standardizer.fit(X), X)
+        Z = standardize(standardize_fit(X), X)
         assert np.allclose(Z[:, 0], 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
@@ -137,10 +151,10 @@ class TestStandardizer:
         # constant one, whose scale is 1
         X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(1e-3, 1e4, p) + rng.normal(0.0, 1e6, p)
         X[:, 1] = 7.3
-        got, want = Standardizer.fit(X), reference_standardizer(X)
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.scale.tobytes() == want.scale.tobytes()
-        assert got.scale[1] == 1.0
+        (mean, scale), (want_mean, want_scale) = standardize_fit(X), reference_standardizer(X)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert scale.tobytes() == want_scale.tobytes()
+        assert scale[1] == 1.0
 
 
 KERNEL_TEXTS = [
@@ -264,12 +278,12 @@ class TestSharedFits:
         # the former pca kernel body decomposed at the requested rank; the
         # shared basis truncated to it gives the same components
         X = small_train(400)
-        Z = standardize(Standardizer.fit(X), X)
+        Z = standardize(standardize_fit(X), X)
         center = Z.mean(axis=0)
         fresh = pca_fit(Z - center, n_pc)
         memo: dict = {}
         kernel_fit(parse_kernel_spec("pca:50"), X, memo)  # the basis comes from another spec
-        _, shared_center, full = memo[embed._BASIS]
+        _, _, shared_center, full = memo[embed._BASIS]
         assert shared_center.tobytes() == center.tobytes()
         assert full[:, :n_pc].tobytes() == fresh.tobytes()
         got = kernel_arrays(kernel_fit(KernelSpec(kind="pca", n_pc=n_pc), X, memo))
@@ -306,9 +320,9 @@ class TestSharedFits:
         assert {"pca:5", "pca:8", "pca:10", "knn:5:20"} <= set(kernels)
         for key, kernel in kernels.items():
             assert isinstance(kernel, FittedKernel) and kernel.spec.encode() == key
-        std, center, full = memo[embed._BASIS]
-        assert isinstance(std, Standardizer)
-        assert center.shape == (X.shape[1],) and full.shape == (X.shape[1], X.shape[1])
+        mean, scale, center, full = memo[embed._BASIS]
+        assert mean.shape == scale.shape == center.shape == (X.shape[1],)
+        assert full.shape == (X.shape[1], X.shape[1])
 
     def test_fits_apply_only_poly_bases(self, monkeypatch):
         calls = Counter()
@@ -328,15 +342,15 @@ class TestSharedFits:
 
 
 def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
-    """The former staged kernel, kept as the oracle: per stage a Standardizer,
-    for pca the center and the components of the standardized input,
-    decomposed at the requested rank, and a WhitenModel, each fitted on the
-    previous stage's output."""
+    """The former staged kernel, kept as the oracle: per stage the column
+    means and scales, for pca the center and the components of the
+    standardized input, decomposed at the requested rank, and the whitening
+    mean and matrix, each fitted on the previous stage's output."""
     if spec.kind == "concat":
         return {"spec": spec, "children": [staged_fit(c, X) for c in spec.children]}
     stage: dict = {"spec": spec}
     if spec.kind == "pca":
-        stage["std"] = Standardizer.fit(X)
+        stage["std"] = standardize_fit(X)
         Z = standardize(stage["std"], X)
         stage["center"] = Z.mean(axis=0)
         stage["pca"] = pca_fit(Z - stage["center"], spec.n_pc)
@@ -345,7 +359,7 @@ def staged_fit(spec: KernelSpec, X: np.ndarray) -> dict:
     stage["base"] = staged_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X)
     stage["train_base"] = staged_apply(stage["base"], X)[:, : spec.n_pc]
     F = staged_expansion(stage, X)
-    stage["std"] = Standardizer.fit(F)
+    stage["std"] = standardize_fit(F)
     stage["whiten"] = whiten_fit(standardize(stage["std"], F))
     return stage
 
@@ -478,7 +492,7 @@ class TestSvdWithoutU:
         sv = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
         assert 0.9e-4 <= sv[-1] / sv[0] <= 1.1e-4
         model = whiten_fit(X.copy())
-        assert model.rotation.shape == (n, n)
+        assert model[1].shape == (n, n)
         C = np.cov(whiten(model, X), rowvar=False, ddof=1)
         assert np.abs(C - np.eye(n)).max() <= 1e-6
 

@@ -16,14 +16,12 @@ from capgest.signals import (
     N_FEATURES,
     WINDOW_FRAMES,
     CalibrationRange,
-    CalibrationTable,
     GestureLabel,
     GestureMark,
     Recording,
     Sample,
     assemble_sliding,
     feature_matrix,
-    flatten,
     label_array,
     normalize,
     split_by_user,
@@ -41,10 +39,7 @@ def make_recording(n_frames=60, user_id="u01", marks=(), values=None):
 
 
 def flat_calib(user_id="u01", lo=0.0, hi=1.0):
-    table = CalibrationTable()
-    for ch in range(N_CHANNELS):
-        table.set(user_id, ch, CalibrationRange(lo, hi))
-    return table
+    return {(user_id, ch): CalibrationRange(lo, hi) for ch in range(N_CHANNELS)}
 
 
 class TestLabels:
@@ -111,21 +106,31 @@ class TestNormalize:
 
     def test_missing_calibration(self):
         with pytest.raises(MissingCalibration):
-            normalize(make_recording(), CalibrationTable())
+            normalize(make_recording(), {})
+
+    @pytest.mark.parametrize("channel", range(N_CHANNELS))
+    def test_missing_channel_calibration(self, channel):
+        # the user's other channels are calibrated, and another user has this one
+        calib = {**flat_calib(), **flat_calib(user_id="u02")}
+        del calib["u01", channel]
+        with pytest.raises(MissingCalibration, match=f"user='u01' channel={channel}$"):
+            normalize(make_recording(), calib)
+        with pytest.raises(MissingCalibration):
+            assemble_sliding([make_recording()], calib)
 
     @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
     def test_byte_equal_to_per_channel_loop(self, seed, n_frames):
         rng = np.random.default_rng(seed)
         rec = make_recording(values=rng.uniform(-500.0, 1500.0, (N_CHANNELS, n_frames)))
-        table = CalibrationTable()
+        table = {}
         for ch in range(N_CHANNELS):
             lo = float(rng.uniform(0.0, 600.0))
-            table.set("u01", ch, CalibrationRange(lo, lo + float(rng.uniform(1e-3, 900.0))))
+            table["u01", ch] = CalibrationRange(lo, lo + float(rng.uniform(1e-3, 900.0)))
         # the former body of normalize, one channel slice at a time
         want = np.empty_like(rec.channels)
         for ch in range(N_CHANNELS):
-            r = table.get("u01", ch)
+            r = table["u01", ch]
             want[ch] = np.clip((rec.channels[ch] - r.min_raw) / (r.max_raw - r.min_raw), 0.0, 1.0)
         got = normalize(rec, table).channels
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -163,7 +168,7 @@ class TestFlatten:
     def test_channel_major_order(self):
         matrix = np.arange(100).reshape(5, 20) / 100.0
         sample = Sample(matrix, GestureLabel.NONE, "u")
-        flat = flatten(sample)
+        flat = feature_matrix([sample])[0]
         assert np.array_equal(flat[:20], matrix[0])
         assert np.array_equal(flat[20:40], matrix[1])
 
@@ -175,7 +180,7 @@ class TestFlatten:
     def test_round_trip(self, values):
         matrix = np.array(values).reshape(5, 20)
         sample = Sample(matrix, GestureLabel.NONE, "u")
-        assert np.array_equal(flatten(sample), matrix.reshape(100))
+        assert np.array_equal(feature_matrix([sample])[0], matrix.reshape(100))
 
 
 def make_user_samples(n_users):
@@ -251,7 +256,8 @@ class TestAssemble:
 
     def test_feature_matrix_equals_flatten_stack(self, small_samples):
         X = feature_matrix(small_samples)
-        want = np.stack([flatten(s) for s in small_samples])
+        # each row is its sample's matrix read row after row, channel-major
+        want = np.stack([s.matrix.reshape(N_FEATURES).copy() for s in small_samples])
         assert X.dtype == want.dtype and X.flags.c_contiguous
         assert np.array_equal(X, want)
         assert X.tobytes() == want.tobytes()

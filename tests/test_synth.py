@@ -72,10 +72,7 @@ class TestRecordings:
     def test_quiet_profile_inactive_channels_at_baseline(self):
         p = quiet_profile()
         rec = gen_recording(p, GestureLabel.INDEX_BEND, seed=0)
-        from capgest.signals import CalibrationTable
-
-        table = CalibrationTable(dict((("u00", ch), r) for ch, r in p.calibration()))
-        norm = normalize(rec, table)
+        norm = normalize(rec, {("u00", ch): r for ch, r in p.calibration()})
         for ch in (0, 2, 3, 4):  # only channel 1 moves for an index bend
             assert np.allclose(norm.channels[ch], 0.2, atol=1e-12)
         assert norm.channels[1].max() > 0.9  # 0.2 baseline + 0.8 pulse
