@@ -170,28 +170,11 @@ def centroid_predict_batch(model: CentroidModel, X: np.ndarray) -> np.ndarray:
     return model.classes[np.argmin(dist, axis=1)]
 
 
-def centroid_score(
-    model: CentroidModel, x: np.ndarray, positive_class: int
-) -> np.ndarray | float:
-    """Bounded binary score d_neg / (d_neg + d_pos) in [0, 1].
-
-    Requires a two-class model; 0.5 means equidistant (both distances zero
-    included), values toward 1 mean nearer the positive centroid.
-    """
-    classes = model.classes.tolist()
-    if len(classes) != 2:
-        raise EmptyModel("centroid_score needs a two-class model")
-    if positive_class not in classes:
-        raise EmptyModel(f"class {positive_class} not in model")
-    scalar = np.asarray(x).ndim == 1
-    pos_col = int(positive_class == classes[1])
-    score = centroid_scores(model, as_rows(x, model.centroids.shape[1]), pos_col)
-    return float(score[0]) if scalar else score
-
-
 def centroid_scores(model: CentroidModel, X: np.ndarray, pos_col: int) -> np.ndarray:
-    """``centroid_score`` of the rows of a float (n, d) matrix, unchecked;
-    ``pos_col`` is the positive class's row of ``model.centroids``."""
+    """Bounded binary score d_neg / (d_neg + d_pos) in [0, 1] of each row of
+    a float (n, d) matrix, unchecked; ``pos_col`` is the positive class's row
+    of ``model.centroids``.  0.5 means equidistant (both distances zero
+    included), values toward 1 mean nearer the positive centroid."""
     dist = _centroid_distances(model.centroids, X)
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]

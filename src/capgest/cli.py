@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: synth, train, eval, cv, bench, predict, inspect.
-Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
-malformed input file, or an output path that cannot be written), 3 budget
-violation.
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+error, 2 data error (an unreadable or malformed input file, a dataset
+directory without ``calibration.csv``, or an output path that cannot be
+written), 3 budget violation.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +73,7 @@ def _load_samples(data_dir: Path):
 
 
 def _config_from_args(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if getattr(args, "config", None):
-        config = load_config(Path(args.config), base=config)
-    if getattr(args, "split_seed", None) is not None:
-        config = replace(config, split_seed=args.split_seed)
-    return config
+    return load_config(Path(args.config)) if args.config else PipelineConfig()
 
 
 def cmd_synth(args) -> int:
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", required=True, help="output bundle path")
     p.add_argument("--config", help="key-value config file")
-    p.add_argument("--split-seed", type=int, help="override split seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a bundle on a dataset split")
@@ -251,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--combos", type=_count, default=10, help="number of splits (default 10)")
     p.add_argument("--config", help="key-value config file")
-    p.add_argument("--split-seed", type=int, help="override base split seed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_cv)
 
@@ -287,7 +281,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (``capgest predict ... | head``): that
+        # is not a failure; stdout goes to devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BudgetError as exc:
         print(f"budget violation: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -14,7 +14,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -68,8 +68,9 @@ _STR_LIST_KEYS = {"corrector_kernels", "pinned_hold"}
 _INT_LIST_KEYS = {"user_counts"}
 
 
-def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    config = base or PipelineConfig()
+def parse_config_text(text: str) -> PipelineConfig:
+    """The default config with the file's keys set; a key left out keeps
+    its default."""
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,11 +94,11 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
                 raise FileFormatError(f"line {lineno}: unknown config key {key!r}")
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    return replace(config, **overrides)
+    return PipelineConfig(**overrides)
 
 
-def load_config(path: Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    return parse_config_text(read_text(Path(path)), base=base)
+def load_config(path: Path) -> PipelineConfig:
+    return parse_config_text(read_text(Path(path)))
 
 
 def format_config(config: PipelineConfig) -> str:

@@ -10,7 +10,7 @@ Three file kinds, all with a ``# capgest-<kind> v1`` first line:
 
 A recording ``<stem>.csv`` pairs with its annotation file ``<stem>.marks.csv``
 in the same directory; a dataset directory holds ``recordings/`` plus a
-top-level ``calibration.csv``.
+top-level ``calibration.csv``, the one source of its calibration ranges.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import FileFormatError
 from .signals import (
     CHANNEL_NAMES,
     N_CHANNELS,
+    SAMPLE_RATE_HZ,
     CalibrationRange,
     GestureLabel,
     GestureMark,
@@ -58,7 +59,7 @@ def _read_lines(path: Path, magic: str) -> list[str]:
 def write_recording(path: Path, recording: Recording) -> None:
     rows = [RECORDING_MAGIC]
     rows.append(f"user_id,{recording.user_id}")
-    rows.append(f"sample_rate_hz,{recording.sample_rate_hz!r}")
+    rows.append(f"sample_rate_hz,{SAMPLE_RATE_HZ!r}")
     rows.append("frame," + ",".join(CHANNEL_NAMES))
     for i in range(recording.n_frames):
         vals = ",".join(repr(float(v)) for v in recording.channels[:, i])
@@ -98,7 +99,8 @@ def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
     return frames
 
 
-def read_recording(path: Path, marks_path: Path | None = None) -> Recording:
+def read_recording(path: Path) -> Recording:
+    """Read ``<stem>.csv`` and, where it exists, its ``<stem>.marks.csv``."""
     lines = _read_lines(path, RECORDING_MAGIC)
     if len(lines) < 3:
         raise FileFormatError(f"{path}: truncated recording file")
@@ -109,20 +111,13 @@ def read_recording(path: Path, marks_path: Path | None = None) -> Recording:
     if "user_id" not in header or "sample_rate_hz" not in header:
         raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
     frames = _parse_frames(path, lines[3:])  # skip column header line
-    marks: tuple[GestureMark, ...] = ()
-    if marks_path is None:
-        candidate = path.with_suffix("").with_suffix(".marks.csv")
-        if candidate.exists():
-            marks_path = candidate
-    if marks_path is not None:
-        marks = tuple(read_marks(marks_path))
+    marks_path = path.with_suffix("").with_suffix(".marks.csv")
+    marks = tuple(read_marks(marks_path)) if marks_path.exists() else ()
     try:
-        return Recording(
-            user_id=header["user_id"],
-            channels=frames,
-            sample_rate_hz=float(header["sample_rate_hz"]),
-            gesture_marks=marks,
-        )
+        rate = float(header["sample_rate_hz"])
+        if rate != SAMPLE_RATE_HZ:
+            raise ValueError(f"sample_rate_hz is {rate!r}, windows need {SAMPLE_RATE_HZ} Hz")
+        return Recording(user_id=header["user_id"], channels=frames, gesture_marks=marks)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -193,7 +188,11 @@ def write_dataset(
 def read_dataset(
     root: Path,
 ) -> tuple[list[Recording], dict[tuple[str, int], CalibrationRange]]:
-    """Read a dataset directory written by :func:`write_dataset`."""
+    """Read a dataset directory written by :func:`write_dataset`.
+
+    ``calibration.csv`` is the one source of the calibration ranges: a
+    directory without it raises FileFormatError naming the path.
+    """
     root = Path(root)
     rec_dir = root / "recordings"
     if not rec_dir.is_dir():
@@ -205,23 +204,4 @@ def read_dataset(
     ]
     if not recordings:
         raise FileFormatError(f"{rec_dir}: no recording files")
-    calib_path = root / "calibration.csv"
-    if calib_path.exists():
-        calib = read_calibration(calib_path)
-    else:
-        # fallback: observed min/max per (user, channel) across recordings
-        bounds: dict[tuple[str, int], tuple[float, float]] = {}
-        for rec in recordings:
-            for ch in range(N_CHANNELS):
-                key = (rec.user_id, ch)
-                lo = float(rec.channels[ch].min())
-                hi = float(rec.channels[ch].max())
-                if key in bounds:
-                    lo = min(lo, bounds[key][0])
-                    hi = max(hi, bounds[key][1])
-                bounds[key] = (lo, hi)
-        calib = {
-            key: CalibrationRange(lo, hi if hi > lo else lo + 1.0)
-            for key, (lo, hi) in bounds.items()
-        }
-    return recordings, calib
+    return recordings, read_calibration(root / "calibration.csv")

@@ -105,8 +105,9 @@ def pca_fit(X: np.ndarray, n_components: int) -> np.ndarray:
 def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
     """``X`` as a float (n, n_features) matrix; a 1-D ``X`` is one row.
 
-    The one check of a public transform's input.  Model-internal stages take
-    the matrix their caller checked and convert nothing.
+    The check of a transform's input.  It runs again at each stage that
+    takes a matrix (``pca_transform``, ``knn_predict_batch``, each nested
+    ``kernel_apply``); on an already checked float matrix it copies nothing.
     """
     X = np.asarray(X, dtype=np.float64)
     shape = X.shape
@@ -436,11 +437,11 @@ def _expansion(spec: KernelSpec, B: np.ndarray, train_base: np.ndarray | None) -
 def kernel_apply(kernel: FittedKernel, X: np.ndarray) -> np.ndarray:
     """The kernel's features of each row of ``X``.
 
-    Checks ``X`` once against the kernel's input width; every stage then runs
-    on the checked matrix unchecked.  Their shapes are checked when a bundle
-    is built (:func:`kernel_output_width`).  Nested kernels are applied
-    through this function, so each is a span of its own when the name is
-    traced.
+    Checks ``X`` against the kernel's input width.  Nested kernels are
+    applied through this function, so each checks its input again (a poly
+    kernel's base, each concat child) and is a span of its own when the name
+    is traced.  The stages' array shapes are checked when a bundle is built
+    (:func:`kernel_output_width`).
     """
     X = as_rows(X, kernel.n_input_features)
     spec = kernel.spec

@@ -82,13 +82,12 @@ class GestureMark:
 class Recording:
     """Multi-channel capacitive time series with gesture annotations.
 
-    ``channels`` is a (5, n_frames) array; raw sensor units unless produced
-    by :func:`normalize`.
+    ``channels`` is a (5, n_frames) array sampled at :data:`SAMPLE_RATE_HZ`;
+    raw sensor units unless produced by :func:`normalize`.
     """
 
     user_id: str
     channels: np.ndarray
-    sample_rate_hz: float = SAMPLE_RATE_HZ
     gesture_marks: tuple[GestureMark, ...] = ()
 
     def __post_init__(self) -> None:
@@ -96,10 +95,6 @@ class Recording:
         object.__setattr__(self, "channels", ch)
         if ch.ndim != 2 or ch.shape[0] != N_CHANNELS or ch.shape[1] < 1:
             raise ValueError(f"channels must be (5, n>=1), got {ch.shape}")
-        if self.sample_rate_hz != SAMPLE_RATE_HZ:
-            raise ValueError(
-                f"sample_rate_hz is {self.sample_rate_hz!r}, windows need {SAMPLE_RATE_HZ} Hz"
-            )
         n = ch.shape[1]
         prev_end = -1
         for mark in sorted(self.gesture_marks, key=lambda m: m.start):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from capgest.classify import centroid_fit, centroid_predict_batch, centroid_score, knn_fit, knn_predict_batch, lda_fit
+from capgest.classify import binary_scores, centroid_fit, centroid_predict_batch, knn_fit, knn_predict_batch, lda_fit
 from capgest.config import PipelineConfig
 from capgest.corrector import select_threshold_zero_fp
 from capgest.embed import dataset_intrinsic_dimension, intrinsic_dimension, kernel_apply, kernel_fit, parse_kernel_spec, pca_fit
@@ -239,7 +239,7 @@ def test_criterion_9_classifier_geometry(record):
 
     cen = centroid_fit(X, y)
     queries = rng.normal(0, 2, (1000, d)) + (mu0 + mu1) / 2
-    scores = np.asarray(centroid_score(cen, queries, 1))
+    scores = binary_scores(cen, queries)
     preds = centroid_predict_batch(cen, queries)
     boundary_ok = bool(np.all((scores >= 0.5) == (preds == 1)))
 

@@ -10,7 +10,6 @@ from capgest.classify import (
     binary_scores,
     centroid_fit,
     centroid_predict_batch,
-    centroid_score,
     knn_fit,
     knn_predict_batch,
     lda_fit,
@@ -217,7 +216,7 @@ class TestBinaryScores:
         y = (X[:, 0] > 0).astype(int)
         lda, cen = lda_fit(X, y), centroid_fit(X, y)
         assert binary_scores(lda, X).tobytes() == lda_scores(lda, X).tobytes()
-        assert binary_scores(cen, X).tobytes() == centroid_score(cen, X, 1).tobytes()
+        assert binary_scores(cen, X).tobytes() == reference_centroid_score(cen, X, 1).tobytes()
         assert [binary_kind(lda), binary_kind(cen)] == ["lda", "centroid"]
 
 
@@ -235,35 +234,25 @@ class TestCentroid:
 
     def test_score_bounds_and_midpoint(self):
         model = centroid_fit(np.array([[-1.0], [1.0]]), np.array([0, 1]))
-        assert centroid_score(model, np.array([0.0]), 1) == pytest.approx(0.5)
-        assert centroid_score(model, np.array([1.0]), 1) == pytest.approx(1.0)
-        assert centroid_score(model, np.array([-1.0]), 1) == pytest.approx(0.0)
-        scores = centroid_score(model, RNG.normal(0, 3, (100, 1)), 1)
+        assert binary_scores(model, np.array([[0.0], [1.0], [-1.0]])) == pytest.approx(
+            [0.5, 1.0, 0.0]
+        )
+        scores = binary_scores(model, RNG.normal(0, 3, (100, 1)))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_identical_centroids_score_half(self):
         X = np.array([[2.0, 2.0], [2.0, 2.0]])
         model = centroid_fit(X, np.array([0, 1]))
-        assert centroid_score(model, np.array([2.0, 2.0]), 1) == pytest.approx(0.5)
+        assert binary_scores(model, np.array([[2.0, 2.0]]))[0] == pytest.approx(0.5)
 
-    def test_score_needs_two_classes(self):
-        model = centroid_fit(np.eye(3), np.array([0, 1, 2]))
-        with pytest.raises(EmptyModel):
-            centroid_score(model, np.zeros(3), 0)
-        two = centroid_fit(np.eye(2), np.array([0, 1]))
-        with pytest.raises(EmptyModel):
-            centroid_score(two, np.zeros(2), 5)
-
-    @pytest.mark.parametrize("positive_class", [3, 8])
-    def test_score_bitwise_equal_to_reference(self, positive_class):
+    def test_score_bitwise_equal_to_reference(self):
         for _ in range(50):
             d = int(RNG.integers(1, 6))
-            model = centroid_fit(RNG.normal(0, 1, (6, d)), np.array([3, 3, 3, 8, 8, 8]))
+            model = centroid_fit(RNG.normal(0, 1, (6, d)), np.array([0, 0, 0, 1, 1, 1]))
             Q = np.vstack([RNG.normal(0, 2, (20, d)), model.centroids])
-            got = centroid_score(model, Q, positive_class)
-            want = reference_centroid_score(model, Q, positive_class)
+            got = binary_scores(model, Q)
+            want = reference_centroid_score(model, Q, 1)
             assert got.tobytes() == want.tobytes()
-            assert centroid_score(model, Q[0], positive_class) == want[0]
 
     def test_score_bitwise_equal_at_zero_distance(self):
         # identical centroids give zero total distance at the centroid itself;
@@ -272,9 +261,8 @@ class TestCentroid:
         apart = centroid_fit(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([0, 1]))
         for model in (same, apart):
             Q = np.vstack([model.centroids, [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]])
-            for positive_class in (0, 1):
-                got = centroid_score(model, Q, positive_class)
-                want = reference_centroid_score(model, Q, positive_class)
-                assert got.tobytes() == want.tobytes()
-        assert centroid_score(same, np.array([1.0, 2.0]), 1) == 0.5
-        assert centroid_score(apart, np.array([3.0, 4.0]), 1) == 1.0
+            got = binary_scores(model, Q)
+            want = reference_centroid_score(model, Q, 1)
+            assert got.tobytes() == want.tobytes()
+        assert binary_scores(same, np.array([[1.0, 2.0]]))[0] == 0.5
+        assert binary_scores(apart, np.array([[3.0, 4.0]]))[0] == 1.0

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capgest
 from capgest import dataio
 from capgest.cli import main
 from capgest.signals import N_FEATURES, assemble_sliding
@@ -153,6 +158,16 @@ class TestExitCodes:
             main(["synth", "--out", str(tmp_path / "d"), "--none-ratio", "9"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_removed_split_seed_flag_is_1(self, tmp_path, command):
+        # the config's split_seed key is the one source of the split seed
+        args = ["--data", str(tmp_path)]
+        if command == "train":
+            args += ["--out", str(tmp_path / "m.capgest")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--split-seed", "1"])
+        assert exc.value.code == 1
+
     def test_removed_config_key_is_2(self, workspace, tmp_path, capsys):
         # the KNN references are always the validation partition
         cfg = tmp_path / "c.cfg"
@@ -295,3 +310,46 @@ class TestUnreadableFiles:
             code = main(["synth", "--out", str(out), "--users", "1", "--per-class", "1"])
             assert code == 2
             self.one_error_line(capsys, str(out))
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "bench"])
+    def test_dataset_without_calibration(self, workspace, tmp_path, capsys, command):
+        # the recordings alone do not give the calibration ranges
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "recordings").symlink_to(workspace["data"] / "recordings")
+        bundle = str(workspace["bundle"])
+        args = {
+            "train": ["--data", str(data), "--out", str(tmp_path / "m.capgest")],
+            "eval": ["--data", str(data), "--bundle", bundle],
+            "predict": ["--recordings", str(data), "--bundle", bundle],
+            "bench": ["--data", str(data), "--bundle", bundle],
+        }[command]
+        assert main([command, *args]) == 2
+        self.one_error_line(capsys, f"cannot read {data / 'calibration.csv'}")
+        assert not (tmp_path / "m.capgest").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "show-config"])
+def test_closed_stdout_exits_0_quietly(workspace, command):
+    """A reader that stops reading is not a failure.  The read end of the
+    pipe is closed before the first write, so every write fails (a
+    ``| head -1`` reader would race the writer).  stdout is block buffered:
+    predict's labels fill the buffer, so a print fails; show-config's text
+    fails at the final flush."""
+    args = {
+        "predict": ["--bundle", str(workspace["bundle"]), "--recordings", str(workspace["data"])],
+        "show-config": [],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(capgest.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "capgest.cli", command, *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")

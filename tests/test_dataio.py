@@ -24,7 +24,6 @@ def make_recording(user_id="u01", n_frames=30, marks=()):
     return Recording(
         user_id=user_id,
         channels=rng.uniform(300.0, 900.0, (5, n_frames)),
-        sample_rate_hz=40.0,
         gesture_marks=tuple(marks),
     )
 
@@ -37,7 +36,6 @@ class TestRoundTrips:
         dataio.write_marks(tmp_path / "r.marks.csv", rec.gesture_marks)
         back = dataio.read_recording(path)
         assert back.user_id == rec.user_id
-        assert back.sample_rate_hz == rec.sample_rate_hz
         assert np.array_equal(back.channels, rec.channels)  # repr() is lossless
         assert back.gesture_marks == rec.gesture_marks
 
@@ -81,17 +79,14 @@ class TestRoundTrips:
         assert {(r.user_id, r.n_frames, r.gesture_marks) for r in back_recs} == by_key
 
 
-class TestFallbackCalibration:
-    def test_merges_bounds_across_recordings(self, tmp_path):
-        lo = make_recording(n_frames=10)
-        hi = Recording(user_id="u01", channels=lo.channels + 500.0)
-        dataio.write_dataset(tmp_path, [lo, hi], {})
-        (tmp_path / "calibration.csv").unlink()
-        _, calib = dataio.read_dataset(tmp_path)
-        for ch in range(5):
-            rng = calib["u01", ch]
-            assert rng.min_raw == lo.channels[ch].min()
-            assert rng.max_raw == hi.channels[ch].max()
+class TestMissingCalibration:
+    def test_directory_without_calibration_is_a_format_error(self, tmp_path):
+        # the ranges come from calibration.csv only, never from the recordings
+        dataio.write_dataset(tmp_path, [make_recording()], {})
+        path = tmp_path / "calibration.csv"
+        path.unlink()
+        with pytest.raises(FileFormatError, match=re.escape(f"cannot read {path}: ")):
+            dataio.read_dataset(tmp_path)
 
 
 class TestFormatErrors:
