@@ -3,8 +3,10 @@
 Subcommands: synth, train, eval, cv, bench, predict, inspect.
 Exit codes: 0 success (also when the reader closes stdout early), 1 usage
 error, 2 data error (an unreadable or malformed input file, a dataset
-directory without ``calibration.csv``, or an output path that cannot be
-written), 3 budget violation.
+directory without ``calibration.csv``, a recording without its marks file,
+or an output path that cannot be written), 3 budget violation.  A command
+returns nothing or raises a CapgestError; :func:`main` alone turns that
+into an exit code and one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import dataio
 from .config import PipelineConfig, format_config, load_config
 from .corrector import audit_records, format_audit
-from .errors import BudgetError, CapgestError, DataError
+from .errors import BudgetError, CapgestError, FileFormatError
 from .pipeline import (
     bench_latency,
     cross_validate,
@@ -32,6 +34,7 @@ from .pipeline import (
 )
 from .signals import (
     N_FEATURES,
+    PARTITION_NAMES,
     GestureLabel,
     assemble_sliding,
     feature_matrix,
@@ -76,7 +79,7 @@ def _config_from_args(args) -> PipelineConfig:
     return load_config(Path(args.config)) if args.config else PipelineConfig()
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     gen = GenConfig(
         n_users=args.users,
         gestures_per_user_per_class=args.per_class,
@@ -84,15 +87,11 @@ def cmd_synth(args) -> int:
     )
     recordings, calib = gen_dataset(gen)
     out = Path(args.out)
-    try:
-        dataio.write_dataset(out, recordings, calib)
-    except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc}") from None
+    dataio.write_dataset(out, recordings, calib)
     print(f"wrote {len(recordings)} recordings for {gen.n_users} users to {out}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = _config_from_args(args)
     samples = _load_samples(Path(args.data))
     split = split_by_user(
@@ -102,18 +101,14 @@ def cmd_train(args) -> int:
         pinned_hold=config.pinned_hold,
     )
     bundle = train_pipeline(config, split)
-    try:
-        size = save_bundle(bundle, Path(args.out))
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from None
+    size = save_bundle(bundle, Path(args.out))
     print(
         f"trained bundle: {len(bundle.discovered_group_ids)} error groups, "
         f"{len(bundle.correctors)} correctors, {size} bytes -> {args.out}"
     )
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     samples = _load_samples(Path(args.data))
     split = split_by_user(
@@ -128,10 +123,9 @@ def cmd_eval(args) -> int:
     else:
         print(f"split: {args.split}")
         print(report.format_text(), end="")
-    return EXIT_OK
 
 
-def cmd_cv(args) -> int:
+def cmd_cv(args) -> None:
     config = _config_from_args(args)
     samples = _load_samples(Path(args.data))
     summary = cross_validate(config, samples, n_combos=args.combos)
@@ -145,44 +139,37 @@ def cmd_cv(args) -> int:
                     f"{name:>10} {path:>9}: mean {stats['mean']:.4f} "
                     f"std {stats['std']:.4f} min {stats['min']:.4f} max {stats['max']:.4f}"
                 )
-    return EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     samples = _load_samples(Path(args.data))
     stats = bench_latency(bundle, feature_matrix(samples))
     for key, value in stats.items():
         print(f"{key}: {value}")
     if stats.get("n_timed", 0) and stats["p95_ms"] >= args.budget_ms:
-        print(
-            f"budget violation: p95 {stats['p95_ms']:.3f} ms >= {args.budget_ms} ms",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    return EXIT_OK
+        raise BudgetError(f"p95 {stats['p95_ms']:.3f} ms >= {args.budget_ms} ms")
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     if args.features:
+        path = Path(args.features)
         rows = []
-        lines = dataio.read_text(Path(args.features)).splitlines()
-        for number, line in enumerate(lines, 1):
+        for number, line in enumerate(dataio.read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
                 values = [float(p) for p in line.split(",")]
             except ValueError:
-                print(f"line {number}: feature values must be numbers", file=sys.stderr)
-                return EXIT_DATA
+                raise FileFormatError(
+                    f"{path}: line {number}: feature values must be numbers"
+                ) from None
             if len(values) != N_FEATURES:
-                print(
-                    f"line {number}: expected {N_FEATURES} features, got {len(values)}",
-                    file=sys.stderr,
+                raise FileFormatError(
+                    f"{path}: line {number}: expected {N_FEATURES} features, got {len(values)}"
                 )
-                return EXIT_DATA
             rows.append(values)
         # (0, N_FEATURES) when every line is a comment or blank
         preds = bundle.predict_batch(np.array(rows, dtype=float).reshape(len(rows), N_FEATURES))
@@ -191,17 +178,15 @@ def cmd_predict(args) -> int:
         preds = bundle.predict_batch(feature_matrix(samples))
     for p in preds:
         print(GestureLabel(int(p)).text)
-    return EXIT_OK
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     records = audit_records(bundle.correctors)
     if args.json:
         print(json.dumps(records, sort_keys=True))
     else:
         print(format_audit(records), end="")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a bundle on a dataset split")
     add_common(p, bundle=True)
     p.add_argument(
-        "--split", choices=("train", "validation", "test", "hold"), default="test",
+        "--split", choices=PARTITION_NAMES, default="test",
         help="partition to evaluate (default test)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -272,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("show-config", help="print the default config file")
-    p.set_defaults(func=lambda args: (print(format_config(PipelineConfig()), end=""), EXIT_OK)[1])
+    p.set_defaults(func=lambda args: print(format_config(PipelineConfig()), end=""))
 
     return parser
 
@@ -281,20 +266,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
-        return code
     except BrokenPipeError:
         # the reader stopped reading (``capgest predict ... | head``): that
         # is not a failure; stdout goes to devnull so the exit flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except BudgetError as exc:
         print(f"budget violation: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CapgestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

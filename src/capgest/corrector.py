@@ -10,7 +10,6 @@ gates several, a group classifier routes the sample to one of them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,20 +64,14 @@ class ErrorGroup:
 def discover_groups(
     truths: np.ndarray, base_preds: np.ndarray, min_support: int = 10
 ) -> list[ErrorGroup]:
-    """All confusion patterns with at least ``min_support`` occurrences."""
-    truths = np.asarray(truths)
-    base_preds = np.asarray(base_preds)
+    """All confusion patterns that occur at least ``min_support`` times
+    (at least once where ``min_support`` <= 1), in ascending group id."""
+    truths = np.asarray(truths, dtype=np.int64)
+    base_preds = np.asarray(base_preds, dtype=np.int64)
     if len(truths) != len(base_preds):
         raise ValueError("truths and base_preds must have equal length")
-    counts = Counter(
-        (int(t), int(p)) for t, p in zip(truths, base_preds) if t != p
-    )
-    groups = [
-        ErrorGroup(GestureLabel(t), GestureLabel(p))
-        for (t, p), c in counts.items()
-        if c >= min_support
-    ]
-    return sorted(groups, key=lambda g: g.group_id)
+    counts = np.bincount((N_LABELS * truths + base_preds)[truths != base_preds])
+    return [ErrorGroup.from_id(int(g)) for g in np.flatnonzero(counts >= max(min_support, 1))]
 
 
 def select_threshold_zero_fp(

@@ -8,7 +8,7 @@ Three file kinds, all with a ``# capgest-<kind> v1`` first line:
 * marks: one row per annotation: ``start,end,label`` (inclusive frame span).
 * calibration: one row per (user, channel): ``user_id,channel,min_raw,max_raw``.
 
-A recording ``<stem>.csv`` pairs with its annotation file ``<stem>.marks.csv``
+A recording ``<stem>.csv`` needs its annotation file ``<stem>.marks.csv``
 in the same directory; a dataset directory holds ``recordings/`` plus a
 top-level ``calibration.csv``, the one source of its calibration ranges.
 """
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import DataError, FileFormatError
 from .signals import (
     CHANNEL_NAMES,
     N_CHANNELS,
@@ -100,7 +100,8 @@ def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
 
 
 def read_recording(path: Path) -> Recording:
-    """Read ``<stem>.csv`` and, where it exists, its ``<stem>.marks.csv``."""
+    """Read ``<stem>.csv`` and its ``<stem>.marks.csv``; a missing marks file
+    raises FileFormatError naming its path."""
     lines = _read_lines(path, RECORDING_MAGIC)
     if len(lines) < 3:
         raise FileFormatError(f"{path}: truncated recording file")
@@ -111,8 +112,7 @@ def read_recording(path: Path) -> Recording:
     if "user_id" not in header or "sample_rate_hz" not in header:
         raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
     frames = _parse_frames(path, lines[3:])  # skip column header line
-    marks_path = path.with_suffix("").with_suffix(".marks.csv")
-    marks = tuple(read_marks(marks_path)) if marks_path.exists() else ()
+    marks = tuple(read_marks(path.with_suffix("").with_suffix(".marks.csv")))
     try:
         rate = float(header["sample_rate_hz"])
         if rate != SAMPLE_RATE_HZ:
@@ -172,17 +172,23 @@ def write_dataset(
     recordings: Sequence[Recording],
     calib: Mapping[tuple[str, int], CalibrationRange],
 ) -> None:
-    """Write a dataset directory: recordings/ + calibration.csv."""
+    """Write a dataset directory: recordings/ + calibration.csv.
+
+    A directory that cannot be written raises DataError.
+    """
     rec_dir = root / "recordings"
-    rec_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}
-    for rec in recordings:
-        idx = counters.get(rec.user_id, 0)
-        counters[rec.user_id] = idx + 1
-        stem = f"{rec.user_id}_r{idx:04d}"
-        write_recording(rec_dir / f"{stem}.csv", rec)
-        write_marks(rec_dir / f"{stem}.marks.csv", rec.gesture_marks)
-    write_calibration(root / "calibration.csv", calib)
+    try:
+        rec_dir.mkdir(parents=True, exist_ok=True)
+        for rec in recordings:
+            idx = counters.get(rec.user_id, 0)
+            counters[rec.user_id] = idx + 1
+            stem = f"{rec.user_id}_r{idx:04d}"
+            write_recording(rec_dir / f"{stem}.csv", rec)
+            write_marks(rec_dir / f"{stem}.marks.csv", rec.gesture_marks)
+        write_calibration(root / "calibration.csv", calib)
+    except OSError as exc:
+        raise DataError(f"cannot write {root}: {exc}") from None
 
 
 def read_dataset(

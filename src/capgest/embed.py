@@ -185,6 +185,15 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Kernel specifications
 # ---------------------------------------------------------------------------
 
+# each kind's parameters in encoding order, with their inclusive ranges;
+# concat has two child specs instead
+_KIND_PARAMS = {
+    "pca": {"n_pc": (3, 100)},
+    "poly": {"n_pc": (2, 20), "n_poly": (2, 7)},
+    "knn": {"n_pc": (2, 100), "k_nn": (2, 300)},
+}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Unfitted description of a feature construction.
@@ -200,35 +209,23 @@ class KernelSpec:
     children: tuple["KernelSpec", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "pca":
-            if not 3 <= self.n_pc <= 100:
-                raise ParamOutOfRange(f"pca kernel needs 3 <= n_pc <= 100, got {self.n_pc}")
-        elif self.kind == "poly":
-            if not 2 <= self.n_pc <= 20:
-                raise ParamOutOfRange(f"poly kernel needs 2 <= n_pc <= 20, got {self.n_pc}")
-            if not 2 <= self.n_poly <= 7:
-                raise ParamOutOfRange(
-                    f"poly kernel needs 2 <= n_poly <= 7, got {self.n_poly}"
-                )
-        elif self.kind == "knn":
-            if not 2 <= self.n_pc <= 100:
-                raise ParamOutOfRange(f"knn kernel needs 2 <= n_pc <= 100, got {self.n_pc}")
-            if not 2 <= self.k_nn <= 300:
-                raise ParamOutOfRange(f"knn kernel needs 2 <= k_nn <= 300, got {self.k_nn}")
-        elif self.kind == "concat":
+        if self.kind == "concat":
             if len(self.children) != 2:
                 raise ParamOutOfRange("concat kernel needs exactly 2 children")
-        else:
+            return
+        if self.kind not in _KIND_PARAMS:
             raise ParamOutOfRange(f"unknown kernel kind {self.kind!r}")
+        for name, (lo, hi) in _KIND_PARAMS[self.kind].items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ParamOutOfRange(
+                    f"{self.kind} kernel needs {lo} <= {name} <= {hi}, got {value}"
+                )
 
     def encode(self) -> str:
-        if self.kind == "pca":
-            return f"pca:{self.n_pc}"
-        if self.kind == "poly":
-            return f"poly:{self.n_pc}:{self.n_poly}"
-        if self.kind == "knn":
-            return f"knn:{self.n_pc}:{self.k_nn}"
-        return f"concat({self.children[0].encode()},{self.children[1].encode()})"
+        if self.kind == "concat":
+            return f"concat({self.children[0].encode()},{self.children[1].encode()})"
+        return ":".join([self.kind, *(str(getattr(self, n)) for n in _KIND_PARAMS[self.kind])])
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
@@ -249,14 +246,11 @@ def parse_kernel_spec(text: str) -> KernelSpec:
                     children=(parse_kernel_spec(left), parse_kernel_spec(right)),
                 )
         raise ParamOutOfRange(f"cannot parse concat kernel {text!r}")
-    parts = text.split(":")
+    kind, *values = text.split(":")
+    names = _KIND_PARAMS.get(kind, ())
     try:
-        if parts[0] == "pca" and len(parts) == 2:
-            return KernelSpec(kind="pca", n_pc=int(parts[1]))
-        if parts[0] == "poly" and len(parts) == 3:
-            return KernelSpec(kind="poly", n_pc=int(parts[1]), n_poly=int(parts[2]))
-        if parts[0] == "knn" and len(parts) == 3:
-            return KernelSpec(kind="knn", n_pc=int(parts[1]), k_nn=int(parts[2]))
+        if names and len(values) == len(names):
+            return KernelSpec(kind=kind, **dict(zip(names, map(int, values))))
     except ValueError as exc:
         raise ParamOutOfRange(f"cannot parse kernel spec {text!r}") from exc
     raise ParamOutOfRange(f"cannot parse kernel spec {text!r}")
@@ -406,7 +400,8 @@ def _fit(spec: KernelSpec, X_train: np.ndarray, memo: dict) -> FittedKernel:
             raise ParamOutOfRange(
                 f"knn kernel needs k_nn < n_train ({spec.k_nn} >= {X_train.shape[0]})"
             )
-        base = kernel_fit(KernelSpec(kind="pca", n_pc=max(spec.n_pc, 3)), X_train, memo)
+        n_base = max(spec.n_pc, _KIND_PARAMS["pca"]["n_pc"][0])
+        base = kernel_fit(KernelSpec(kind="pca", n_pc=n_base), X_train, memo)
         B = kernel_apply(base, X_train)
         if spec.kind == "knn":
             train_base = B[:, : spec.n_pc]

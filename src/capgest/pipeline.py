@@ -30,6 +30,7 @@ from .classify import (
 )
 from .config import PipelineConfig
 from .corrector import (
+    N_LABELS,
     Corrector,
     ErrorGroup,
     GroupClassifier,
@@ -55,6 +56,7 @@ from .embed import (
 )
 from .errors import (
     CorruptFile,
+    DataError,
     DimensionMismatch,
     EmptyEvalSet,
     EmptySplit,
@@ -63,6 +65,7 @@ from .errors import (
     VersionMismatch,
 )
 from .signals import (
+    PARTITION_NAMES,
     DatasetSplit,
     GestureLabel,
     Sample,
@@ -74,7 +77,6 @@ from .signals import (
 BUNDLE_MAGIC = b"CGMB"
 BUNDLE_FORMAT_VERSION = 9
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
-N_LABELS = len(GestureLabel)
 _LABEL_VALUES = [int(label) for label in GestureLabel]
 
 
@@ -437,8 +439,7 @@ def cross_validate(
         users = sorted({s.user_id for s in samples})
         pinned = tuple(users[-config.user_counts[3] :])
     accs: dict[str, dict[str, list[float]]] = {
-        name: {"base": [], "corrected": []}
-        for name in ("train", "validation", "test", "hold")
+        name: {"base": [], "corrected": []} for name in PARTITION_NAMES
     }
     for combo in range(n_combos):
         split = split_by_user(
@@ -598,13 +599,19 @@ def _read_arrays(payload: bytes, table, offset: int) -> list[np.ndarray]:
 
 
 def save_bundle(bundle: ModelBundle, path: Path) -> int:
-    """Write the versioned container; refuses to exceed the 5 MB budget."""
+    """Write the versioned container; refuses to exceed the 5 MB budget.
+
+    A path that cannot be written raises DataError.
+    """
     blob = serialize_bundle(bundle)
     if len(blob) >= BUNDLE_SIZE_BUDGET:
         raise OversizeBundle(
             f"bundle is {len(blob)} bytes, budget is {BUNDLE_SIZE_BUDGET}"
         )
-    Path(path).write_bytes(blob)
+    try:
+        Path(path).write_bytes(blob)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
     return len(blob)
 
 

@@ -49,21 +49,13 @@ class GestureLabel(IntEnum):
 
     @property
     def text(self) -> str:
-        return _LABEL_TEXT[self]
+        return self.name.lower()
 
     @classmethod
     def from_text(cls, text: str) -> "GestureLabel":
-        return _TEXT_LABEL[text.strip().lower()]
+        """The label named ``text``, in any case; an unknown name is a KeyError."""
+        return cls[text.strip().upper()]
 
-
-_LABEL_TEXT = {
-    GestureLabel.INDEX_BEND: "index_bend",
-    GestureLabel.SHOOT: "shoot",
-    GestureLabel.FLICK_INDEX: "flick_index",
-    GestureLabel.FLICK_MIDDLE: "flick_middle",
-    GestureLabel.NONE: "none",
-}
-_TEXT_LABEL = {v: k for k, v in _LABEL_TEXT.items()}
 
 @dataclass(frozen=True)
 class GestureMark:
@@ -226,24 +218,16 @@ def split_by_user(
     test = pool[n_train + n_val : n_train + n_val + n_test]
     train += pool[n_train + n_val + n_test :]  # extras beyond 15 users
 
-    assignment: dict[str, str] = {}
-    for name, members in (
-        ("train", train),
-        ("validation", validation),
-        ("test", test),
-        ("hold", hold),
-    ):
-        for u in members:
-            assignment[u] = name
-
+    assignment = {
+        u: name
+        for name, members in zip(PARTITION_NAMES, (train, validation, test, hold))
+        for u in members
+    }
     buckets: dict[str, list[Sample]] = {name: [] for name in PARTITION_NAMES}
     for s in samples:
         buckets[assignment[s.user_id]].append(s)
     return DatasetSplit(
-        train=tuple(buckets["train"]),
-        validation=tuple(buckets["validation"]),
-        test=tuple(buckets["test"]),
-        hold=tuple(buckets["hold"]),
+        **{name: tuple(bucket) for name, bucket in buckets.items()},
         user_assignment=assignment,
     )
 

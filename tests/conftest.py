@@ -37,6 +37,12 @@ def record():
     return _record
 
 
+@pytest.fixture
+def summary_line():
+    """Log one line beside the criteria lines, without asserting."""
+    return ACCEPTANCE_LINES.append
+
+
 @pytest.fixture(scope="session")
 def small_samples():
     samples, _ = build_sliding_dataset(SMALL_GEN)

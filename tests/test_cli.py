@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,6 +65,10 @@ class TestHappyPaths:
              str(workspace["bundle"]), "--budget-ms", "0.0000001"]
         )
         assert code == 3
+        # main prints the violation, once, and nothing else on stderr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert re.fullmatch(r"budget violation: p95 \d+\.\d{3} ms >= 1e-07 ms", err[0]), err
 
     def test_predict_from_features(self, workspace, tmp_path, capsys):
         path = tmp_path / "f.csv"
@@ -238,15 +243,19 @@ class TestExitCodes:
         assert main(
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
-        assert "line 2" in capsys.readouterr().err
+        TestUnreadableFiles.one_error_line(
+            capsys, f"{path}: line 2: feature values must be numbers"
+        )
 
     def test_bad_feature_width_is_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("0.1,0.2,0.3\n", encoding="utf-8")
+        path.write_text("0.1,0.2\n", encoding="utf-8")
         assert main(
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
-        assert "line 1: expected 100 features, got 3" in capsys.readouterr().err
+        TestUnreadableFiles.one_error_line(
+            capsys, f"{path}: line 1: expected 100 features, got 2"
+        )
 
 
 class TestUnreadableFiles:
@@ -326,6 +335,25 @@ class TestUnreadableFiles:
         }[command]
         assert main([command, *args]) == 2
         self.one_error_line(capsys, f"cannot read {data / 'calibration.csv'}")
+        assert not (tmp_path / "m.capgest").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv", "predict", "bench"])
+    def test_recording_without_marks(self, workspace, tmp_path, capsys, command):
+        # the marks file is the one source of a recording's labels
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        marks = data / "recordings" / "u01_r0000.marks.csv"
+        marks.unlink()
+        bundle = str(workspace["bundle"])
+        args = {
+            "train": ["--data", str(data), "--out", str(tmp_path / "m.capgest")],
+            "eval": ["--data", str(data), "--bundle", bundle],
+            "cv": ["--data", str(data), "--combos", "1"],
+            "predict": ["--recordings", str(data), "--bundle", bundle],
+            "bench": ["--data", str(data), "--bundle", bundle],
+        }[command]
+        assert main([command, *args]) == 2
+        self.one_error_line(capsys, f"cannot read {marks}")
         assert not (tmp_path / "m.capgest").exists()
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,6 +53,33 @@ class TestDiscovery:
     def test_correct_predictions_ignored(self):
         truths = preds = np.zeros(100, dtype=int)
         assert discover_groups(truths, preds, min_support=1) == []
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=200),
+        min_support=st.sampled_from([-1, 0, 1, 2, 3, 10]),
+        skew=st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_counter_oracle(self, pairs, min_support, skew):
+        # a skewed share of the pairs makes some groups frequent
+        pairs = pairs + [(skew, (skew + 1) % 5)] * (len(pairs) // 2)
+        truths = np.array([t for t, _ in pairs], dtype=np.int64)
+        preds = np.array([p for _, p in pairs], dtype=np.int64)
+        want = reference_discover_groups(truths, preds, min_support)
+        assert discover_groups(truths, preds, min_support) == want
+
+
+def reference_discover_groups(truths, base_preds, min_support):
+    """The former ``Counter`` body of ``discover_groups``, kept as the oracle."""
+    counts = Counter(
+        (int(t), int(p)) for t, p in zip(truths, base_preds) if t != p
+    )
+    groups = [
+        ErrorGroup(GestureLabel(t), GestureLabel(p))
+        for (t, p), c in counts.items()
+        if c >= min_support
+    ]
+    return sorted(groups, key=lambda g: g.group_id)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from capgest import dataio
 from capgest.cli import main
 from capgest.config import load_config
-from capgest.errors import FileFormatError
+from capgest.errors import DataError, FileFormatError
 from capgest.signals import (
     CalibrationRange,
     GestureLabel,
@@ -68,6 +68,13 @@ class TestRoundTrips:
                 f"{u},{ch},{100.0 + ch!r},900.5" for u, ch in sorted(keys)
             ]
 
+    def test_unwritable_directory_is_a_data_error(self, tmp_path):
+        # a file where the dataset directory should go, and a path below a file
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for root in (tmp_path / "file", tmp_path / "file" / "d"):
+            with pytest.raises(DataError, match=re.escape(f"cannot write {root}: ")):
+                dataio.write_dataset(root, [make_recording()], {})
+
     def test_dataset_directory(self, tmp_path):
         config = GenConfig(n_users=2, gestures_per_user_per_class=1, none_recordings_per_user=1)
         recordings, calib = gen_dataset(config)
@@ -110,6 +117,7 @@ class TestFormatErrors:
     def test_sample_rate_other_than_40_hz(self, tmp_path):
         path = tmp_path / "r.csv"
         dataio.write_recording(path, make_recording())
+        dataio.write_marks(tmp_path / "r.marks.csv", ())
         path.write_text(
             path.read_text(encoding="utf-8").replace("sample_rate_hz,40.0", "sample_rate_hz,100.0"),
             encoding="utf-8",
@@ -117,6 +125,29 @@ class TestFormatErrors:
         with pytest.raises(FileFormatError, match="sample_rate_hz is 100.0") as exc:
             dataio.read_recording(path)
         assert str(path) in str(exc.value)
+
+    def test_missing_marks_file(self, tmp_path):
+        # the marks file is the one source of a recording's labels: without
+        # it, every window would silently become a NONE window
+        path = tmp_path / "r.csv"
+        dataio.write_recording(path, make_recording())
+        marks = tmp_path / "r.marks.csv"
+        with pytest.raises(FileFormatError, match=re.escape(f"cannot read {marks}: ")):
+            dataio.read_recording(path)
+
+    def test_errors_checked_frames_then_marks_then_rate(self, tmp_path):
+        path = tmp_path / "r.csv"
+        dataio.write_recording(path, make_recording())
+        text = path.read_text(encoding="utf-8").replace("sample_rate_hz,40.0", "sample_rate_hz,9.0")
+        path.write_text(text + "30,1,2\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="bad frame row"):
+            dataio.read_recording(path)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError, match="r.marks.csv"):
+            dataio.read_recording(path)
+        dataio.write_marks(tmp_path / "r.marks.csv", ())
+        with pytest.raises(FileFormatError, match="sample_rate_hz is 9.0"):
+            dataio.read_recording(path)
 
     def test_bad_mark_label(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -187,6 +218,8 @@ def _write_body(path, rows):
     header = "# capgest-recording v1\nuser_id,u01\nsample_rate_hz,40.0\n"
     path.write_text(header + "frame,thumb,index,middle,ring,pinky\n" + "\n".join(rows) + "\n",
                     encoding="utf-8")
+    # an empty marks file, as write_dataset writes for a NONE recording
+    dataio.write_marks(path.with_name(path.stem + ".marks.csv"), ())
 
 
 class TestReaderOracle:

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,6 +183,65 @@ class TestKernelSpec:
     def test_rejects_out_of_range_and_garbage(self, text):
         with pytest.raises(ParamOutOfRange):
             parse_kernel_spec(text)
+
+    def test_default_and_criterion_7_specs_round_trip(self):
+        config = PipelineConfig()
+        for text in (config.group_kernel, *config.corrector_kernels, *WHITEN_GRID):
+            assert parse_kernel_spec(text).encode() == text
+
+    @pytest.mark.parametrize(
+        "kind, name, lo, hi",
+        [("pca", "n_pc", 3, 100), ("poly", "n_pc", 2, 20), ("poly", "n_poly", 2, 7),
+         ("knn", "n_pc", 2, 100), ("knn", "k_nn", 2, 300)],
+    )
+    def test_range_messages_equal_the_former_checks(self, kind, name, lo, hi):
+        for value in (lo - 1, lo, hi, hi + 1):
+            fields = {"kind": kind, "n_pc": 5, "n_poly": 3, "k_nn": 10, "children": (), name: value}
+            try:
+                reference_post_init(SimpleNamespace(**fields))
+                want = None
+            except ParamOutOfRange as exc:
+                want = str(exc)
+            try:
+                spec = KernelSpec(**fields)
+                got = None
+            except ParamOutOfRange as exc:
+                got = str(exc)
+            assert got == want and (want is None) == (lo <= value <= hi)
+            if got is None:
+                assert parse_kernel_spec(spec.encode()).encode() == spec.encode()
+
+    def test_other_messages_equal_the_former_checks(self):
+        for fields in ({"kind": "wave"}, {"kind": "concat"}, {"kind": "concat", "children": (1,)}):
+            fields = {"n_pc": 0, "n_poly": 0, "k_nn": 0, "children": (), **fields}
+            with pytest.raises(ParamOutOfRange) as want:
+                reference_post_init(SimpleNamespace(**fields))
+            with pytest.raises(ParamOutOfRange, match=f"^{re.escape(str(want.value))}$"):
+                KernelSpec(**fields)
+
+
+def reference_post_init(self):
+    """The former body of ``KernelSpec.__post_init__``, kept as the oracle."""
+    if self.kind == "pca":
+        if not 3 <= self.n_pc <= 100:
+            raise ParamOutOfRange(f"pca kernel needs 3 <= n_pc <= 100, got {self.n_pc}")
+    elif self.kind == "poly":
+        if not 2 <= self.n_pc <= 20:
+            raise ParamOutOfRange(f"poly kernel needs 2 <= n_pc <= 20, got {self.n_pc}")
+        if not 2 <= self.n_poly <= 7:
+            raise ParamOutOfRange(
+                f"poly kernel needs 2 <= n_poly <= 7, got {self.n_poly}"
+            )
+    elif self.kind == "knn":
+        if not 2 <= self.n_pc <= 100:
+            raise ParamOutOfRange(f"knn kernel needs 2 <= n_pc <= 100, got {self.n_pc}")
+        if not 2 <= self.k_nn <= 300:
+            raise ParamOutOfRange(f"knn kernel needs 2 <= k_nn <= 300, got {self.k_nn}")
+    elif self.kind == "concat":
+        if len(self.children) != 2:
+            raise ParamOutOfRange("concat kernel needs exactly 2 children")
+    else:
+        raise ParamOutOfRange(f"unknown kernel kind {self.kind!r}")
 
 
 def small_train(n=300, d=100):

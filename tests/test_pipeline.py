@@ -936,6 +936,13 @@ class TestPersistence:
         assert loaded.config == small_bundle.config
         assert loaded.discovered_group_ids == small_bundle.discovered_group_ids
 
+    def test_unwritable_path_is_a_data_error(self, small_bundle, tmp_path):
+        # a directory where the bundle file should go, and a path below a file
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for path in (tmp_path, tmp_path / "file" / "m.capgest"):
+            with pytest.raises(DataError, match=re.escape(f"cannot write {path}: ")):
+                save_bundle(small_bundle, path)
+
     def test_knn_derived_fields_rebuilt_not_serialized(self, small_bundle, default_bundle, tmp_path):
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)

@@ -47,6 +47,16 @@ class TestLabels:
         for label in GestureLabel:
             assert GestureLabel.from_text(label.text) is label
 
+    def test_texts_and_parsing(self):
+        # the names that marks files and predict output have always used
+        assert [label.text for label in GestureLabel] == [
+            "index_bend", "shoot", "flick_index", "flick_middle", "none"
+        ]
+        assert GestureLabel.from_text(" Flick_Middle\n") is GestureLabel.FLICK_MIDDLE
+        for text in ("waggle", "", "text"):
+            with pytest.raises(KeyError):
+                GestureLabel.from_text(text)
+
     def test_fixed_order(self):
         assert [int(l) for l in GestureLabel] == [0, 1, 2, 3, 4]
 
