@@ -112,7 +112,7 @@ def read_recording(path: Path) -> Recording:
     if "user_id" not in header or "sample_rate_hz" not in header:
         raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
     frames = _parse_frames(path, lines[3:])  # skip column header line
-    marks = tuple(read_marks(path.with_suffix("").with_suffix(".marks.csv")))
+    marks = tuple(read_marks(path.with_suffix(".marks.csv")))
     try:
         rate = float(header["sample_rate_hz"])
         if rate != SAMPLE_RATE_HZ:

@@ -86,6 +86,15 @@ class TestRoundTrips:
         assert {(r.user_id, r.n_frames, r.gesture_marks) for r in back_recs} == by_key
 
 
+    def test_dotted_user_id(self, tmp_path):
+        # the marks file is the recording's own name with .marks.csv for
+        # .csv, so a dot in the stem does not point at another file
+        rec = make_recording("u.1", marks=(GestureMark(5, 20, GestureLabel.SHOOT),))
+        dataio.write_dataset(tmp_path, [rec], {})
+        (back,), _ = dataio.read_dataset(tmp_path)
+        assert back.gesture_marks == rec.gesture_marks
+
+
 class TestMissingCalibration:
     def test_directory_without_calibration_is_a_format_error(self, tmp_path):
         # the ranges come from calibration.csv only, never from the recordings
