@@ -19,7 +19,6 @@ from .classify import (
     BINARY_FITS,
     CentroidModel,
     LdaModel,
-    _centroid_distances,
     binary_kind,
     binary_scores,
     centroid_fit,
@@ -140,7 +139,10 @@ class GroupClassifier:
     """Routes a sample whose base label gates several error groups to one of them.
 
     A nearest-centroid classifier over the group kernel's features, one
-    centroid per discovered group id.
+    centroid per discovered group id.  The kernel is a ``pca`` stage, an
+    affine map, so the routing table folds it and each base label's
+    centroids into one matrix and offset (:meth:`fold`), and routing is one
+    matrix product.
     """
 
     kernel: FittedKernel
@@ -150,13 +152,28 @@ class GroupClassifier:
     def group_ids(self) -> tuple[int, ...]:
         return tuple(self.centroid.classes.tolist())
 
-    def assign(self, features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """Row of the nearest of ``centroids`` for each raw feature row.
+    def fold(self, group_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The (n_features, g) matrix and the g offsets whose scores
+        ``x @ matrix + offsets`` rank ``group_ids`` as the distances from x's
+        kernel features to their centroids do.
 
-        ``centroids`` are rows of this classifier's centroid matrix, in group
-        id order, so a distance tie goes to the smaller group id.
+        The kernel is affine, z = x @ M - o, so |z - c|^2 is
+        x @ (-2 M c) + (2 o.c + |c|^2) plus |z|^2, which is the same for
+        every c.  A centroid equal to an earlier one gets an infinite offset:
+        it never wins, as it never wins the distance tie.
         """
-        return _centroid_distances(centroids, kernel_apply(self.kernel, features)).argmin(axis=1)
+        C = self.centroid.centroids[np.searchsorted(self.centroid.classes, group_ids)]
+        offsets = 2.0 * (C @ self.kernel.offset) + np.einsum("ij,ij->i", C, C)
+        offsets[[(C[:i] == c).all(axis=1).any() for i, c in enumerate(C)]] = np.inf
+        return -2.0 * (self.kernel.matrix @ C.T), offsets
+
+    def assign(self, features: np.ndarray, fold: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Index of the nearest group of a :meth:`fold` for each raw feature
+        row; a tie goes to the smaller group id."""
+        matrix, offsets = fold
+        scores = features @ matrix
+        scores += offsets
+        return scores.argmin(axis=1)
 
 
 def train_group_classifier(
@@ -262,9 +279,9 @@ def train_corrector(
 class Route:
     """How the cascade treats the samples of one base label."""
 
-    group_ids: tuple[int, ...]                 # discovered ids predicting this label, sorted
-    centroids: np.ndarray | None               # router centroid row per id; None for one id
-    correctors: tuple[Corrector | None, ...]   # corrector per id, or None
+    group_ids: tuple[int, ...]                     # discovered ids predicting this label, sorted
+    router: tuple[np.ndarray, np.ndarray] | None   # the router's fold over the ids; None for one id
+    correctors: tuple[Corrector | None, ...]       # corrector per id, or None
 
 
 def build_routing_table(
@@ -286,11 +303,8 @@ def build_routing_table(
         routed = tuple(by_id.get(g) for g in ids)
         if not any(c is not None for c in routed):
             continue
-        centroids = None
-        if len(ids) > 1:
-            model = group_classifier.centroid
-            centroids = model.centroids[np.searchsorted(model.classes, ids)]
-        routes[label] = Route(ids, centroids, routed)
+        router = group_classifier.fold(ids) if len(ids) > 1 else None
+        routes[label] = Route(ids, router, routed)
     return routes
 
 
@@ -386,7 +400,7 @@ def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
             return
         pick = 0
         if len(route.group_ids) > 1:
-            pick = int(bundle.group_classifier.assign(features, route.centroids)[0])
+            pick = int(bundle.group_classifier.assign(features, route.router)[0])
         if route.correctors[pick] is not None:
             yield route.correctors[pick], None
         return
@@ -399,7 +413,7 @@ def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
         if len(route.group_ids) == 1:
             picks = np.zeros(len(rows), dtype=np.int64)
         else:
-            picks = bundle.group_classifier.assign(features[rows], route.centroids)
+            picks = bundle.group_classifier.assign(features[rows], route.router)
         for pick, corrector in enumerate(route.correctors):
             if corrector is None:
                 continue

@@ -174,9 +174,14 @@ def write_dataset(
 ) -> None:
     """Write a dataset directory: recordings/ + calibration.csv.
 
-    A directory that cannot be written raises DataError.
+    A directory that cannot be written raises DataError, and so does one
+    whose recordings/ already holds a ``.csv`` file, before anything is
+    written: :func:`read_dataset` reads every recording there, so the new
+    dataset would mix with the old one.
     """
     rec_dir = root / "recordings"
+    if any(rec_dir.glob("*.csv")):
+        raise DataError(f"{rec_dir} already holds recordings; write to a new directory")
     counters: dict[str, int] = {}
     try:
         rec_dir.mkdir(parents=True, exist_ok=True)

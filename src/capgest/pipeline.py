@@ -116,8 +116,10 @@ class ModelBundle:
 
 def _check_shapes(bundle: ModelBundle) -> None:
     """Raise InconsistentBundle unless every model's arrays fit the widths
-    of its input, the scalars inference reads have their types, every float
-    and float array is finite and the KNN labels are ``GestureLabel`` values.
+    of its input, the group classifier's kernel is a ``pca`` stage (routing
+    folds its affine map), the scalars inference reads have their types,
+    every float and float array is finite and the KNN labels are
+    ``GestureLabel`` values.
 
     The cascade checks each feature row once, against ``base_pca``, and runs
     every later stage on it unchecked; this check makes that safe, also for
@@ -184,6 +186,12 @@ def _check_shapes(bundle: ModelBundle) -> None:
             raise InconsistentBundle(f"group classifier ids {classes.tolist()} are not discovered")
         width = output_width("group classifier", gc.kernel)
         expect("group classifier centroids", gc.centroid.centroids.shape, (len(classes), width))
+        kind = gc.kernel.spec.kind
+        if kind != "pca":
+            raise InconsistentBundle(
+                f"group classifier kernel kind {kind!r} is no pca: routing folds the "
+                "kernel's affine map into the centroid distances"
+            )
 
     widths = {
         name: output_width(f"corrector kernel {name}", k)

@@ -7,8 +7,9 @@ checks:
 - ``reference_batch`` is the former ``corrected_predict_batch``, which ran a
   batch of one through the same label scan, pick masks and per-stage input
   conversions as a batch.  Its layers are ``kernel_apply`` (each stage
-  ``x @ matrix - offset``, written here), ``GroupClassifier.assign``,
-  ``Corrector.score`` (with the former ``centroid_score``), and the former
+  ``x @ matrix - offset``, written here), ``GroupClassifier.assign`` (the
+  distance argmin over the router kernel's features, which the router's
+  fold replaced), ``Corrector.score`` (with the former ``centroid_score``), and the former
   ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
   also ran.
 - ``reference_predict`` is the per-sample cascade before that one: it
@@ -35,11 +36,20 @@ from capgest.config import PipelineConfig
 from capgest.corrector import (
     N_LABELS,
     Corrector,
+    GroupClassifier,
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
 )
-from capgest.embed import _monomials, kernel_apply, kernel_fit, parse_kernel_spec, pca_transform
+from capgest.embed import (
+    FittedKernel,
+    KernelSpec,
+    _monomials,
+    kernel_apply,
+    kernel_fit,
+    parse_kernel_spec,
+    pca_transform,
+)
 from capgest.errors import InconsistentBundle
 from capgest.neighbors import cell_index, query_topk, sq_norms
 from capgest.pipeline import train_pipeline
@@ -109,7 +119,8 @@ def reference_kernel_apply(kernel, X):
     return np.hstack([reference_kernel_apply(c, X) for c in kernel.children])
 
 
-def reference_assign(gc, features, centroids):
+def reference_assign(gc, features, group_ids):
+    centroids = gc.centroid.centroids[np.searchsorted(gc.centroid.classes, group_ids)]
     feats = reference_kernel_apply(gc.kernel, features)
     diff = feats[:, None, :] - centroids[None, :, :]
     return np.argmin(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), axis=1)
@@ -154,7 +165,7 @@ def reference_batch(bundle, features, log):
         if len(route.group_ids) == 1:
             picks = np.zeros(len(rows), dtype=np.int64)
         else:
-            picks = reference_assign(bundle.group_classifier, features[rows], route.centroids)
+            picks = reference_assign(bundle.group_classifier, features[rows], route.group_ids)
         for pick, corrector in enumerate(route.correctors):
             if corrector is None:
                 continue
@@ -338,7 +349,7 @@ class TestOracle:
         bundle, label = corrector_less_route(small_bundle)
         X = eval_rows(small_split)
         rows = X[small_bundle.predict_base_batch(X) == label]
-        picks = bundle.group_classifier.assign(rows, bundle.routing[label].centroids)
+        picks = bundle.group_classifier.assign(rows, bundle.routing[label].router)
         assert np.any(picks == 0)  # some samples really route to the corrector-less group
         assert_matches_reference(bundle, X)
 
@@ -559,3 +570,78 @@ class TestKeepsBaseWhenQuiet:
     @settings(max_examples=30, deadline=None)
     def test_uniform_rows(self, small_bundle, X):
         assert_quiet_rows_keep_base(small_bundle, X)
+
+
+# ---------------------------------------------------------------------------
+# The router's fold
+# ---------------------------------------------------------------------------
+
+# the ids of the groups base label 0 gates, truth 1 to 4
+GATED = N_LABELS * np.arange(1, N_LABELS)
+
+
+def router(kernel, pool, picks):
+    """A group classifier over ``kernel`` with the centroids ``pool[picks]``
+    for the first ``len(picks)`` ids of GATED, and those ids; a repeated pick
+    is a copy of a centroid."""
+    ids = GATED[: len(picks)]
+    centroid = CentroidModel(classes=ids, centroids=pool[list(picks)])
+    return GroupClassifier(kernel=kernel, centroid=centroid), tuple(ids.tolist())
+
+
+def centroid_picks(n_pool):
+    return st.lists(st.integers(0, n_pool - 1), min_size=2, max_size=len(GATED))
+
+
+def integers(shape, bound):
+    return arrays(np.float64, shape, elements=st.integers(-bound, bound).map(float))
+
+
+class TestRouterFold:
+    """``GroupClassifier.assign`` on the router's fold against
+    ``reference_assign``, the distance argmin over the kernel's features."""
+
+    @given(
+        integers((N_FEATURES, 9), 2),
+        integers(9, 4),
+        integers((3, 9), 3),
+        centroid_picks(3),
+        lattice_rows(lattices=((0.0, 0.5, 1.0),)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_arithmetic(self, matrix, offset, pool, picks, X):
+        # integers and halves: both forms compute without rounding, so every
+        # distance tie, copies of one centroid included, goes to the smaller id
+        kernel = FittedKernel(spec=KernelSpec("pca", n_pc=9), matrix=matrix, offset=offset)
+        gc, ids = router(kernel, pool, picks)
+        fold = gc.fold(ids)
+        want = reference_assign(gc, X, ids).tolist()
+        assert gc.assign(X, fold).tolist() == want
+        assert [int(gc.assign(x[None], fold)[0]) for x in X] == want
+
+    @given(
+        arrays(np.float64, (4, 9), elements=st.floats(-3.0, 3.0)),
+        centroid_picks(4),
+        uniform_rows(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_trained_kernel(self, small_bundle, pool, picks, X):
+        # the trained router kernel: the pick is a nearest centroid up to
+        # rounding, never a later copy of one, and the reference's pick
+        # wherever no other centroid is that near
+        gc, ids = router(small_bundle.group_classifier.kernel, pool, picks)
+        C = gc.centroid.centroids
+        z = reference_kernel_apply(gc.kernel, X)
+        d2 = ((z[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        near = d2 <= d2.min(axis=1, keepdims=True) + 1e-9 * (
+            1.0 + (z**2).sum(axis=1, keepdims=True) + (C**2).sum(axis=1).max()
+        )
+        want = reference_assign(gc, X, ids)
+        copies = (C[want][:, None, :] == C[None, :, :]).all(axis=2)
+        clear = (copies | ~near).all(axis=1)
+        fold = gc.fold(ids)
+        batch = gc.assign(X, fold)
+        for got in (batch, np.array([gc.assign(x[None], fold)[0] for x in X])):
+            assert near[np.arange(len(X)), got].all()
+            assert not any((C[:g] == C[g]).all(axis=1).any() for g in got)
+            assert np.array_equal(got[clear], want[clear])

@@ -320,6 +320,16 @@ class TestUnreadableFiles:
             assert code == 2
             self.one_error_line(capsys, str(out))
 
+    def test_synth_into_a_dataset(self, tmp_path, capsys):
+        # a second, smaller dataset would mix with the first one
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--users", "1", "--per-class", "2"]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["synth", "--out", str(out), "--users", "1", "--per-class", "1"]) == 2
+        self.one_error_line(capsys, f"{out / 'recordings'} already holds recordings")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("command", ["train", "eval", "predict", "bench"])
     def test_dataset_without_calibration(self, workspace, tmp_path, capsys, command):
         # the recordings alone do not give the calibration ranges

@@ -321,12 +321,13 @@ class TestGroupClassifier:
         assert route.group_ids == (1, 21)
         assert [c.group.group_id for c in route.correctors] == [1, 21]
         # the router picks only among the label's groups
-        picks = gc.assign(X, route.centroids)
+        assert not hasattr(route, "centroids")  # folded into the router, not kept
+        picks = gc.assign(X, route.router)
         assert picks.tolist()[:60] == [1] * 30 + [0] * 30
         # a label that gates one group routes to it without the router
         routes = build_routing_table((9, 21), None, [stub_corrector(g) for g in (9, 21)])
         assert sorted(routes) == [1, 4]
-        assert routes[4].group_ids == (9,) and routes[4].centroids is None
+        assert routes[4].group_ids == (9,) and routes[4].router is None
 
 
 class TestCascade:

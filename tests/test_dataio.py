@@ -75,6 +75,15 @@ class TestRoundTrips:
             with pytest.raises(DataError, match=re.escape(f"cannot write {root}: ")):
                 dataio.write_dataset(root, [make_recording()], {})
 
+    def test_directory_with_recordings_is_refused(self, tmp_path):
+        # read_dataset would read a second dataset and the first as one
+        dataio.write_dataset(tmp_path, [make_recording("u01"), make_recording("u02")], {})
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rec_dir = tmp_path / "recordings"
+        with pytest.raises(DataError, match=re.escape(f"{rec_dir} already holds recordings")):
+            dataio.write_dataset(tmp_path, [make_recording("u03")], {})
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_dataset_directory(self, tmp_path):
         config = GenConfig(n_users=2, gestures_per_user_per_class=1, none_recordings_per_user=1)
         recordings, calib = gen_dataset(config)

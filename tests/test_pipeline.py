@@ -54,6 +54,7 @@ from capgest.corrector import (
 from capgest.embed import (
     kernel_apply,
     kernel_fit,
+    kernel_output_width,
     parse_kernel_spec,
     pca_fit,
     pca_transform,
@@ -639,6 +640,23 @@ class TestBundleConsistency:
         centroid = replace(gc.centroid, centroids=gc.centroid.centroids[:, :-1])
         with pytest.raises(InconsistentBundle, match="group classifier centroids"):
             replace(small_bundle, group_classifier=replace(gc, centroid=centroid))
+
+    def test_router_kernel_must_be_pca(self, small_bundle, small_split, tmp_path):
+        # routing folds the router's affine pca map; poly:3:2 gives the 9
+        # features of pca:9, so the centroids pass the width check and the
+        # kind is what refuses the bundle
+        gc = small_bundle.group_classifier
+        poly = kernel_fit(parse_kernel_spec("poly:3:2"), feature_matrix(small_split.train))
+        assert kernel_output_width(poly, 100) == gc.centroid.centroids.shape[1]
+        message = "group classifier kernel kind 'poly' is no pca"
+        with pytest.raises(InconsistentBundle, match=message):
+            replace(small_bundle, group_classifier=replace(gc, kernel=poly))
+        state = bundle_state(small_bundle)
+        state["group_classifier"]["kernel"] = pipeline._encode(poly, lambda array: array)
+        path = tmp_path / "router.capgest"
+        path.write_bytes(format_4_blob(*format_4_parts(state)))
+        with pytest.raises(CorruptFile, match=message):
+            load_bundle(path)
 
     def test_wrong_corrector_width_and_missing_kernel(self, small_bundle):
         c = small_bundle.correctors[0]
