@@ -9,9 +9,9 @@ checks:
   conversions as a batch.  Its layers are ``kernel_apply`` (each stage
   ``x @ matrix - offset``, written here), ``GroupClassifier.assign`` (the
   distance argmin over the router kernel's features, which the router's
-  fold replaced), ``Corrector.score`` (with the former ``centroid_score``), and the former
-  ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
-  also ran.
+  fold replaced), ``Corrector.score`` (with the former ``centroid_score``),
+  and the former ``knn_predict_batch`` and ``query_topk``, whose chunk loop
+  a single query also ran.
 - ``reference_predict`` is the per-sample cascade before that one: it
   gates by the bundle's discovered group ids on every call, without the
   routing table, and routes one row at a time.
