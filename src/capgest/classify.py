@@ -4,7 +4,10 @@ KNN serves the base model; LDA and the centroid classifier provide the
 scored binary decisions the error correctors sweep thresholds over.  All
 models are immutable after fit and all predictions are deterministic:
 distance ties prefer the lower reference index, vote ties prefer the class
-with the smaller summed distance and then the smaller label value.
+with the smaller summed distance and then the smaller label value.  The one
+mutable part is a KNN model's label map (``neighbors.LabelMap``), which
+one-row predictions fill with labels proven for whole fine cells, so it
+changes no prediction.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class KnnModel:
     classes: np.ndarray = field(init=False, repr=False, compare=False)   # sorted labels
     codes: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) into classes
     cell_index: neighbors.CellIndex | None = field(init=False, repr=False, compare=False)
+    # filled by one-row predictions; empty on every construction
+    label_map: neighbors.LabelMap | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (type(self.k) is int and 1 <= self.k <= len(self.points)):
@@ -45,6 +50,9 @@ class KnnModel:
         object.__setattr__(self, "cell_index", cell_index)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "codes", codes.ravel())
+        object.__setattr__(
+            self, "label_map", neighbors.label_map(cell_index, self.codes, self.points.shape[1])
+        )
 
 
 def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
@@ -61,13 +69,21 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     """Majority vote of the k nearest references per row.
 
     Among classes tied on votes, the smallest summed neighbor distance wins
-    (summed in neighbor order), then the smallest label.
+    (summed in neighbor order), then the smallest label.  One row whose fine
+    cell holds a proven label (``neighbors.LabelMap``) takes it without a
+    search or a vote; another one row answered from its cell block tries to
+    prove its fine cell's label for the rows that follow.
     """
     X = as_rows(X, model.points.shape[1])
     if not len(X):
         return np.empty(0, dtype=np.int64)
+    labels = model.label_map
+    if len(X) == 1 and labels is not None:
+        mark = labels.mark(X[0].tolist())
+        if mark:
+            return model.classes[mark - 1 : mark].astype(np.int64)
     dist, idx = neighbors.query_topk(
-        model.points, X, model.k, ref_sq=model.sq_norms, index=model.cell_index
+        model.points, X, model.k, ref_sq=model.sq_norms, index=model.cell_index, labels=labels
     )
     m, c = idx.shape[0], len(model.classes)
     # one bincount cell per (row, class); a single row needs no row offset
@@ -92,6 +108,16 @@ def knn_cell_share(model: KnnModel, X: np.ndarray) -> float:
         for i in range(len(X))
     )
     return found / len(X)
+
+
+def knn_map_share(model: KnnModel, X: np.ndarray) -> float:
+    """Share of the rows of ``X`` whose fine cell holds a proven label, which
+    a one-row prediction reads without a search; 0 where the model has no
+    label map."""
+    X = as_rows(X, model.points.shape[1])
+    if model.label_map is None or not len(X):
+        return 0.0
+    return sum(model.label_map.mark(row) > 0 for row in X.tolist()) / len(X)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ and measures each cell's rows with one matrix product (``_cell_batch``).
 BLAS rounds products of different shapes differently, so a batch returns
 the scan's indices, and distances that may differ from the scan's in the
 last bits, within the bound ``_outside_floor`` states.
+
+Where the grid bounds every coordinate (d <= 3), a ``LabelMap`` splits each
+cell into ``_FINE`` fine cells per side and keeps, per fine cell, a label
+that one query proved for every point of the cell: every reference that any
+point of the cell can take among its k nearest carries that label
+(``_proves``).  ``cell_topk`` tries the proof from the block it has just
+measured, and a one-row caller reads the label without a search.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ _MAX_CELLS = 2**15  # cell keys fit int16, which numpy sorts by radix
 # widths 8 to 16.
 _MAX_DIMS = 7
 _U = 2.0**-53  # unit roundoff of float64
+_FINE = 8  # label-map cells per side of a grid cell
+_NO_FINE_AXES = ((0.0, 0, 0),) * _GRID_DIMS  # fine strides of a search without a map
 
 
 def sq_norms(refs: np.ndarray) -> np.ndarray:
@@ -119,12 +128,84 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None
     return CellIndex(side, tuple(axes), indptr, ids, float(ref_sq.max()))
 
 
+@dataclass(frozen=True, eq=False)
+class LabelMap:
+    """Labels proven for the fine cells of a grid that bounds every coordinate.
+
+    Fine cell g of an axis holds the points whose ``floor(_FINE * t)`` is
+    g - ``_FINE``, with t = ``(x - low) / side`` the quotient that places x
+    in its grid cell: each grid cell, padding included, splits into
+    ``_FINE`` fine cells per side.
+    ``cells[key]`` is 0 where no label is known and the label code plus 1
+    where every point of the fine cell ``key`` has k nearest references of
+    that label.  ``cell_topk`` fills it; every write of a cell stores the one
+    label the cell can have, so concurrent callers need no lock.
+    """
+
+    side: float  # the grid's
+    axes: tuple  # per axis (low, grid cells, stride of the fine key)
+    reach: float  # bounds the distance between two points of one fine cell
+    block_marks: np.ndarray  # int8 per entry of the grid's ``ids``: its label code plus 1
+    cells: np.ndarray  # int8 per fine cell
+
+    def key(self, row: list) -> int:
+        """The fine cell of the point ``row`` (floats), or -1 outside the grid."""
+        key = 0
+        for x, (low, n_cells, stride) in zip(row, self.axes):
+            t = (x - low) / self.side
+            if not -1.0 <= t < n_cells - 1:  # also false for NaN
+                return -1
+            key += (math.floor(_FINE * t) + _FINE) * stride
+        return key
+
+    def mark(self, row: list) -> int:
+        """The label code plus 1 proven for the fine cell of ``row``, else 0."""
+        key = self.key(row)
+        return int(self.cells[key]) if key >= 0 else 0
+
+
+def label_map(index: CellIndex | None, codes: np.ndarray, d: int) -> LabelMap | None:
+    """An empty ``LabelMap`` over ``index`` for references of width ``d`` and
+    label codes ``codes``, or None where the grid leaves a coordinate
+    unbounded (d > 3), the fine side is not a normal float, or a code does
+    not fit int8."""
+    if index is None or len(index.axes) < d or codes.max() >= 127:
+        return None
+    side = index.side / _FINE  # a fine cell's
+    if not side >= np.finfo(np.float64).tiny:
+        return None
+    counts = [n_cells * _FINE for _, n_cells, *_ in index.axes]
+    axes = tuple(
+        (low, n_cells, math.prod(counts[j + 1 :]))
+        for j, (low, n_cells, *_) in enumerate(index.axes)
+    )
+    # Along an axis, fl(x - low) and the division by the grid's side each err
+    # by at most u relative, and the scaling by _FINE is exact, so a
+    # coordinate x whose key is fine cell g lies within 2.01 u (|x - low| +
+    # side) of [low + (g - _FINE) side, low + (g - _FINE + 1) side], with
+    # ``side`` a fine cell's; the ``side`` term also covers a quotient below
+    # the normal range.  Two coordinates with one key so differ by at most
+    # side + 2.01 u (|x| + |x'| + 2 |low| + 2 side).  A key inside the grid
+    # has |x| <= |low| + (n_cells + 1) _FINE side, so that is below each
+    # extent here, and the last factor covers the rounding of the extents
+    # and of their Euclidean norm.
+    extents = [
+        side + 16 * _U * (abs(low) + (n_cells + 3) * _FINE * side) for low, n_cells, _ in axes
+    ]
+    reach = math.hypot(*extents) * (1 + 8 * _U)
+    block_marks = (codes + 1).astype(np.int8).take(index.ids)
+    # np.zeros maps the pages only as they are written
+    cells = np.zeros(math.prod(counts), dtype=np.int8)
+    return LabelMap(index.side, axes, reach, block_marks, cells)
+
+
 def query_topk(
     refs: np.ndarray,
     queries: np.ndarray,
     k: int,
     ref_sq: np.ndarray | None = None,
     index: CellIndex | None = None,
+    labels: LabelMap | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of the k nearest refs per query, ascending.
 
@@ -134,7 +215,8 @@ def query_topk(
     answered from its cell block where the block proves the answer, and by
     the chunk scan otherwise.  One query gets the bytes the scan would give;
     a batch gets the scan's indices, with distances that may differ from the
-    scan's in the last bits.
+    scan's in the last bits.  ``labels`` is ``label_map(index, ...)``, which
+    one query answered from its block tries to fill (``cell_topk``).
     """
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -145,7 +227,7 @@ def query_topk(
     if ref_sq is None:
         ref_sq = sq_norms(refs)
     if m == 1 and index is not None:
-        found = cell_topk(index, refs, ref_sq, queries, k)
+        found = cell_topk(index, refs, ref_sq, queries, k, labels)
         if found is not None:
             return found
     dist = np.empty((m, k))
@@ -171,38 +253,56 @@ def query_topk(
 
 
 def cell_topk(
-    index: CellIndex, refs: np.ndarray, ref_sq: np.ndarray, query: np.ndarray, k: int
+    index: CellIndex,
+    refs: np.ndarray,
+    ref_sq: np.ndarray,
+    query: np.ndarray,
+    k: int,
+    labels: LabelMap | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``query_topk`` of the one row ``query`` from its cell block, or None
     when the block cannot prove that answer.
 
     ``refs`` and ``ref_sq`` are float64 and C-contiguous, as ``query_topk``
-    passes them.
+    passes them.  With ``labels``, an answered query whose fine cell holds no
+    label stores the one its block proves for the whole fine cell, if any.
     """
     row = query[0].tolist()
     side = index.side
-    key = 0
+    key = fine = 0
     margin = math.inf
-    for x, (low, n_cells, stride, below, above) in zip(row, index.axes):
+    fine_axes = _NO_FINE_AXES if labels is None else labels.axes
+    for x, (low, n_cells, stride, below, above), (_, _, fine_stride) in zip(
+        row, index.axes, fine_axes
+    ):
         t = (x - low) / side
         if not -1.0 <= t < n_cells - 1:  # also false for NaN
             return None
         c = math.floor(t) + 1
         key += c * stride
+        fine += (math.floor(_FINE * t) + _FINE) * fine_stride  # LabelMap.key's
         margin = min(margin, x - below[c], above[c] - x)
-    ids = index.ids[index.indptr[key] : index.indptr[key + 1]]
+    first, stop = index.indptr[key], index.indptr[key + 1]
+    ids = index.ids[first:stop]
     # numpy computes a product with one column as a dot product, which rounds
     # unlike the matrix-vector product of the scan (an index has n >= 2)
     if len(ids) < max(k, 2):
         return None
     d2 = _sq_distances(query, refs.take(ids, axis=0), ref_sq.take(ids))[0]
     kth = np.partition(d2, k - 1)[k - 1] if k < len(ids) else d2.max()
+    q_sq = sum(v * v for v in row)
     # an infinite margin means the block holds every reference
+    floor = math.inf
     if margin < math.inf:
-        floor = _outside_floor(margin, sum(v * v for v in row), index.max_sq, len(row))
+        floor = _outside_floor(margin, q_sq, index.max_sq, len(row))
         if not kth < floor:
             return None
     order = _nearest(d2, kth, k)
+    if labels is not None and not labels.cells[fine]:
+        marks = labels.block_marks[first:stop]
+        mark = _proves(labels.reach, q_sq, index.max_sq, len(row), d2, marks, float(kth), floor)
+        if mark:
+            labels.cells[fine] = mark
     return np.sqrt(d2[order])[None, :], ids[order][None, :]
 
 
@@ -312,6 +412,62 @@ def _outside_floor(margin, q_sq, max_sq: float, d: int):
     # covers the rounding of S, of tol and of the subtraction.
     m2 = margin * margin
     return m2 - 2 * _U * (3 * m2 + (2 * d + 7) * (q_sq + max_sq))
+
+
+def _proves(
+    reach: float,
+    q_sq: float,
+    max_sq: float,
+    d: int,
+    d2: np.ndarray,
+    marks: np.ndarray,
+    kth: float,
+    floor: float,
+) -> int:
+    """The label code plus 1 that every point of a query's fine cell takes
+    from its k nearest references, or 0 where the query's block cannot prove
+    one.
+
+    ``reach`` is the ``LabelMap``'s, ``q_sq`` the query's squared norm and
+    ``d`` its width, ``d2`` its squared distances to its block, ``marks`` the
+    block's label marks, ``kth`` the k-th of ``d2`` and ``floor`` the
+    query's ``_outside_floor`` (infinite where the block holds every
+    reference).
+    """
+    # Proof that every point q' in the fine cell of the query q, searched on
+    # any path and with any tie-break, has k nearest references of the label
+    # returned, so its vote gives that label.  With eps(p) = (2d + 7) u S(p)
+    # and S(p) = |p|^2 + max |r|^2, _outside_floor's derivation bounds the
+    # error of any computed squared distance from p by eps(p).
+    # |q - q'| <= reach, so |q'| <= |q| + reach.
+    # - The k references r_i with d2 <= kth lie within sqrt(kth + eps(q)) of
+    #   q, so within A = sqrt(kth + eps(q)) + reach of q'.
+    # - q''s search takes references whose computed distance is at most its
+    #   k-th, and the k distinct r_i have computed distances of at most
+    #   A^2 + eps(q'), so its k-th is at most that.  (A block search for q'
+    #   that leaves some r_i outside its block accepted a k-th below that
+    #   r_i's floor, below A^2.)  So a reference r it takes has
+    #   |q' - r|^2 <= A^2 + 2 eps(q'), and |q - r| <= R = sqrt(A^2 +
+    #   2 eps(q')) + reach.
+    # - A reference outside q's block lies at least margin_true from q, and
+    #   _outside_floor's floor is below margin_true^2, so R^2 < floor leaves
+    #   every such reference out.
+    # - A block reference within R of q has d2 <= R^2 + eps(q).  If all such
+    #   references carry one label, every reference that q' can take does.
+    # e below is 2 (2d + 7) u, twice the coefficient of eps: its surplus
+    # covers the rounding of kth + e S and of the squared norms; every other
+    # step rounds a sum or product of nonnegative terms, so R^2 and the limit
+    # fall less than 20 u short of their exact values, which ``grow`` covers.
+    e = 2 * (2 * d + 7) * _U
+    grow = 1 + 32 * _U
+    a = math.sqrt(kth + e * (q_sq + max_sq)) + reach
+    far_sq = (math.sqrt(q_sq) + reach) ** 2 + max_sq
+    r_sq = (math.sqrt(a * a + e * far_sq) + reach) ** 2 * grow
+    if not r_sq < floor:  # also false for NaN
+        return 0
+    # a few bytes: Python compares them faster than numpy reduces them
+    near = marks[d2 <= (r_sq + e * (q_sq + max_sq)) * grow].tobytes()
+    return near[0] if near.count(near[0]) == len(near) else 0
 
 
 def _sq_distances(q: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .classify import (
     LdaModel,
     knn_cell_share,
     knn_fit,
+    knn_map_share,
     knn_predict_batch,
 )
 from .config import PipelineConfig
@@ -659,8 +660,9 @@ def bench_latency(bundle: ModelBundle, features: np.ndarray) -> dict:
     permutation, after ``min(50, 2n)`` warm-up calls over the same order.
     Each timed call runs the full single-sample path end to end; stats are
     reported in milliseconds.  ``knn_cell_share`` is the share of rows whose
-    base KNN search is answered from its cell block, counted after the
-    timed loop.
+    base KNN search is answered from its cell block, and ``knn_map_share``
+    the share whose fine cell holds a proven label, which a prediction reads
+    without a search; both are counted after the timed loop.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0:
@@ -679,7 +681,9 @@ def bench_latency(bundle: ModelBundle, features: np.ndarray) -> dict:
         corrected_predict(bundle, fv)
         timings[i] = time.perf_counter_ns() - start
     ms = timings / 1e6
-    cell_share = knn_cell_share(bundle.base_knn, pca_transform(bundle.base_pca, features))
+    base = pca_transform(bundle.base_pca, features)
+    cell_share = knn_cell_share(bundle.base_knn, base)
+    map_share = knn_map_share(bundle.base_knn, base)
     return {
         "n_timed": n,
         "p50_ms": float(np.percentile(ms, 50)),
@@ -688,6 +692,7 @@ def bench_latency(bundle: ModelBundle, features: np.ndarray) -> dict:
         "max_ms": float(ms.max()),
         "mean_ms": float(ms.mean()),
         "knn_cell_share": cell_share,
+        "knn_map_share": map_share,
         "backend": neighbors.BACKEND,
         "hardware": platform.processor() or platform.machine(),
     }

@@ -18,12 +18,16 @@ checks:
 
 ``corrected_predict`` and ``corrected_predict_batch`` must give the labels of
 both, and every corrector must score the rows routed to it byte for byte as
-``reference_batch`` scores them: as a batch, and one row at a time.
+``reference_batch`` scores them: as a batch, and one row at a time.  A base
+label that one row reads from the KNN label map must be the former search
+and vote's, also on the faces of the map's cells.
 """
 
+import itertools
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capgest.classify import CentroidModel, knn_cell_share, knn_fit, knn_predict_batch
+from capgest.classify import (
+    CentroidModel,
+    knn_cell_share,
+    knn_fit,
+    knn_map_share,
+    knn_predict_batch,
+)
 from capgest.config import PipelineConfig
 from capgest.corrector import (
     N_LABELS,
@@ -378,6 +388,9 @@ class TestOracle:
         assert_matches_reference(bundle, X[keep])
 
 
+_A = [0.0, 0.01, 0.02, 0.03, 0.04]  # five label-0 references
+
+
 class TestLayers:
     """Each rewritten layer against its former body."""
 
@@ -516,6 +529,118 @@ class TestLayers:
             got = knn_predict_batch(model, q[None])
             assert got.tolist() == reference_knn_predict_batch(model, q[None]).tolist()
 
+    @given(lattice_rows(40), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_label_map_on_lattices(self, refs, n_dims, n_labels, data):
+        refs = refs[:, :n_dims]
+        labels = data.draw(arrays(np.int64, len(refs), elements=st.integers(0, n_labels - 1)))
+        model = knn_fit(refs, labels, data.draw(st.integers(1, len(refs))))
+        assert_label_map_exact(model, data.draw(lattice_rows(6))[:, :n_dims])
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+               elements=st.floats(-10.0, 10.0)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_label_map_on_floats(self, refs, data):
+        labels = data.draw(arrays(np.int64, len(refs), elements=st.integers(0, 2)))
+        model = knn_fit(refs, labels, data.draw(st.integers(1, len(refs))))
+        Q = data.draw(arrays(np.float64, (3, refs.shape[1]), elements=st.floats(-12.0, 12.0)))
+        assert_label_map_exact(model, np.vstack([Q, refs[:3]]))
+
+    @pytest.mark.parametrize("n_dims", range(1, 8))
+    def test_label_map_by_width(self, n_dims):
+        rng = np.random.default_rng(n_dims)
+        scale = np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1])[:n_dims]
+        refs = rng.normal(0.0, 1.0, (600, n_dims)) * scale
+        model = knn_fit(refs, (refs[:, 0] > 0.3).astype(np.int64) + (refs[:, -1] > 0), 5)
+        assert model.cell_index is not None
+        if n_dims > 3:  # a grid cell leaves the other coordinates unbounded
+            assert model.label_map is None
+            return
+        Q = rng.normal(0.0, 1.2, (60, n_dims)) * scale
+        assert_label_map_exact(model, Q)
+        assert knn_map_share(model, Q) > 0.1  # not vacuous: the map answers rows
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_label_map_far_from_origin(self, offset):
+        rng = np.random.default_rng(3)
+        refs = np.round(rng.normal(0.0, 1.0, (800, 3)), 1)
+        model = knn_fit(refs + offset, (refs[:, 0] > 0).astype(np.int64), 5)
+        Q = refs[rng.integers(0, 800, 100)] + np.round(rng.normal(0.0, 0.3, (100, 3)), 1)
+        assert_label_map_exact(model, Q + offset, like_batch=offset < 1e8)
+        if offset < 1e8:
+            assert knn_map_share(model, Q + offset) > 0.1
+
+    def test_label_map_outside_the_grid(self):
+        rng = np.random.default_rng(4)
+        refs = rng.uniform(0.0, 1.0, (500, 3))
+        model = knn_fit(refs, (refs.sum(axis=1) > 1.5).astype(np.int64), 5)
+        Q = np.array([[1e6, 0.5, 0.5], [-5.0, -5.0, -5.0], [0.5, 0.5, 1e6], [1.02, 0.5, -0.01],
+                      [np.nextafter(1.0, 2.0), 0.5, 0.5]])
+        assert_label_map_exact(model, np.vstack([Q, rng.uniform(0.0, 1.0, (40, 3))]))
+        assert knn_map_share(model, Q[:3]) == 0.0
+
+    @pytest.mark.parametrize(
+        "refs, labels, q, other",
+        [
+            # the block holds every reference: the proof needs the reach term
+            (_A + [2.0, 2.01, 2.02, 2.03, 2.04, 3.0], [0] * 5 + [1] * 5 + [0], 0.9, 1.021),
+            # the label-1 cluster lies outside q's block: the proof needs the floor test
+            (_A + [3.1, 3.11, 3.12, 3.13, 3.14] + np.linspace(5.0, 20.0, 90).tolist(),
+             [0] * 5 + [1] * 5 + [0] * 90, 1.51, 1.62),
+        ],
+        ids=["reach", "floor"],
+    )
+    def test_label_map_cell_with_two_majorities(self, refs, labels, q, other):
+        # q's 5 nearest share label 0 while ``other``, in q's fine cell, has a
+        # label-1 majority: no proof may store a label for that cell
+        model = knn_fit(np.array(refs)[:, None], np.array(labels), 5)
+        assert model.label_map.key([q]) == model.label_map.key([other])
+        nearest = reference_query_topk(model.points, np.array([[q]]), 5)[1][0]
+        assert model.labels[nearest].tolist() == [0] * 5
+        assert reference_knn_predict_batch(model, np.array([[other]])).tolist() == [1]
+        assert knn_predict_batch(model, np.array([[q]])).tolist() == [0]
+        assert knn_predict_batch(model, np.array([[other]])).tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.0, 1.0), (-1e8, 1e8), (1e8, 1e8 + 1e4), (-1e6, 3.0), (0.3, 1e6)]
+    )
+    def test_label_map_reach(self, low, high):
+        # every two points of one fine cell lie within ``reach`` of each
+        # other: rows at both faces of a fine cell and a few ulps beside
+        # them.  Where fl(x - low) rounds, a cell can be wider than a fine
+        # side by about an ulp of x - low (the last two cases)
+        refs = np.linspace(low, high, 1000)[:, None]
+        labels = knn_fit(refs, np.zeros(1000, dtype=np.int64), 5).label_map
+        lo_x, n_cells, _ = labels.axes[0]
+        fine_side = labels.side / 8
+        ends = {}
+        # every fine cell below ``low`` and every seventh above it
+        for g in [*range(8), *range(8, n_cells * 8, 7)]:
+            for face in (g, g + 1):
+                x = lo_x + (face - 8) * fine_side
+                for _ in range(4):
+                    x = np.nextafter(x, -np.inf)
+                for _ in range(9):
+                    key = labels.key([x])
+                    if key >= 0:
+                        least, most = ends.get(key, (x, x))
+                        ends[key] = (min(least, x), max(most, x))
+                    x = np.nextafter(x, np.inf)
+        spans = [Fraction(most) - Fraction(least) for least, most in ends.values()]
+        assert max(spans) > Fraction(fine_side) / 2  # not vacuous: whole cells were probed
+        assert max(spans) <= Fraction(labels.reach)
+
+    def test_default_stream_through_label_map(self, default_bundle, default_split):
+        knn = replace(default_bundle.base_knn)  # an empty map of its own
+        z = pca_transform(default_bundle.base_pca, feature_matrix(default_split.test))
+        want = knn_predict_batch(knn, z).tolist()
+        for _ in range(2):
+            assert [int(knn_predict_batch(knn, q[None])[0]) for q in z] == want
+        assert knn_map_share(knn, z) >= 0.3
+
     @given(st.sampled_from(["pca:9", "pca:20", "poly:5:4", "poly:4:3", "knn:5:20",
                             "concat(pca:10,poly:5:4)"]), uniform_rows(5))
     @settings(max_examples=40, deadline=None)
@@ -524,6 +649,38 @@ class TestLayers:
         assert kernel_apply(kernel, X).tobytes() == reference_kernel_apply(kernel, X).tobytes()
         for x in X:
             assert kernel_apply(kernel, x).tobytes() == reference_kernel_apply(kernel, x).tobytes()
+
+
+def fine_cell_faces(model, q):
+    """Rows on the faces of the fine label-map cell of ``q`` and one ulp
+    below its upper faces, per axis; none where ``q`` has no fine cell."""
+    labels = model.label_map
+    if labels is None or labels.key(q.tolist()) < 0:
+        return np.empty((0, len(q)))
+    axes = []
+    for x, (low, _, _) in zip(q.tolist(), labels.axes):
+        g = np.floor(8 * ((x - low) / labels.side))
+        upper = low + (g + 1) / 8 * labels.side
+        axes.append([low + g / 8 * labels.side, np.nextafter(upper, -np.inf), upper])
+    return np.array(list(itertools.product(*axes)))
+
+
+def assert_label_map_exact(model, Q, like_batch=True):
+    """Each row of ``Q`` and the rows on its fine cell's faces, one at a time
+    through the model's label map, in two passes: the labels of the former
+    search and vote of one row and, with ``like_batch``, of the batch path.
+
+    Far from the origin, a batch's matrix product and one row's
+    matrix-vector product round distances apart by more than the lattice
+    spacing, so there one-row labels may differ from batch labels."""
+    probes = np.vstack([Q, *(fine_cell_faces(model, q) for q in Q)])
+    want = [int(reference_knn_predict_batch(model, q[None])[0]) for q in probes]
+    batch = knn_predict_batch(model, np.vstack([probes, probes]))[: len(probes)].tolist()
+    assert batch == reference_knn_predict_batch(model, probes).tolist()
+    if like_batch:
+        assert want == batch
+    for _ in range(2):
+        assert [int(knn_predict_batch(model, q[None])[0]) for q in probes] == want
 
 
 def assert_cell_search_exact(model, query):

@@ -4,6 +4,8 @@ import json
 import pickle
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -41,6 +43,7 @@ from capgest.classify import (
     centroid_fit,
     knn_cell_share,
     knn_fit,
+    knn_map_share,
     knn_predict_batch,
 )
 from capgest.corrector import (
@@ -961,7 +964,9 @@ class TestPersistence:
             with pytest.raises(DataError, match=re.escape(f"cannot write {path}: ")):
                 save_bundle(small_bundle, path)
 
-    def test_knn_derived_fields_rebuilt_not_serialized(self, small_bundle, default_bundle, tmp_path):
+    def test_knn_derived_fields_rebuilt_not_serialized(
+        self, small_bundle, default_bundle, default_split, tmp_path
+    ):
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         knn, loaded = small_bundle.base_knn, load_bundle(path).base_knn
@@ -978,9 +983,47 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
+        # the label map starts empty on load and on replace, one-row
+        # predictions fill it, and it changes no byte of the bundle
+        assert "label_map" not in bundle_state(small_bundle)["base_knn"]
+        for rebuilt in (loaded, replace(knn)):
+            assert rebuilt.label_map is not knn.label_map
+            assert not rebuilt.label_map.cells.any()
+        blob = serialize_bundle(default_bundle)
+        for row in feature_matrix(default_split.test[:2000]):
+            default_bundle.predict(row)
+        assert default_bundle.base_knn.label_map.cells.any()
+        after = serialize_bundle(default_bundle)
+        assert hashlib.sha256(after).hexdigest() == hashlib.sha256(blob).hexdigest()
         # the array bytes are fixed by the bundle's shapes; the JSON header
         # varies with the digits of its float thresholds and biases
-        assert len(serialize_bundle(default_bundle)) == 322_336
+        assert len(after) == 322_336
+
+    def test_concurrent_callers_share_the_label_map(self, default_bundle, default_split):
+        # every write to the map stores the one label its cell can have, so
+        # threads filling one empty map need no lock; more threads than
+        # cores, switching often
+        bundle = replace(default_bundle, base_knn=replace(default_bundle.base_knn))
+        X = feature_matrix(default_split.test[:2000])
+        got = {}
+
+        def run(name):
+            got[name] = [int(bundle.predict(row)) for row in X]
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = bundle.predict_batch(X).tolist()
+        assert [got[name] == want for name in range(4)] == [True] * 4
+        assert knn_map_share(bundle.base_knn, pca_transform(bundle.base_pca, X)) > 0.3
 
     def test_load_rejects_non_finite_knn_points(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
@@ -1161,6 +1204,9 @@ class TestBench:
         z = pca_transform(small_bundle.base_pca, X)
         assert stats["knn_cell_share"] == knn_cell_share(small_bundle.base_knn, z)
         assert stats["knn_cell_share"] > 0.5
+        # the timed rows proved their cells' labels, which a recount reads
+        assert stats["knn_map_share"] == knn_map_share(small_bundle.base_knn, z)
+        assert 0 < stats["knn_map_share"] <= 1
 
     def test_empty_probe(self, small_bundle):
         stats = bench_latency(small_bundle, np.empty((0, 100)))
