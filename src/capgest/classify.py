@@ -5,9 +5,9 @@ scored binary decisions the error correctors sweep thresholds over.  All
 models are immutable after fit and all predictions are deterministic:
 distance ties prefer the lower reference index, vote ties prefer the class
 with the smaller summed distance and then the smaller label value.  The one
-mutable part is a KNN model's label map (``neighbors.LabelMap``), which
-one-row predictions fill with labels proven for whole fine cells, so it
-changes no prediction.
+mutable part is the label map of a KNN model's cell index
+(``neighbors.CellIndex``), which one-row searches fill with labels proven for
+whole fine cells, so it changes no prediction.
 """
 
 from __future__ import annotations
@@ -34,25 +34,22 @@ class KnnModel:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
     classes: np.ndarray = field(init=False, repr=False, compare=False)   # sorted labels
     codes: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) into classes
+    # its label map is filled by one-row searches; empty on every construction
     cell_index: neighbors.CellIndex | None = field(init=False, repr=False, compare=False)
-    # filled by one-row predictions; empty on every construction
-    label_map: neighbors.LabelMap | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (type(self.k) is int and 1 <= self.k <= len(self.points)):
             raise EmptyModel(f"k={self.k!r} is not an int from 1 to {len(self.points)}")
         classes, codes = np.unique(self.labels, return_inverse=True)
+        codes = codes.ravel()
         # a huge reference overflows here; the bundle check refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             sq_norms = neighbors.sq_norms(self.points)
-            cell_index = neighbors.cell_index(self.points, self.k, sq_norms)
+            cell_index = neighbors.cell_index(self.points, self.k, sq_norms, codes)
         object.__setattr__(self, "sq_norms", sq_norms)
         object.__setattr__(self, "cell_index", cell_index)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "codes", codes.ravel())
-        object.__setattr__(
-            self, "label_map", neighbors.label_map(cell_index, self.codes, self.points.shape[1])
-        )
+        object.__setattr__(self, "codes", codes)
 
 
 def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
@@ -62,7 +59,7 @@ def knn_fit(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
         raise EmptyModel("knn_fit needs a nonempty 2-D reference matrix")
     if len(y) != X.shape[0]:
         raise DimensionMismatch("labels must match reference count")
-    return KnnModel(points=X, labels=y.copy(), k=k)
+    return KnnModel(X, y.copy(), k)
 
 
 def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
@@ -70,21 +67,19 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
 
     Among classes tied on votes, the smallest summed neighbor distance wins
     (summed in neighbor order), then the smallest label.  One row whose fine
-    cell holds a proven label (``neighbors.LabelMap``) takes it without a
-    search or a vote; another one row answered from its cell block tries to
-    prove its fine cell's label for the rows that follow.
+    cell holds a proven label (``neighbors.CellIndex.mark``) takes it
+    without a search or a vote; another one row answered from its cell block
+    tries to prove its fine cell's label for the rows that follow.
     """
     X = as_rows(X, model.points.shape[1])
     if not len(X):
         return np.empty(0, dtype=np.int64)
-    labels = model.label_map
-    if len(X) == 1 and labels is not None:
-        mark = labels.mark(X[0].tolist())
+    index = model.cell_index
+    if len(X) == 1 and index is not None:
+        mark = index.mark(X[0].tolist())
         if mark:
             return model.classes[mark - 1 : mark].astype(np.int64)
-    dist, idx = neighbors.query_topk(
-        model.points, X, model.k, ref_sq=model.sq_norms, index=model.cell_index, labels=labels
-    )
+    dist, idx = neighbors.query_topk(model.points, X, model.k, ref_sq=model.sq_norms, index=index)
     m, c = idx.shape[0], len(model.classes)
     # one bincount cell per (row, class); a single row needs no row offset
     cells = model.codes[idx] if m == 1 else np.arange(m)[:, None] * c + model.codes[idx]
@@ -98,7 +93,9 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
 
 def knn_cell_share(model: KnnModel, X: np.ndarray) -> float:
     """Share of the rows of ``X`` that a one-row search answers from its cell
-    block, without scanning all references; 0 where the model has no index."""
+    block, without scanning all references; 0 where the model has no index.
+    Those searches try their fine cells' proofs, so they may fill the label
+    map that ``knn_map_share`` reads."""
     X = np.ascontiguousarray(as_rows(X, model.points.shape[1]))
     if model.cell_index is None or not len(X):
         return 0.0
@@ -113,11 +110,11 @@ def knn_cell_share(model: KnnModel, X: np.ndarray) -> float:
 def knn_map_share(model: KnnModel, X: np.ndarray) -> float:
     """Share of the rows of ``X`` whose fine cell holds a proven label, which
     a one-row prediction reads without a search; 0 where the model has no
-    label map."""
+    index."""
     X = as_rows(X, model.points.shape[1])
-    if model.label_map is None or not len(X):
+    if model.cell_index is None or not len(X):
         return 0.0
-    return sum(model.label_map.mark(row) > 0 for row in X.tolist()) / len(X)
+    return sum(model.cell_index.mark(row) > 0 for row in X.tolist()) / len(X)
 
 
 # ---------------------------------------------------------------------------

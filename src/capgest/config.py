@@ -2,7 +2,7 @@
 
 Config files are plain UTF-8 text: one ``key = value`` pair per line,
 ``#`` starts a comment.  List values are semicolon separated (kernel
-encodings contain commas).  Unknown keys are rejected.
+encodings contain commas).  Unknown and repeated keys are rejected.
 
 Example::
 
@@ -70,8 +70,9 @@ _INT_LIST_KEYS = {"user_counts"}
 
 def parse_config_text(text: str) -> PipelineConfig:
     """The default config with the file's keys set; a key left out keeps
-    its default."""
+    its default, and a key set twice is refused."""
     overrides = {}
+    first_line = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,6 +82,11 @@ def parse_config_text(text: str) -> PipelineConfig:
         value = value.strip()
         if not sep or not key:
             raise FileFormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if key in first_line:
+            raise FileFormatError(
+                f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             if key in _INT_KEYS:
                 overrides[key] = int(value)

@@ -4,28 +4,31 @@ Many queries run in chunks, so the (chunk, n) distance block and its
 partitioned copy stay in the L2 cache for reference sets of several
 thousand points, whatever the query count.
 
-Given a cell grid of the first three coordinates (``cell_index``; Bentley,
-Stanat & Williams, "The complexity of finding fixed-radius near neighbors",
-1977), a query first measures only the references in the 3x3x3 block of
-cells around it.  Along each gridded axis, a reference outside the block
-lies at or below ``below[c]`` or at or above ``above[c]``, coordinates of
-references read when the grid is built; the block's answer is used when
-every such reference is provably farther than the k-th neighbor
-(``_outside_floor``).  Otherwise the query runs through the chunk scan.
+References of one to three coordinates, as the base model's PCA features
+are, get a cell grid over every coordinate (``cell_index``; Bentley, Stanat
+& Williams, "The complexity of finding fixed-radius near neighbors", 1977);
+wider references are scanned.  A query first measures only the references
+in the block of 3**d cells around it.  Along each axis, a reference outside
+the block lies at or below ``below[c]`` or at or above ``above[c]``,
+coordinates of references read when the grid is built; the block's answer
+is used when every such reference is provably farther than the k-th
+neighbor (``_outside_floor``).  Otherwise the query runs through the chunk
+scan.
 
 One query (``cell_topk``) measures its block with a matrix-vector product
-and returns the scan's bytes.  A batch of queries groups its rows by cell
-and measures each cell's rows with one matrix product (``_cell_batch``).
-BLAS rounds products of different shapes differently, so a batch returns
-the scan's indices, and distances that may differ from the scan's in the
-last bits, within the bound ``_outside_floor`` states.
+and returns the scan's bytes: at these widths BLAS computes each distance
+the same way whatever the reference's column.  A batch of queries groups
+its rows by cell and measures each cell's rows with one matrix product
+(``_cell_batch``).  BLAS rounds products of different shapes differently,
+so a batch returns the scan's indices, and distances that may differ from
+the scan's in the last bits, within the bound ``_outside_floor`` states.
 
-Where the grid bounds every coordinate (d <= 3), a ``LabelMap`` splits each
-cell into ``_FINE`` fine cells per side and keeps, per fine cell, a label
-that one query proved for every point of the cell: every reference that any
-point of the cell can take among its k nearest carries that label
-(``_proves``).  ``cell_topk`` tries the proof from the block it has just
-measured, and a one-row caller reads the label without a search.
+As a cell bounds every coordinate, the grid also splits each cell into
+``_FINE`` fine cells per side and keeps, per fine cell, a label that one
+query proved for every point of the cell: every reference that any point
+of the cell can take among its k nearest carries that label (``_proves``).
+``cell_topk`` tries the proof from the block it has just measured, and a
+one-row caller reads the label without a search (``CellIndex.mark``).
 """
 
 from __future__ import annotations
@@ -39,16 +42,10 @@ BACKEND = "numpy"
 
 _CHUNK = 32  # against 6,323 references: a 1.6 MB block, 3.2 MB with its copy
 
-_GRID_DIMS = 3  # gridded coordinates; a query's block is 3**_GRID_DIMS cells
+_GRID_DIMS = 3  # the widest gridded references; a query's block is 3**d cells
 _MAX_CELLS = 2**15  # cell keys fit int16, which numpy sorts by radix
-# Gathered reference rows give the full scan's distance bytes only while BLAS
-# computes each distance the same way whatever its column in ``refs.T``.
-# Measured with OpenBLAS 0.3.31 dgemv: it does at widths up to 7, and not at
-# widths 8 to 16.
-_MAX_DIMS = 7
 _U = 2.0**-53  # unit roundoff of float64
-_FINE = 8  # label-map cells per side of a grid cell
-_NO_FINE_AXES = ((0.0, 0, 0),) * _GRID_DIMS  # fine strides of a search without a map
+_FINE = 8  # fine cells per side of a grid cell
 
 
 def sq_norms(refs: np.ndarray) -> np.ndarray:
@@ -59,15 +56,25 @@ def sq_norms(refs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CellIndex:
-    """Uniform cells of side ``side`` over the first coordinates of the references.
+    """Uniform cells of side ``side`` over the references, and the labels
+    proven for the fine cells inside them.
 
-    Cell c of an axis holds the points whose ``floor((x - low) / side)`` is
-    c - 1: one empty cell pads each end, so a query just outside the
-    references' range still has a block.  ``ids[indptr[key]:indptr[key + 1]]``
-    lists, ascending, the references in the 3x3x3 block around the cell
-    ``key``.  ``axes`` holds per gridded axis ``(low, n_cells, stride, below,
-    above)``: a reference outside the block along that axis lies at or below
-    ``below[c]`` or at or above ``above[c]`` (infinite where none lies beyond).
+    Cell c of an axis holds the points whose ``floor(t)`` is c - 1, with
+    t = ``(x - low) / side``: one empty cell pads each end, so a query just
+    outside the references' range still has a block.
+    ``ids[indptr[key]:indptr[key + 1]]`` lists, ascending, the references in
+    the block around the cell ``key``.  ``axes`` holds per axis ``(low,
+    n_cells, stride, below, above, fine_stride)``: a reference outside the
+    block along that axis lies at or below ``below[c]`` or at or above
+    ``above[c]`` (infinite where none lies beyond).
+
+    Fine cell g of an axis holds the points whose ``floor(_FINE * t)`` is
+    g - ``_FINE``: each cell, padding included, splits into ``_FINE`` fine
+    cells per side.  ``cells[key]`` is 0 where no label is known and the
+    label code plus 1 where every point of the fine cell ``key`` has k
+    nearest references of that label.  ``cell_topk`` fills it; every write
+    of a cell stores the one label the cell can have, so concurrent callers
+    need no lock.
     """
 
     side: float
@@ -75,34 +82,68 @@ class CellIndex:
     indptr: np.ndarray
     ids: np.ndarray
     max_sq: float  # largest squared reference norm
+    reach: float  # bounds the distance between two points of one fine cell
+    block_marks: np.ndarray  # int8 per entry of ``ids``: its label code plus 1
+    cells: np.ndarray  # int8 per fine cell
+
+    def locate(self, row: list) -> tuple[int, int, float] | None:
+        """The cell key, the fine key and the margin (the least distance to
+        a ``below`` or ``above`` of its cell, over the axes) of the point
+        ``row`` (floats), or None outside the grid."""
+        key = fine = 0
+        margin = math.inf
+        for x, (low, n_cells, stride, below, above, fine_stride) in zip(row, self.axes):
+            t = (x - low) / self.side
+            if not -1.0 <= t < n_cells - 1:  # also false for NaN
+                return None
+            c = math.floor(t) + 1
+            key += c * stride
+            fine += (math.floor(_FINE * t) + _FINE) * fine_stride
+            margin = min(margin, x - below[c], above[c] - x)
+        return key, fine, margin
+
+    def mark(self, row: list) -> int:
+        """The label code plus 1 proven for the fine cell of the point
+        ``row`` (floats), else 0.  A one-row prediction asks this first, so
+        it computes the fine key alone."""
+        fine = 0
+        for x, (low, n_cells, _, _, _, fine_stride) in zip(row, self.axes):
+            t = (x - low) / self.side
+            if not -1.0 <= t < n_cells - 1:  # also false for NaN
+                return 0
+            fine += (math.floor(_FINE * t) + _FINE) * fine_stride
+        return int(self.cells[fine])
 
 
-def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None:
-    """The cell grid ``query_topk`` searches first, or None where a
-    grid would not serve: non-finite or flat references, more than 7 columns,
-    or more than 2**15 cells.  ``ref_sq`` is ``sq_norms(refs)``."""
+def cell_index(
+    refs: np.ndarray, k: int, ref_sq: np.ndarray, codes: np.ndarray
+) -> CellIndex | None:
+    """The cell grid ``query_topk`` searches first, with an empty label map
+    for the references' label codes ``codes``, or None where a grid would
+    not serve: more than 3 columns, non-finite or flat references, more than
+    2**15 cells, a fine side below the normal floats, or a code past int8.
+    ``ref_sq`` is ``sq_norms(refs)``."""
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     n, d = refs.shape
-    p = min(_GRID_DIMS, d)
-    if not 1 <= d <= _MAX_DIMS:
+    if not 1 <= d <= _GRID_DIMS or codes.max() >= 127:
         return None
-    pts = refs[:, :p]
-    low, high = pts.min(axis=0), pts.max(axis=0)
+    low, high = refs.min(axis=0), refs.max(axis=0)
     if not (np.isfinite(low).all() and np.isfinite(high).all()):
         return None
     span = high - low
     if not (span > 0).all():
         return None
     # about k references per cell, were they spread evenly over the range
-    side = float((np.prod(span) * k / n) ** (1.0 / p))
-    if not 0.0 < side < math.inf:
+    side = float((np.prod(span) * k / n) ** (1.0 / d))
+    fine_side = side / _FINE
+    if not np.finfo(np.float64).tiny <= fine_side < math.inf:
         return None
     last = np.floor(span / side)  # per axis, the highest occupied cell minus 1
     if np.prod(last + 3) > _MAX_CELLS:
         return None
     n_cells = [int(v) + 3 for v in last]
-    cells = np.floor((pts - low) / side).astype(np.int64) + 1
-    strides = [math.prod(n_cells[j + 1 :]) for j in range(p)]
+    cells = np.floor((refs - low) / side).astype(np.int64) + 1
+    strides = [math.prod(n_cells[j + 1 :]) for j in range(d)]
     # a reference in cell c belongs to the blocks of cells c-1, c, c+1 per axis;
     # laid out point-major, a stable sort keeps each block's ids ascending
     shifts = np.array([0])
@@ -114,71 +155,20 @@ def cell_index(refs: np.ndarray, k: int, ref_sq: np.ndarray) -> CellIndex | None
     indptr = np.zeros(math.prod(n_cells) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=math.prod(n_cells)), out=indptr[1:])
 
+    counts = [size * _FINE for size in n_cells]  # fine cells per axis
     axes = []
-    for j in range(p):
+    for j in range(d):
         # below[c]: the largest coordinate in cells up to c-2, above[c]: the
         # least in cells from c+2, with each reference in its cell of ``cells``
         top = np.full(n_cells[j], -math.inf)
-        np.maximum.at(top, cells[:, j], pts[:, j])
+        np.maximum.at(top, cells[:, j], refs[:, j])
         bottom = np.full(n_cells[j], math.inf)
-        np.minimum.at(bottom, cells[:, j], pts[:, j])
+        np.minimum.at(bottom, cells[:, j], refs[:, j])
         below = [-math.inf, -math.inf, *np.maximum.accumulate(top)[:-2].tolist()]
         above = [*np.minimum.accumulate(bottom[::-1])[::-1][2:].tolist(), math.inf, math.inf]
-        axes.append((float(low[j]), n_cells[j], strides[j], below, above))
-    return CellIndex(side, tuple(axes), indptr, ids, float(ref_sq.max()))
-
-
-@dataclass(frozen=True, eq=False)
-class LabelMap:
-    """Labels proven for the fine cells of a grid that bounds every coordinate.
-
-    Fine cell g of an axis holds the points whose ``floor(_FINE * t)`` is
-    g - ``_FINE``, with t = ``(x - low) / side`` the quotient that places x
-    in its grid cell: each grid cell, padding included, splits into
-    ``_FINE`` fine cells per side.
-    ``cells[key]`` is 0 where no label is known and the label code plus 1
-    where every point of the fine cell ``key`` has k nearest references of
-    that label.  ``cell_topk`` fills it; every write of a cell stores the one
-    label the cell can have, so concurrent callers need no lock.
-    """
-
-    side: float  # the grid's
-    axes: tuple  # per axis (low, grid cells, stride of the fine key)
-    reach: float  # bounds the distance between two points of one fine cell
-    block_marks: np.ndarray  # int8 per entry of the grid's ``ids``: its label code plus 1
-    cells: np.ndarray  # int8 per fine cell
-
-    def key(self, row: list) -> int:
-        """The fine cell of the point ``row`` (floats), or -1 outside the grid."""
-        key = 0
-        for x, (low, n_cells, stride) in zip(row, self.axes):
-            t = (x - low) / self.side
-            if not -1.0 <= t < n_cells - 1:  # also false for NaN
-                return -1
-            key += (math.floor(_FINE * t) + _FINE) * stride
-        return key
-
-    def mark(self, row: list) -> int:
-        """The label code plus 1 proven for the fine cell of ``row``, else 0."""
-        key = self.key(row)
-        return int(self.cells[key]) if key >= 0 else 0
-
-
-def label_map(index: CellIndex | None, codes: np.ndarray, d: int) -> LabelMap | None:
-    """An empty ``LabelMap`` over ``index`` for references of width ``d`` and
-    label codes ``codes``, or None where the grid leaves a coordinate
-    unbounded (d > 3), the fine side is not a normal float, or a code does
-    not fit int8."""
-    if index is None or len(index.axes) < d or codes.max() >= 127:
-        return None
-    side = index.side / _FINE  # a fine cell's
-    if not side >= np.finfo(np.float64).tiny:
-        return None
-    counts = [n_cells * _FINE for _, n_cells, *_ in index.axes]
-    axes = tuple(
-        (low, n_cells, math.prod(counts[j + 1 :]))
-        for j, (low, n_cells, *_) in enumerate(index.axes)
-    )
+        axes.append(
+            (float(low[j]), n_cells[j], strides[j], below, above, math.prod(counts[j + 1 :]))
+        )
     # Along an axis, fl(x - low) and the division by the grid's side each err
     # by at most u relative, and the scaling by _FINE is exact, so a
     # coordinate x whose key is fine cell g lies within 2.01 u (|x - low| +
@@ -190,13 +180,16 @@ def label_map(index: CellIndex | None, codes: np.ndarray, d: int) -> LabelMap | 
     # extent here, and the last factor covers the rounding of the extents
     # and of their Euclidean norm.
     extents = [
-        side + 16 * _U * (abs(low) + (n_cells + 3) * _FINE * side) for low, n_cells, _ in axes
+        fine_side + 16 * _U * (abs(lo) + (size + 3) * _FINE * fine_side)
+        for lo, size, *_ in axes
     ]
     reach = math.hypot(*extents) * (1 + 8 * _U)
-    block_marks = (codes + 1).astype(np.int8).take(index.ids)
+    block_marks = (codes + 1).astype(np.int8).take(ids)
     # np.zeros maps the pages only as they are written
-    cells = np.zeros(math.prod(counts), dtype=np.int8)
-    return LabelMap(index.side, axes, reach, block_marks, cells)
+    labels = np.zeros(math.prod(counts), dtype=np.int8)
+    return CellIndex(
+        side, tuple(axes), indptr, ids, float(ref_sq.max()), reach, block_marks, labels
+    )
 
 
 def query_topk(
@@ -205,7 +198,6 @@ def query_topk(
     k: int,
     ref_sq: np.ndarray | None = None,
     index: CellIndex | None = None,
-    labels: LabelMap | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of the k nearest refs per query, ascending.
 
@@ -213,10 +205,10 @@ def query_topk(
     ``sq_norms(refs)``, precomputed by callers that query one reference set
     many times.  ``index`` is ``cell_index(refs, ...)``: each query is then
     answered from its cell block where the block proves the answer, and by
-    the chunk scan otherwise.  One query gets the bytes the scan would give;
-    a batch gets the scan's indices, with distances that may differ from the
-    scan's in the last bits.  ``labels`` is ``label_map(index, ...)``, which
-    one query answered from its block tries to fill (``cell_topk``).
+    the chunk scan otherwise.  One query gets the bytes the scan would give,
+    and may fill the index's label map (``cell_topk``); a batch gets the
+    scan's indices, with distances that may differ from the scan's in the
+    last bits.
     """
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -227,7 +219,7 @@ def query_topk(
     if ref_sq is None:
         ref_sq = sq_norms(refs)
     if m == 1 and index is not None:
-        found = cell_topk(index, refs, ref_sq, queries, k, labels)
+        found = cell_topk(index, refs, ref_sq, queries, k)
         if found is not None:
             return found
     dist = np.empty((m, k))
@@ -258,30 +250,19 @@ def cell_topk(
     ref_sq: np.ndarray,
     query: np.ndarray,
     k: int,
-    labels: LabelMap | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``query_topk`` of the one row ``query`` from its cell block, or None
     when the block cannot prove that answer.
 
     ``refs`` and ``ref_sq`` are float64 and C-contiguous, as ``query_topk``
-    passes them.  With ``labels``, an answered query whose fine cell holds no
-    label stores the one its block proves for the whole fine cell, if any.
+    passes them.  An answered query whose fine cell holds no label stores
+    the one its block proves for the whole fine cell, if any.
     """
     row = query[0].tolist()
-    side = index.side
-    key = fine = 0
-    margin = math.inf
-    fine_axes = _NO_FINE_AXES if labels is None else labels.axes
-    for x, (low, n_cells, stride, below, above), (_, _, fine_stride) in zip(
-        row, index.axes, fine_axes
-    ):
-        t = (x - low) / side
-        if not -1.0 <= t < n_cells - 1:  # also false for NaN
-            return None
-        c = math.floor(t) + 1
-        key += c * stride
-        fine += (math.floor(_FINE * t) + _FINE) * fine_stride  # LabelMap.key's
-        margin = min(margin, x - below[c], above[c] - x)
+    located = index.locate(row)
+    if located is None:
+        return None
+    key, fine, margin = located
     first, stop = index.indptr[key], index.indptr[key + 1]
     ids = index.ids[first:stop]
     # numpy computes a product with one column as a dot product, which rounds
@@ -298,11 +279,11 @@ def cell_topk(
         if not kth < floor:
             return None
     order = _nearest(d2, kth, k)
-    if labels is not None and not labels.cells[fine]:
-        marks = labels.block_marks[first:stop]
-        mark = _proves(labels.reach, q_sq, index.max_sq, len(row), d2, marks, float(kth), floor)
+    if not index.cells[fine]:
+        marks = index.block_marks[first:stop]
+        mark = _proves(index.reach, q_sq, index.max_sq, len(row), d2, marks, float(kth), floor)
         if mark:
-            labels.cells[fine] = mark
+            index.cells[fine] = mark
     return np.sqrt(d2[order])[None, :], ids[order][None, :]
 
 
@@ -334,7 +315,7 @@ def _cell_batch(
     margin = np.full(m, math.inf)
     # a non-finite or far-out coordinate only marks its row as outside
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (low, n_cells, stride, below, above) in enumerate(index.axes):
+        for j, (low, n_cells, stride, below, above, _) in enumerate(index.axes):
             x = queries[:, j]
             t = (x - low) / index.side
             within = (t >= -1.0) & (t < n_cells - 1)  # also false for NaN
@@ -428,7 +409,7 @@ def _proves(
     from its k nearest references, or 0 where the query's block cannot prove
     one.
 
-    ``reach`` is the ``LabelMap``'s, ``q_sq`` the query's squared norm and
+    ``reach`` is the ``CellIndex``'s, ``q_sq`` the query's squared norm and
     ``d`` its width, ``d2`` its squared distances to its block, ``marks`` the
     block's label marks, ``kth`` the k-th of ``d2`` and ``floor`` the
     query's ``_outside_floor`` (infinite where the block holds every

@@ -446,7 +446,7 @@ def cross_validate(
     if not pinned:
         # default: pin the lexicographically last hold-count users
         users = sorted({s.user_id for s in samples})
-        pinned = tuple(users[-config.user_counts[3] :])
+        pinned = tuple(users[len(users) - config.user_counts[3] :])
     accs: dict[str, dict[str, list[float]]] = {
         name: {"base": [], "corrected": []} for name in PARTITION_NAMES
     }
@@ -682,8 +682,9 @@ def bench_latency(bundle: ModelBundle, features: np.ndarray) -> dict:
         timings[i] = time.perf_counter_ns() - start
     ms = timings / 1e6
     base = pca_transform(bundle.base_pca, features)
-    cell_share = knn_cell_share(bundle.base_knn, base)
+    # read first: the block searches of knn_cell_share may prove more cells
     map_share = knn_map_share(bundle.base_knn, base)
+    cell_share = knn_cell_share(bundle.base_knn, base)
     return {
         "n_timed": n,
         "p50_ms": float(np.percentile(ms, 50)),

@@ -428,17 +428,18 @@ class TestLayers:
 
     @pytest.mark.parametrize("n_dims", range(1, 8))
     def test_cell_search_by_width(self, n_dims):
-        # columns past the third, which the grid ignores, vary less, as
-        # PCA scores do
+        # columns past the third vary less, as PCA scores do; past three
+        # columns there is no grid and every query scans
         rng = np.random.default_rng(n_dims)
         scale = np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1])[:n_dims]
         refs = rng.normal(0.0, 1.0, (600, n_dims)) * scale
         for k in (1, 5, 600):
             model = knn_fit(refs, np.zeros(600), k)
+            assert (model.cell_index is None) == (n_dims > 3)
             Q = rng.normal(0.0, 1.2, (60, n_dims)) * scale
             for q in Q:
                 assert_cell_search_exact(model, q[None])
-            if k < 600:  # not vacuous: blocks answer most queries
+            if k < 600 and n_dims <= 3:  # not vacuous: blocks answer most queries
                 assert knn_cell_share(model, Q) > 0.5
 
     @pytest.mark.parametrize("offset", [1e6, 1e8])
@@ -472,7 +473,7 @@ class TestLayers:
                     assert_cell_search_exact(model, q[None])
         # a block of one reference: numpy multiplies by one column as a dot
         # product, which rounds unlike the scan's matrix-vector product
-        two = np.array([[1.31029353, 1.0, 0.7, 1.31029353], [0.0, 1.31029353, 1.31029353, 1.31029353]])
+        two = np.array([[1.72728018, 1.96239008], [1.91442036, 0.29752802]])
         assert_cell_search_exact(knn_fit(two, np.zeros(2), 1), two[:1])
         flat = rng.uniform(0.0, 1.0, (300, 3))
         flat[:, 1] = 0.25
@@ -484,7 +485,7 @@ class TestLayers:
     @given(
         st.sampled_from(["lattice", "offset 1e8", "crossing 0"]),
         st.integers(2, 40),
-        st.integers(1, 4),
+        st.integers(1, 3),
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
@@ -498,9 +499,10 @@ class TestLayers:
         refs[0], refs[1] = lo, hi
         if kind == "offset 1e8":
             refs += 1e8
-        index = cell_index(refs, data.draw(st.integers(1, n)), sq_norms(refs))
+        k = data.draw(st.integers(1, n))
+        index = cell_index(refs, k, sq_norms(refs), np.zeros(n, dtype=np.int64))
         assert index is not None
-        for j, (low, n_cells, _, below, above) in enumerate(index.axes):
+        for j, (low, n_cells, _, below, above, _) in enumerate(index.axes):
             coords = refs[:, j].tolist()
             cells = [np.floor((x - low) / index.side) + 1 for x in coords]
             for c in range(n_cells):
@@ -508,9 +510,21 @@ class TestLayers:
                 want_above = min((x for x, i in zip(coords, cells) if i >= c + 2), default=np.inf)
                 assert (below[c], above[c]) == (want_below, want_above), (j, c)
 
-    def test_no_index_past_seven_columns(self):
-        refs = np.random.default_rng(6).normal(0.0, 1.0, (100, 8))
-        assert knn_fit(refs, np.zeros(100), 5).cell_index is None
+    @pytest.mark.parametrize("n_classes", [127, 128])
+    def test_index_needs_int8_label_codes(self, n_classes):
+        # a fine cell stores its label code plus 1 as int8: codes up to 126.
+        # One tight cluster per class, on a lattice of spacing 1
+        rng = np.random.default_rng(7)
+        centers = np.array(list(itertools.product(range(6), range(6), range(4))), dtype=float)
+        centers = centers[:n_classes]
+        labels = np.arange(n_classes).repeat(15)
+        model = knn_fit(centers[labels] + rng.normal(0.0, 0.05, (len(labels), 3)), labels, 5)
+        assert (model.cell_index is None) == (n_classes > 127)
+        Q = centers[rng.integers(0, n_classes, 60)] + rng.normal(0.0, 0.05, (60, 3))
+        assert_label_map_exact(model, np.vstack([Q, centers[-1:]]))
+        if n_classes == 127:  # not vacuous: the top code is stored
+            assert model.cell_index.mark(centers[-1].tolist()) == 127
+            assert knn_map_share(model, Q) > 0.5
 
     def test_default_test_split_answered_from_blocks(self, default_bundle, default_split):
         z = pca_transform(default_bundle.base_pca, feature_matrix(default_split.test))
@@ -555,12 +569,11 @@ class TestLayers:
         scale = np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1])[:n_dims]
         refs = rng.normal(0.0, 1.0, (600, n_dims)) * scale
         model = knn_fit(refs, (refs[:, 0] > 0.3).astype(np.int64) + (refs[:, -1] > 0), 5)
-        assert model.cell_index is not None
-        if n_dims > 3:  # a grid cell leaves the other coordinates unbounded
-            assert model.label_map is None
-            return
         Q = rng.normal(0.0, 1.2, (60, n_dims)) * scale
         assert_label_map_exact(model, Q)
+        if n_dims > 3:  # no grid: every row searches and votes
+            assert model.cell_index is None
+            return
         assert knn_map_share(model, Q) > 0.1  # not vacuous: the map answers rows
 
     @pytest.mark.parametrize("offset", [1e6, 1e8])
@@ -597,7 +610,7 @@ class TestLayers:
         # q's 5 nearest share label 0 while ``other``, in q's fine cell, has a
         # label-1 majority: no proof may store a label for that cell
         model = knn_fit(np.array(refs)[:, None], np.array(labels), 5)
-        assert model.label_map.key([q]) == model.label_map.key([other])
+        assert model.cell_index.locate([q])[1] == model.cell_index.locate([other])[1]
         nearest = reference_query_topk(model.points, np.array([[q]]), 5)[1][0]
         assert model.labels[nearest].tolist() == [0] * 5
         assert reference_knn_predict_batch(model, np.array([[other]])).tolist() == [1]
@@ -613,9 +626,9 @@ class TestLayers:
         # them.  Where fl(x - low) rounds, a cell can be wider than a fine
         # side by about an ulp of x - low (the last two cases)
         refs = np.linspace(low, high, 1000)[:, None]
-        labels = knn_fit(refs, np.zeros(1000, dtype=np.int64), 5).label_map
-        lo_x, n_cells, _ = labels.axes[0]
-        fine_side = labels.side / 8
+        index = knn_fit(refs, np.zeros(1000, dtype=np.int64), 5).cell_index
+        lo_x, n_cells, *_ = index.axes[0]
+        fine_side = index.side / 8
         ends = {}
         # every fine cell below ``low`` and every seventh above it
         for g in [*range(8), *range(8, n_cells * 8, 7)]:
@@ -624,14 +637,15 @@ class TestLayers:
                 for _ in range(4):
                     x = np.nextafter(x, -np.inf)
                 for _ in range(9):
-                    key = labels.key([x])
-                    if key >= 0:
+                    located = index.locate([x])
+                    if located is not None:
+                        key = located[1]
                         least, most = ends.get(key, (x, x))
                         ends[key] = (min(least, x), max(most, x))
                     x = np.nextafter(x, np.inf)
         spans = [Fraction(most) - Fraction(least) for least, most in ends.values()]
         assert max(spans) > Fraction(fine_side) / 2  # not vacuous: whole cells were probed
-        assert max(spans) <= Fraction(labels.reach)
+        assert max(spans) <= Fraction(index.reach)
 
     def test_default_stream_through_label_map(self, default_bundle, default_split):
         knn = replace(default_bundle.base_knn)  # an empty map of its own
@@ -654,14 +668,14 @@ class TestLayers:
 def fine_cell_faces(model, q):
     """Rows on the faces of the fine label-map cell of ``q`` and one ulp
     below its upper faces, per axis; none where ``q`` has no fine cell."""
-    labels = model.label_map
-    if labels is None or labels.key(q.tolist()) < 0:
+    index = model.cell_index
+    if index is None or index.locate(q.tolist()) is None:
         return np.empty((0, len(q)))
     axes = []
-    for x, (low, _, _) in zip(q.tolist(), labels.axes):
-        g = np.floor(8 * ((x - low) / labels.side))
-        upper = low + (g + 1) / 8 * labels.side
-        axes.append([low + g / 8 * labels.side, np.nextafter(upper, -np.inf), upper])
+    for x, (low, *_) in zip(q.tolist(), index.axes):
+        g = np.floor(8 * ((x - low) / index.side))
+        upper = low + (g + 1) / 8 * index.side
+        axes.append([low + g / 8 * index.side, np.nextafter(upper, -np.inf), upper])
     return np.array(list(itertools.product(*axes)))
 
 

@@ -95,7 +95,7 @@ def assert_grid_matches_scan(refs, queries, k):
     indices, and squared distances within the rounding bound of the proof in
     ``neighbors._outside_floor``."""
     sq = neighbors.sq_norms(refs)
-    index = neighbors.cell_index(refs, k, sq)
+    index = neighbors.cell_index(refs, k, sq, np.zeros(len(refs), dtype=np.int64))
     d_grid, i_grid = query_topk(refs, queries, k, sq, index=index)
     d_scan, i_scan = query_topk(refs, queries, k, sq)
     assert np.array_equal(i_grid, i_scan)
@@ -113,7 +113,7 @@ class TestCellBatch:
         seed=st.integers(0, 2**32 - 1),
         lattice=st.booleans(),
         n=st.integers(2, 300),
-        d=st.integers(1, neighbors._MAX_DIMS),
+        d=st.integers(1, neighbors._GRID_DIMS),
         m=st.integers(2, 5 * neighbors._CHUNK),
         data=st.data(),
     )
@@ -162,8 +162,9 @@ class TestCellBatch:
         rng = np.random.default_rng(6)
         refs = rng.uniform(0, 1, (400, 3))
         k = 4
-        index = neighbors.cell_index(refs, k, neighbors.sq_norms(refs))
-        low, n_cells, _, _, _ = index.axes[0]
+        sq = neighbors.sq_norms(refs)
+        index = neighbors.cell_index(refs, k, sq, np.zeros(400, dtype=np.int64))
+        low, n_cells, *_ = index.axes[0]
         edges = []
         for t in (-1.0, n_cells - 1.0):  # the first and one past the last cell
             x = low + t * index.side
@@ -174,7 +175,6 @@ class TestCellBatch:
         t = (queries[:, 0] - low) / index.side
         outside = np.flatnonzero((t < -1.0) | (t >= n_cells - 1))
         assert 0 < len(outside) < len(queries)
-        sq = neighbors.sq_norms(refs)
         dist, idx = np.empty((len(queries), k)), np.empty((len(queries), k), dtype=np.int64)
         left = neighbors._cell_batch(index, refs, sq, queries, k, dist, idx)
         assert set(outside.tolist()) <= set(left.tolist())
@@ -185,7 +185,7 @@ class TestCellBatch:
         refs = rng.uniform(0, 1, (2000, 3))
         queries = 0.5 + rng.uniform(-1e-3, 1e-3, (20000, 3))
         sq = neighbors.sq_norms(refs)
-        index = neighbors.cell_index(refs, 5, sq)
+        index = neighbors.cell_index(refs, 5, sq, np.zeros(2000, dtype=np.int64))
 
         def peak(**kwargs):
             tracemalloc.start()

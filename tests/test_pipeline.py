@@ -943,6 +943,9 @@ def same_cell_index(a, b):
         and np.array_equal(a.indptr, b.indptr)
         and np.array_equal(a.ids, b.ids)
         and a.max_sq == b.max_sq
+        and a.reach == b.reach
+        and np.array_equal(a.block_marks, b.block_marks)
+        and a.cells.shape == b.cells.shape
     )
 
 
@@ -983,16 +986,15 @@ class TestPersistence:
             assert same_cell_index(rebuilt.cell_index, knn.cell_index)
         shifted = replace(knn, points=knn.points + 1.0)
         assert shifted.cell_index.axes[0][0] == knn.cell_index.axes[0][0] + 1.0
-        # the label map starts empty on load and on replace, one-row
+        # the index's label map starts empty on load and on replace, one-row
         # predictions fill it, and it changes no byte of the bundle
-        assert "label_map" not in bundle_state(small_bundle)["base_knn"]
         for rebuilt in (loaded, replace(knn)):
-            assert rebuilt.label_map is not knn.label_map
-            assert not rebuilt.label_map.cells.any()
+            assert rebuilt.cell_index.cells is not knn.cell_index.cells
+            assert not rebuilt.cell_index.cells.any()
         blob = serialize_bundle(default_bundle)
         for row in feature_matrix(default_split.test[:2000]):
             default_bundle.predict(row)
-        assert default_bundle.base_knn.label_map.cells.any()
+        assert default_bundle.base_knn.cell_index.cells.any()
         after = serialize_bundle(default_bundle)
         assert hashlib.sha256(after).hexdigest() == hashlib.sha256(blob).hexdigest()
         # the array bytes are fixed by the bundle's shapes; the JSON header
@@ -1193,6 +1195,14 @@ class TestCrossValidate:
             stats = summary["splits"][name]["corrected"]
             assert 0.0 <= stats["min"] <= stats["mean"] <= stats["max"] <= 1.0
 
+    def test_no_hold_users_pins_none(self, small_samples):
+        # users[-0:] would be every user, which no hold of size 0 can take
+        config = replace(FAST_CONFIG, user_counts=(8, 3, 2, 0))
+        summary = cross_validate(config, small_samples, n_combos=1)
+        assert summary["pinned_hold"] == []
+        assert summary["splits"]["hold"] == {}
+        assert set(summary["splits"]["test"]["corrected"]) == {"mean", "std", "min", "max"}
+
 
 class TestBench:
     def test_latency_stats(self, small_bundle, small_split):
@@ -1231,6 +1241,11 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(FileFormatError, match="unknown"):
             parse_config_text("bogus = 1")
+
+    def test_repeated_key_rejected(self):
+        text = "knn_k = 5\n# a note\nn_pcs = 3\nknn_k = 7\n"
+        with pytest.raises(FileFormatError, match=r"line 4: config key 'knn_k' repeats line 1"):
+            parse_config_text(text)
 
     def test_comments_and_blanks(self):
         config = parse_config_text("# note\n\nn_pcs = 7  # trailing\n")
