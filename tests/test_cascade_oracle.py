@@ -526,6 +526,10 @@ class TestLayers:
             assert model.cell_index.mark(centers[-1].tolist()) == 127
             assert knn_map_share(model, Q) > 0.5
 
+    def test_no_index_past_seven_columns(self):
+        refs = np.random.default_rng(6).normal(0.0, 1.0, (100, 8))
+        assert knn_fit(refs, np.zeros(100), 5).cell_index is None
+
     def test_default_test_split_answered_from_blocks(self, default_bundle, default_split):
         z = pca_transform(default_bundle.base_pca, feature_matrix(default_split.test))
         assert knn_cell_share(default_bundle.base_knn, z) >= 0.95
