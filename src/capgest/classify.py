@@ -199,6 +199,12 @@ def centroid_scores(model: CentroidModel, X: np.ndarray, pos_col: int) -> np.nda
     of ``model.centroids``.  0.5 means equidistant (both distances zero
     included), values toward 1 mean nearer the positive centroid."""
     dist = _centroid_distances(model.centroids, X)
+    if len(dist) == 1:
+        # the same IEEE operations on Python floats, without the array tail
+        row = dist[0].tolist()
+        d_pos, d_neg = row[pos_col], row[1 - pos_col]
+        total = d_pos + d_neg
+        return np.array([d_neg / total if total > 0 else 0.5])
     d_pos = dist[:, pos_col]
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio
 from .config import PipelineConfig, format_config, load_config
-from .corrector import audit_records, format_audit
+from .corrector import audit_records, feature_rows, format_audit
 from .errors import BudgetError, CapgestError, FileFormatError
 from .pipeline import (
     bench_latency,
@@ -155,7 +155,7 @@ def cmd_predict(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     if args.features:
         path = Path(args.features)
-        rows = []
+        rows, numbers = [], []  # each row's values and its line in the file
         for number, line in enumerate(dataio.read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -171,8 +171,12 @@ def cmd_predict(args) -> None:
                     f"{path}: line {number}: expected {N_FEATURES} features, got {len(values)}"
                 )
             rows.append(values)
+            numbers.append(number)
         # (0, N_FEATURES) when every line is a comment or blank
-        preds = bundle.predict_batch(np.array(rows, dtype=float).reshape(len(rows), N_FEATURES))
+        features = np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
+        preds = bundle.predict_batch(
+            feature_rows(features, N_FEATURES, where=lambda row: f"{path}: line {numbers[row]}")
+        )
     else:
         samples = _load_samples(Path(args.recordings))
         preds = bundle.predict_batch(feature_matrix(samples))

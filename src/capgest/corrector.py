@@ -308,14 +308,17 @@ def build_routing_table(
     return routes
 
 
-def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np.ndarray:
+def feature_rows(
+    features: np.ndarray, n_features: int, one: bool = False, where="feature row {}".format
+) -> np.ndarray:
     """``features`` as a float (n, n_features) matrix: the cascade's one input check.
 
     A 1-D ``features`` is one row.  With ``one`` the input must be exactly
     one row.  Raises DimensionMismatch on rows of different shapes or any
     other wrong shape, NonNumericInput when a value is not a number,
     NonFiniteInput on NaN or inf and FeatureOutOfRange on a finite value
-    outside the normalized range [0, 1].
+    outside the normalized range [0, 1]; the last two name the row as
+    ``where(index)`` does.
     """
     try:
         features = as_rows(features, n_features)
@@ -331,10 +334,8 @@ def feature_rows(features: np.ndarray, n_features: int, one: bool = False) -> np
     if features.size and not (lo <= features.min() and features.max() <= hi):
         row, col = np.argwhere(~((features >= lo) & (features <= hi)))[0]
         if not np.isfinite(features[row]).all():
-            raise NonFiniteInput(f"feature row {row} contains NaN or inf")
-        raise FeatureOutOfRange(
-            f"feature row {row} has value {float(features[row, col])!r} outside [0, 1]"
-        )
+            raise NonFiniteInput(f"{where(row)}: NaN or inf")
+        raise FeatureOutOfRange(f"{where(row)}: value {float(features[row, col])!r} outside [0, 1]")
     return features
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FileFormatError
+from .errors import DataError, DegenerateRange, FileFormatError
 from .signals import (
     CHANNEL_NAMES,
     N_CHANNELS,
@@ -154,16 +154,32 @@ def write_calibration(path: Path, calib: Mapping[tuple[str, int], CalibrationRan
 
 
 def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
-    lines = _read_lines(path, CALIBRATION_MAGIC)
+    """The ranges of a calibration file.  A malformed row or a second row for
+    one (user, channel) raises FileFormatError, and a range with min_raw >=
+    max_raw DegenerateRange, each naming the path and the line."""
+    numbered = [(n, ln.strip()) for n, ln in enumerate(read_text(path).splitlines(), 1)]
+    numbered = [(n, ln) for n, ln in numbered if ln]
+    if not numbered or numbered[0][1] != CALIBRATION_MAGIC:
+        raise FileFormatError(f"{path}: expected first line {CALIBRATION_MAGIC!r}")
     calib = {}
-    for ln in lines[1:]:
+    first_line = {}  # the line that set each (user, channel)
+    for number, ln in numbered[2:]:  # skip the magic and column header lines
         parts = ln.split(",")
-        if len(parts) != 4:
-            raise FileFormatError(f"{path}: bad calibration row {ln!r}")
         try:
-            calib[parts[0], int(parts[1])] = CalibrationRange(float(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad calibration row {ln!r}") from exc
+            if len(parts) != 4:
+                raise ValueError
+            key = parts[0], int(parts[1])
+            rng = CalibrationRange(float(parts[2]), float(parts[3]))
+        except ValueError:
+            raise FileFormatError(f"{path}: line {number}: bad calibration row {ln!r}") from None
+        except DegenerateRange as exc:
+            raise DegenerateRange(f"{path}: line {number}: {exc}") from None
+        if key in first_line:
+            raise FileFormatError(
+                f"{path}: line {number}: calibration row for {key} repeats line {first_line[key]}"
+            )
+        first_line[key] = number
+        calib[key] = rng
     return calib
 
 

@@ -25,10 +25,12 @@ the scan's in the last bits, within the bound ``_outside_floor`` states.
 
 As a cell bounds every coordinate, the grid also splits each cell into
 ``_FINE`` fine cells per side and keeps, per fine cell, a label that one
-query proved for every point of the cell: every reference that any point
-of the cell can take among its k nearest carries that label (``_proves``).
-``cell_topk`` tries the proof from the block it has just measured, and a
-one-row caller reads the label without a search (``CellIndex.mark``).
+query proved for every point of the cell: of the references that any point
+of the cell can take among its k nearest, at most ``(k - 1) // 2`` carry
+another label, so any k of them give that label a strict majority of the
+vote (``_proves``).  ``cell_topk`` tries the proof from the block it has
+just measured, and a one-row caller reads the label without a search
+(``CellIndex.mark``).
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ class CellIndex:
     Fine cell g of an axis holds the points whose ``floor(_FINE * t)`` is
     g - ``_FINE``: each cell, padding included, splits into ``_FINE`` fine
     cells per side.  ``cells[key]`` is 0 where no label is known and the
-    label code plus 1 where every point of the fine cell ``key`` has k
-    nearest references of that label.  ``cell_topk`` fills it; every write
-    of a cell stores the one label the cell can have, so concurrent callers
-    need no lock.
+    label code plus 1 where the k nearest references of every point of the
+    fine cell ``key`` give that label a strict majority of their votes.
+    ``cell_topk`` fills it; every write of a cell stores the one label the
+    cell can have, so concurrent callers need no lock.
     """
 
     side: float
@@ -281,7 +283,7 @@ def cell_topk(
     order = _nearest(d2, kth, k)
     if not index.cells[fine]:
         marks = index.block_marks[first:stop]
-        mark = _proves(index.reach, q_sq, index.max_sq, len(row), d2, marks, float(kth), floor)
+        mark = _proves(index.reach, q_sq, index.max_sq, len(row), d2, marks, k, float(kth), floor)
         if mark:
             index.cells[fine] = mark
     return np.sqrt(d2[order])[None, :], ids[order][None, :]
@@ -402,12 +404,17 @@ def _proves(
     d: int,
     d2: np.ndarray,
     marks: np.ndarray,
+    k: int,
     kth: float,
     floor: float,
 ) -> int:
-    """The label code plus 1 that every point of a query's fine cell takes
-    from its k nearest references, or 0 where the query's block cannot prove
-    one.
+    """The label code plus 1 that the k nearest references of every point of
+    a query's fine cell give by a strict majority, or 0 where the query's
+    block cannot prove one.
+
+    The references any point of the cell can take among its k nearest lie
+    in one set of block references; a label is proven where at most
+    ``(k - 1) // 2`` of that set carry another label.
 
     ``reach`` is the ``CellIndex``'s, ``q_sq`` the query's squared norm and
     ``d`` its width, ``d2`` its squared distances to its block, ``marks`` the
@@ -416,8 +423,9 @@ def _proves(
     reference).
     """
     # Proof that every point q' in the fine cell of the query q, searched on
-    # any path and with any tie-break, has k nearest references of the label
-    # returned, so its vote gives that label.  With eps(p) = (2d + 7) u S(p)
+    # any path and with any tie-break, takes more than k/2 of its k nearest
+    # references from the label returned, so its vote gives that label with
+    # no count tie and no tie-break read.  With eps(p) = (2d + 7) u S(p)
     # and S(p) = |p|^2 + max |r|^2, _outside_floor's derivation bounds the
     # error of any computed squared distance from p by eps(p).
     # |q - q'| <= reach, so |q'| <= |q| + reach.
@@ -433,8 +441,12 @@ def _proves(
     # - A reference outside q's block lies at least margin_true from q, and
     #   _outside_floor's floor is below margin_true^2, so R^2 < floor leaves
     #   every such reference out.
-    # - A block reference within R of q has d2 <= R^2 + eps(q).  If all such
-    #   references carry one label, every reference that q' can take does.
+    # - A block reference within R of q has d2 <= R^2 + eps(q), so the set N
+    #   of block references with d2 at or below that limit holds every
+    #   reference that q' can take.  If at most (k - 1) // 2 of N carry
+    #   another label than L, any k of N, q''s k nearest among them, hold at
+    #   least k - (k - 1) // 2 > k/2 references of L: a strict majority.
+    #   For k <= 2 that asks every reference of N to carry L.
     # e below is 2 (2d + 7) u, twice the coefficient of eps: its surplus
     # covers the rounding of kth + e S and of the squared norms; every other
     # step rounds a sum or product of nonnegative terms, so R^2 and the limit
@@ -446,9 +458,14 @@ def _proves(
     r_sq = (math.sqrt(a * a + e * far_sq) + reach) ** 2 * grow
     if not r_sq < floor:  # also false for NaN
         return 0
-    # a few bytes: Python compares them faster than numpy reduces them
+    # a few bytes: Python counts them faster than numpy reduces them
     near = marks[d2 <= (r_sq + e * (q_sq + max_sq)) * grow].tobytes()
-    return near[0] if near.count(near[0]) == len(near) else 0
+    others = (k - 1) // 2
+    # a label with at most ``others`` other marks holds one of the first others + 1
+    for mark in set(near[: others + 1]):
+        if len(near) - near.count(mark) <= others:
+            return mark
+    return 0
 
 
 def _sq_distances(q: np.ndarray, refs: np.ndarray, ref_sq: np.ndarray) -> np.ndarray:

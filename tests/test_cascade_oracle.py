@@ -622,6 +622,23 @@ class TestLayers:
         assert knn_predict_batch(model, np.array([[other]])).tolist() == [1]
 
     @pytest.mark.parametrize(
+        "k, others, proven", [(5, 2, True), (5, 3, False), (4, 1, True), (4, 2, False)]
+    )
+    def test_label_map_strict_majority(self, k, others, proven):
+        # the proof radius of q's fine cell holds the five label-0 references
+        # of _A and ``others`` label-1 references just beyond them: a label is
+        # proven where at most (k - 1) // 2 of those carry another label
+        near = [0.05, 0.06, 0.07][:others]
+        refs = _A + near + np.linspace(5.0, 20.0, 90).tolist()
+        labels = [0] * 5 + [1] * others + [0] * 90
+        model = knn_fit(np.array(refs)[:, None], np.array(labels), k)
+        q = 0.02
+        fine = model.cell_index.locate([q])[1]
+        assert knn_predict_batch(model, np.array([[q]])).tolist() == [0]
+        assert model.cell_index.cells[fine] == (1 if proven else 0)
+        assert_label_map_exact(model, np.array([[q], *([x] for x in near)]))
+
+    @pytest.mark.parametrize(
         "low, high", [(0.0, 1.0), (-1e8, 1e8), (1e8, 1e8 + 1e4), (-1e6, 3.0), (0.3, 1e6)]
     )
     def test_label_map_reach(self, low, high):

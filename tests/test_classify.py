@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from capgest import neighbors
 from capgest.classify import (
+    CentroidModel,
     _centroid_distances,
     binary_kind,
     binary_scores,
     centroid_fit,
     centroid_predict_batch,
+    centroid_scores,
     knn_fit,
     knn_predict_batch,
     lda_fit,
@@ -73,6 +75,18 @@ def reference_centroid_score(model, x, positive_class):
     d_neg = dist[:, 1 - pos_col]
     total = d_pos + d_neg
     return np.where(total > 0, d_neg / np.where(total > 0, total, 1.0), 0.5)
+
+
+@st.composite
+def centroid_problems(draw):
+    """A two-class centroid model and float rows: one at the first centroid,
+    and one at both where the two centroids coincide (a total distance of 0)."""
+    d = draw(st.integers(1, 6))
+    row = st.lists(st.floats(-1e100, 1e100), min_size=d, max_size=d)
+    first = draw(row)
+    second = draw(st.one_of(st.just(first), row))
+    rows = [*draw(st.lists(row, min_size=1, max_size=5)), first, second]
+    return CentroidModel(np.array([0, 1]), np.array([first, second])), np.array(rows)
 
 
 class TestKnn:
@@ -253,6 +267,18 @@ class TestCentroid:
             got = binary_scores(model, Q)
             want = reference_centroid_score(model, Q, 1)
             assert got.tobytes() == want.tobytes()
+
+    @given(centroid_problems(), st.sampled_from([0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_score_bitwise_equal_to_batch(self, problem, pos_col):
+        model, X = problem
+        batch = centroid_scores(model, X, pos_col)
+        assert batch.tobytes() == reference_centroid_score(model, X, pos_col).tobytes()
+        for i in range(len(X)):
+            one = centroid_scores(model, X[i : i + 1], pos_col)
+            assert one.dtype == np.float64
+            assert one.tobytes() == batch[i : i + 1].tobytes()
+            assert one.tobytes() == reference_centroid_score(model, X[i : i + 1], pos_col).tobytes()
 
     def test_score_bitwise_equal_at_zero_distance(self):
         # identical centroids give zero total distance at the centroid itself;

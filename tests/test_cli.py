@@ -217,25 +217,28 @@ class TestExitCodes:
     def test_non_finite_features_is_2(self, workspace, tmp_path, capsys, bad):
         path = tmp_path / "nan.csv"
         row = ["0.25"] * N_FEATURES
-        path.write_text(",".join(row) + "\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8")
+        # the bad row is the second data row, on line 4
+        path.write_text(
+            ",".join(row) + "\n# probe\n\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8"
+        )
         assert main(
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
-        captured = capsys.readouterr()
-        assert "NaN or inf" in captured.err
-        assert captured.out == ""
+        TestUnreadableFiles.one_error_line(capsys, f"{path}: line 4: NaN or inf")
 
     @pytest.mark.parametrize("bad, shown", [("1e6", "1000000.0"), ("-5", "-5.0")])
     def test_out_of_range_feature_is_2(self, workspace, tmp_path, capsys, bad, shown):
         path = tmp_path / "range.csv"
         row = ["0.25"] * N_FEATURES
-        path.write_text(",".join(row) + "\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8")
+        path.write_text(
+            ",".join(row) + "\n# probe\n\n" + ",".join([bad] + row[1:]) + "\n", encoding="utf-8"
+        )
         assert main(
             ["predict", "--bundle", str(workspace["bundle"]), "--features", str(path)]
         ) == 2
-        captured = capsys.readouterr()
-        assert f"feature row 1 has value {shown} outside [0, 1]" in captured.err
-        assert captured.out == ""
+        TestUnreadableFiles.one_error_line(
+            capsys, f"{path}: line 4: value {shown} outside [0, 1]"
+        )
 
     def test_non_numeric_feature_is_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "text.csv"

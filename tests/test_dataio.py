@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from capgest import dataio
 from capgest.cli import main
 from capgest.config import load_config
-from capgest.errors import DataError, FileFormatError
+from capgest.errors import DataError, DegenerateRange, FileFormatError
 from capgest.signals import (
     CalibrationRange,
     GestureLabel,
@@ -102,6 +102,29 @@ class TestRoundTrips:
         dataio.write_dataset(tmp_path, [rec], {})
         (back,), _ = dataio.read_dataset(tmp_path)
         assert back.gesture_marks == rec.gesture_marks
+
+
+class TestCalibrationRows:
+    HEAD = f"{dataio.CALIBRATION_MAGIC}\nuser_id,channel,min_raw,max_raw\n"
+
+    def test_repeated_row_is_a_format_error(self, tmp_path):
+        # the second u01,0 row would silently replace the first
+        path = tmp_path / "calibration.csv"
+        path.write_text(
+            self.HEAD + "u01,0,405.0,1007.0\nu01,1,400.0,1000.0\n\nu01,0,1012.0,1017.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            FileFormatError,
+            match=re.escape(f"{path}: line 6: calibration row for ('u01', 0) repeats line 3"),
+        ):
+            dataio.read_calibration(path)
+
+    def test_degenerate_range_names_path_and_line(self, tmp_path):
+        path = tmp_path / "calibration.csv"
+        path.write_text(self.HEAD + "u01,0,405.0,1007.0\nu01,1,1000.0,400.0\n", encoding="utf-8")
+        with pytest.raises(DegenerateRange, match=re.escape(f"{path}: line 4: min_raw 1000.0")):
+            dataio.read_calibration(path)
 
 
 class TestMissingCalibration:

@@ -508,9 +508,9 @@ class TestPredictInput:
         X = feature_matrix(small_split.hold[:5])
         X[3, 17] = bad
         assert issubclass(FeatureOutOfRange, DataError)
-        with pytest.raises(FeatureOutOfRange, match=f"row 0 has value {shown} outside"):
+        with pytest.raises(FeatureOutOfRange, match=f"row 0: value {shown} outside"):
             small_bundle.predict(X[3])
-        with pytest.raises(FeatureOutOfRange, match=f"row 3 has value {shown} outside"):
+        with pytest.raises(FeatureOutOfRange, match=f"row 3: value {shown} outside"):
             small_bundle.predict_batch(X)
         # the first bad row decides; a NaN in it makes it non-finite
         X[3, 18] = np.nan
