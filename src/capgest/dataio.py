@@ -164,12 +164,10 @@ def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
     calib = {}
     first_line = {}  # the line that set each (user, channel)
     for number, ln in numbered[2:]:  # skip the magic and column header lines
-        parts = ln.split(",")
         try:
-            if len(parts) != 4:
-                raise ValueError
-            key = parts[0], int(parts[1])
-            rng = CalibrationRange(float(parts[2]), float(parts[3]))
+            user_id, channel, min_raw, max_raw = ln.split(",")
+            key = user_id, int(channel)
+            rng = CalibrationRange(float(min_raw), float(max_raw))
         except ValueError:
             raise FileFormatError(f"{path}: line {number}: bad calibration row {ln!r}") from None
         except DegenerateRange as exc:
