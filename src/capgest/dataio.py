@@ -157,8 +157,8 @@ def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
     """The ranges of a calibration file.  A malformed row or a second row for
     one (user, channel) raises FileFormatError, and a range with min_raw >=
     max_raw DegenerateRange, each naming the path and the line."""
-    numbered = [(n, ln.strip()) for n, ln in enumerate(read_text(path).splitlines(), 1)]
-    numbered = [(n, ln) for n, ln in numbered if ln]
+    lines = map(str.strip, read_text(path).splitlines())
+    numbered = [(n, ln) for n, ln in enumerate(lines, 1) if ln]
     if not numbered or numbered[0][1] != CALIBRATION_MAGIC:
         raise FileFormatError(f"{path}: expected first line {CALIBRATION_MAGIC!r}")
     calib = {}
