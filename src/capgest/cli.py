@@ -18,12 +18,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
 from .config import PipelineConfig, format_config, load_config
 from .corrector import audit_records, feature_rows, format_audit
-from .errors import BudgetError, CapgestError, FileFormatError
+from .errors import BudgetError, CapgestError
 from .pipeline import (
     bench_latency,
     cross_validate,
@@ -154,29 +152,8 @@ def cmd_bench(args) -> None:
 def cmd_predict(args) -> None:
     bundle = load_bundle(Path(args.bundle))
     if args.features:
-        path = Path(args.features)
-        rows, numbers = [], []  # each row's values and its line in the file
-        for number, line in enumerate(dataio.read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values = [float(p) for p in line.split(",")]
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: line {number}: feature values must be numbers"
-                ) from None
-            if len(values) != N_FEATURES:
-                raise FileFormatError(
-                    f"{path}: line {number}: expected {N_FEATURES} features, got {len(values)}"
-                )
-            rows.append(values)
-            numbers.append(number)
-        # (0, N_FEATURES) when every line is a comment or blank
-        features = np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
-        preds = bundle.predict_batch(
-            feature_rows(features, N_FEATURES, where=lambda row: f"{path}: line {numbers[row]}")
-        )
+        features, where = dataio.read_features(Path(args.features))
+        preds = bundle.predict_batch(feature_rows(features, N_FEATURES, where=where))
     else:
         samples = _load_samples(Path(args.recordings))
         preds = bundle.predict_batch(feature_matrix(samples))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
-from .dataio import read_text
+from .dataio import numbered_lines, read_text
 from .embed import parse_kernel_spec
 from .errors import FileFormatError, ParamOutOfRange
 
@@ -73,15 +73,12 @@ def parse_config_text(text: str) -> PipelineConfig:
     its default, and a key set twice is refused."""
     overrides = {}
     first_line = {}  # the line that set each key
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in zip(*numbered_lines(text, lambda ln: ln.split("#", 1)[0].strip())):
         key, sep, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not sep or not key:
-            raise FileFormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise FileFormatError(f"line {lineno}: expected 'key = value', got {line!r}")
         if key in first_line:
             raise FileFormatError(
                 f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
@@ -104,7 +101,11 @@ def parse_config_text(text: str) -> PipelineConfig:
 
 
 def load_config(path: Path) -> PipelineConfig:
-    return parse_config_text(read_text(Path(path)))
+    text = read_text(Path(path))
+    try:
+        return parse_config_text(text)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def format_config(config: PipelineConfig) -> str:

@@ -1,23 +1,25 @@
-"""Line-oriented dataset file formats (UTF-8, comma separated, versioned).
+"""Line-oriented text inputs (UTF-8, comma separated): the dataset files and
+the ``predict --features`` file, 100 values a line and ``#`` lines comments.
 
-Three file kinds, all with a ``# capgest-<kind> v1`` first line:
+A dataset file starts with a ``# capgest-<kind> v1`` line and a column header,
+which each writer writes and each reader checks:
 
-* recording: header rows ``user_id,<id>`` and ``sample_rate_hz,<hz>`` (40.0;
-  any other rate is a FileFormatError), a column header, then one row per
-  frame: ``frame,thumb,index,middle,ring,pinky``.
-* marks: one row per annotation: ``start,end,label`` (inclusive frame span).
-* calibration: one row per (user, channel): ``user_id,channel,min_raw,max_raw``.
+* recording: ``user_id,<id>`` and ``sample_rate_hz,40.0`` rows, the header
+  ``frame,thumb,index,middle,ring,pinky``, then frame rows 0, 1, ...
+* marks: ``start,end,label``; a row per inclusive frame span.
+* calibration: ``user_id,channel,min_raw,max_raw``; a row per (user, channel).
 
-A recording ``<stem>.csv`` needs its annotation file ``<stem>.marks.csv``
-in the same directory; a dataset directory holds ``recordings/`` plus a
-top-level ``calibration.csv``, the one source of its calibration ranges.
+Blank lines are skipped, and a bad row or header raises FileFormatError naming
+``<path>: line N``.  A recording ``<stem>.csv`` needs ``<stem>.marks.csv``
+beside it; a dataset directory holds ``recordings/`` and ``calibration.csv``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from contextlib import suppress
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import DataError, DegenerateRange, FileFormatError
 from .signals import (
     CHANNEL_NAMES,
     N_CHANNELS,
+    N_FEATURES,
     SAMPLE_RATE_HZ,
     CalibrationRange,
     GestureLabel,
@@ -33,8 +36,11 @@ from .signals import (
 )
 
 RECORDING_MAGIC = "# capgest-recording v1"
+RECORDING_COLUMNS = "frame," + ",".join(CHANNEL_NAMES)
 MARKS_MAGIC = "# capgest-marks v1"
+MARKS_COLUMNS = "start,end,label"
 CALIBRATION_MAGIC = "# capgest-calibration v1"
+CALIBRATION_COLUMNS = "user_id,channel,min_raw,max_raw"
 
 
 def read_text(path: Path) -> str:
@@ -49,121 +55,126 @@ def read_text(path: Path) -> str:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_lines(path: Path, magic: str) -> list[str]:
-    lines = list(filter(None, map(str.strip, read_text(path).splitlines())))
+def numbered_lines(text: str, clean=str.strip) -> tuple[Sequence[int], list[str]]:
+    """The 1-based numbers (a ``range`` if no line is dropped) and the lines
+    of ``text`` as ``clean`` returns them, without those it makes empty."""
+    lines = list(map(clean, text.splitlines()))
+    if "" not in lines:
+        return range(1, len(lines) + 1), lines
+    return [n for n, ln in enumerate(lines, 1) if ln], list(filter(None, lines))
+
+
+def _read_table(path: Path, magic: str, columns: str, at: int = 1):
+    """The numbered lines of a dataset file whose first line is ``magic``
+    and whose non-blank line ``at`` (0-based) is the column header."""
+    numbers, lines = numbered_lines(read_text(path))
     if not lines or lines[0] != magic:
         raise FileFormatError(f"{path}: expected first line {magic!r}")
-    return lines[1:]
+    if len(lines) <= at or lines[at] != columns:
+        number = numbers[at] if len(lines) > at else numbers[-1] + 1
+        raise FileFormatError(f"{path}: line {number}: expected column header {columns!r}")
+    return numbers, lines
+
+
+@lru_cache(maxsize=None)
+def _frame_starts(bits: int) -> list[str]:
+    """The first tokens of 2**bits frame rows joined by ",\\n": "0", "\\n1", ..."""
+    return ["0", *(f"\n{i}" for i in range(1, 1 << bits))]
+
+
+def _parse_rows(path: Path, numbers, lines, width: int, what: str, framed=False) -> np.ndarray:
+    """The (n, width) matrix of ``lines`` of ``width`` comma-separated finite
+    numbers, after a column of frame numbers 0, 1, ... if ``framed``, which is
+    checked and dropped.  One pass parses the rows; if it fails, a row loop
+    finds the first bad row, and its FileFormatError names the line."""
+    n, step = len(lines), width + framed
+    tokens = ",\n".join(lines).split(",")  # "\n" starts each row's first token but row 0's
+    starts = tokens[::step]  # every row has step tokens if all after the first hold a "\n"
+    aligned = len(tokens) == n * step and "".join(starts).count("\n") == n - 1
+    if framed:
+        aligned = aligned and starts == _frame_starts(n.bit_length())[:n]
+        del tokens[::step]
+    if aligned:
+        with suppress(ValueError):
+            values = np.fromiter(map(float, tokens), dtype=np.float64, count=n * width)
+            if np.isfinite(values).all():
+                return values.reshape(n, width)
+    rows = np.empty((n, width))
+    for i, (number, ln) in enumerate(zip(numbers, lines)):
+        parts = ln.split(",")
+        where = f"{path}: line {number}"
+        if len(parts) != step:
+            raise FileFormatError(f"{where}: expected {width} {what}s, got {len(parts) - framed}")
+        if framed and parts[0] != str(i):
+            raise FileFormatError(f"{where}: expected frame {i}, got {parts[0]!r}")
+        try:
+            rows[i] = [float(p) for p in parts[framed:]]
+        except ValueError:
+            raise FileFormatError(f"{where}: {what} values must be numbers") from None
+        if not np.isfinite(rows[i]).all():
+            raise FileFormatError(f"{where}: NaN or inf among the {what} values")
+    return rows
 
 
 def write_recording(path: Path, recording: Recording) -> None:
-    rows = [RECORDING_MAGIC]
-    rows.append(f"user_id,{recording.user_id}")
-    rows.append(f"sample_rate_hz,{SAMPLE_RATE_HZ!r}")
-    rows.append("frame," + ",".join(CHANNEL_NAMES))
+    rows = [RECORDING_MAGIC, f"user_id,{recording.user_id}", f"sample_rate_hz,{SAMPLE_RATE_HZ!r}"]
+    rows.append(RECORDING_COLUMNS)
     for i in range(recording.n_frames):
         vals = ",".join(repr(float(v)) for v in recording.channels[:, i])
         rows.append(f"{i},{vals}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _parse_frames(path: Path, body: list[str]) -> np.ndarray:
-    """(5, n) frame matrix of the rows ``frame,thumb,...,pinky``.
-
-    The body is parsed in one pass over all tokens; the frame column is not
-    read.  If that pass fails, the rows are parsed one at a time, so the
-    error names the first bad row.  Non-finite values are rejected.
-    """
-    n = len(body)
-    if set(map(str.count, body, repeat(","))) <= {N_CHANNELS}:  # per-row column check
-        tokens = ",".join(body).split(",")
-        del tokens[:: N_CHANNELS + 1]
-        try:
-            values = np.fromiter(map(float, tokens), dtype=np.float64, count=n * N_CHANNELS)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return np.ascontiguousarray(values.reshape(n, N_CHANNELS).T)
-    frames = np.empty((N_CHANNELS, n))
-    for i, ln in enumerate(body):
-        parts = ln.split(",")
-        if len(parts) != N_CHANNELS + 1:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}")
-        try:
-            frames[:, i] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
-        if not np.isfinite(frames[:, i]).all():
-            raise FileFormatError(f"{path}: non-finite value in frame row {ln!r}")
-    return frames
-
-
 def read_recording(path: Path) -> Recording:
     """Read ``<stem>.csv`` and its ``<stem>.marks.csv``; a missing marks file
     raises FileFormatError naming its path."""
-    lines = _read_lines(path, RECORDING_MAGIC)
-    if len(lines) < 3:
-        raise FileFormatError(f"{path}: truncated recording file")
-    header: dict[str, str] = {}
-    for ln in lines[:2]:
-        key, _, value = ln.partition(",")
-        header[key] = value
-    if "user_id" not in header or "sample_rate_hz" not in header:
+    numbers, lines = _read_table(path, RECORDING_MAGIC, RECORDING_COLUMNS, at=3)
+    header = dict(ln.partition(",")[::2] for ln in lines[1:3])
+    if header.keys() != {"user_id", "sample_rate_hz"}:
         raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
-    frames = _parse_frames(path, lines[3:])  # skip column header line
+    rows = _parse_rows(path, numbers[4:], lines[4:], N_CHANNELS, "channel", framed=True)
     marks = tuple(read_marks(path.with_suffix(".marks.csv")))
     try:
         rate = float(header["sample_rate_hz"])
         if rate != SAMPLE_RATE_HZ:
             raise ValueError(f"sample_rate_hz is {rate!r}, windows need {SAMPLE_RATE_HZ} Hz")
-        return Recording(user_id=header["user_id"], channels=frames, gesture_marks=marks)
+        return Recording(user_id=header["user_id"], channels=rows.T.copy(), gesture_marks=marks)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_marks(path: Path, marks: Sequence[GestureMark]) -> None:
-    rows = [MARKS_MAGIC, "start,end,label"]
-    for m in marks:
-        rows.append(f"{m.start},{m.end},{m.label.text}")
+    rows = [MARKS_MAGIC, MARKS_COLUMNS, *(f"{m.start},{m.end},{m.label.text}" for m in marks)]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def read_marks(path: Path) -> list[GestureMark]:
-    lines = _read_lines(path, MARKS_MAGIC)
+    numbers, lines = _read_table(path, MARKS_MAGIC, MARKS_COLUMNS)
     marks = []
-    for ln in lines[1:]:  # skip column header
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}: bad mark row {ln!r}")
+    for number, ln in zip(numbers[2:], lines[2:]):
         try:
-            marks.append(
-                GestureMark(int(parts[0]), int(parts[1]), GestureLabel.from_text(parts[2]))
-            )
-        except (ValueError, KeyError) as exc:
-            raise FileFormatError(f"{path}: bad mark row {ln!r}") from exc
+            start, end, label = ln.split(",")
+            marks.append(GestureMark(int(start), int(end), GestureLabel.from_text(label)))
+        except (ValueError, KeyError):
+            raise FileFormatError(f"{path}: line {number}: bad mark row {ln!r}") from None
     return marks
 
 
 def write_calibration(path: Path, calib: Mapping[tuple[str, int], CalibrationRange]) -> None:
     """One row per (user, channel), sorted by that key."""
-    rows = [CALIBRATION_MAGIC, "user_id,channel,min_raw,max_raw"]
-    for (user_id, channel), rng in sorted(calib.items()):
-        rows.append(f"{user_id},{channel},{rng.min_raw!r},{rng.max_raw!r}")
+    rows = [CALIBRATION_MAGIC, CALIBRATION_COLUMNS]
+    rows += [f"{u},{ch},{r.min_raw!r},{r.max_raw!r}" for (u, ch), r in sorted(calib.items())]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
     """The ranges of a calibration file.  A malformed row or a second row for
-    one (user, channel) raises FileFormatError, and a range with min_raw >=
-    max_raw DegenerateRange, each naming the path and the line."""
-    lines = map(str.strip, read_text(path).splitlines())
-    numbered = [(n, ln) for n, ln in enumerate(lines, 1) if ln]
-    if not numbered or numbered[0][1] != CALIBRATION_MAGIC:
-        raise FileFormatError(f"{path}: expected first line {CALIBRATION_MAGIC!r}")
+    one (user, channel) raises FileFormatError, and bounds that are not finite
+    with min_raw < max_raw DegenerateRange, each naming the path and line."""
+    numbers, lines = _read_table(path, CALIBRATION_MAGIC, CALIBRATION_COLUMNS)
     calib = {}
     first_line = {}  # the line that set each (user, channel)
-    for number, ln in numbered[2:]:  # skip the magic and column header lines
+    for number, ln in zip(numbers[2:], lines[2:]):
         try:
             user_id, channel, min_raw, max_raw = ln.split(",")
             key = user_id, int(channel)
@@ -179,6 +190,16 @@ def read_calibration(path: Path) -> dict[tuple[str, int], CalibrationRange]:
         first_line[key] = number
         calib[key] = rng
     return calib
+
+
+def read_features(path: Path) -> tuple[np.ndarray, Callable[[int], str]]:
+    """The (n, 100) rows of a features file, and a function that names a row
+    by its path and line."""
+    numbers, lines = numbered_lines(
+        read_text(path), lambda ln: "" if ln.lstrip().startswith("#") else ln.strip()
+    )
+    rows = _parse_rows(path, numbers, lines, N_FEATURES, "feature")
+    return rows, lambda row: f"{path}: line {numbers[row]}"
 
 
 def write_dataset(

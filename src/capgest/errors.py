@@ -25,7 +25,7 @@ class MissingCalibration(DataError):
 
 
 class DegenerateRange(DataError):
-    """Calibration range with min_raw >= max_raw."""
+    """Calibration range with min_raw >= max_raw or a bound that is not finite."""
 
 
 class NotEnoughUsers(DataError):

@@ -103,15 +103,17 @@ class Recording:
 
 @dataclass(frozen=True)
 class CalibrationRange:
-    """Raw-unit range for one (user, channel): fully open .. full press."""
+    """Raw-unit range for one (user, channel): fully open .. full press.
+    Both bounds are finite."""
 
     min_raw: float
     max_raw: float
 
     def __post_init__(self) -> None:
-        if not self.min_raw < self.max_raw:
+        # NaN fails every comparison
+        if not -math.inf < self.min_raw < self.max_raw < math.inf:
             raise DegenerateRange(
-                f"min_raw {self.min_raw} must be < max_raw {self.max_raw}"
+                f"min_raw {self.min_raw} must be < max_raw {self.max_raw}, both finite"
             )
 
 

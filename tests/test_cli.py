@@ -197,6 +197,18 @@ class TestExitCodes:
         assert "user_counts must be four ints >= 0" in err and counts in err
         assert not (tmp_path / "m.capgest").exists()
 
+    def test_config_error_names_the_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text("knn_k = 5\nknn_k = 7\n", encoding="utf-8")
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m.capgest"),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        TestUnreadableFiles.one_error_line(
+            capsys, f"{cfg}: line 2: config key 'knn_k' repeats line 1"
+        )
+
     def test_old_bundle_format_is_2(self, workspace, tmp_path, capsys):
         # a format-8 bundle wrapped the base projection in a PCA model
         blob = workspace["bundle"].read_bytes()

@@ -126,6 +126,124 @@ class TestCalibrationRows:
         with pytest.raises(DegenerateRange, match=re.escape(f"{path}: line 4: min_raw 1000.0")):
             dataio.read_calibration(path)
 
+    @pytest.mark.parametrize("row", ["u01,1,400.0,inf", "u01,1,-inf,1000.0"])
+    def test_infinite_bound_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "calibration.csv"
+        path.write_text(self.HEAD + f"u01,0,405.0,1007.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(DegenerateRange, match=re.escape(f"{path}: line 4: min_raw ")):
+            dataio.read_calibration(path)
+
+
+def _written(tmp_path, kind):
+    """A valid file of ``kind``, its reader and the line of its column header."""
+    path = tmp_path / "r.csv"
+    if kind == "recording":
+        dataio.write_recording(path, make_recording(n_frames=55))
+        dataio.write_marks(tmp_path / "r.marks.csv", ())
+        return path, dataio.read_recording, 4
+    if kind == "marks":
+        dataio.write_marks(path, [GestureMark(5, 20, GestureLabel.SHOOT)])
+        return path, dataio.read_marks, 2
+    calib = {("u01", 0): CalibrationRange(405.0, 1007.0), ("u01", 1): CalibrationRange(1.0, 9.0)}
+    dataio.write_calibration(path, calib)
+    return path, dataio.read_calibration, 2
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+KINDS = ["recording", "marks", "calibration"]
+
+
+class TestColumnHeaders:
+    """Each reader checks its column header.  Without the check, a file
+    that lacked it lost its first row: 55 -> 54 frames, 1 -> 0 marks, and
+    one calibration row fewer, with no error."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_missing_header(self, tmp_path, kind):
+        path, reader, number = _written(tmp_path, kind)
+        _edit_lines(path, lambda lines: lines.pop(number - 1))
+        with pytest.raises(
+            FileFormatError, match=re.escape(f"{path}: line {number}: expected column header")
+        ):
+            reader(path)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wrong_header(self, tmp_path, kind):
+        path, reader, number = _written(tmp_path, kind)
+
+        def reverse_columns(lines):
+            lines[number - 1] = ",".join(reversed(lines[number - 1].split(",")))
+
+        _edit_lines(path, reverse_columns)
+        with pytest.raises(
+            FileFormatError, match=re.escape(f"{path}: line {number}: expected column header")
+        ):
+            reader(path)
+
+    def test_header_after_the_last_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(dataio.MARKS_MAGIC + "\n\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: line 2: expected column")):
+            dataio.read_marks(path)
+
+    def test_writers_write_the_headers(self, tmp_path):
+        for kind in KINDS:
+            path, _, number = _written(tmp_path, kind)
+            header = path.read_text(encoding="utf-8").splitlines()[number - 1]
+            assert header == {
+                "recording": "frame,thumb,index,middle,ring,pinky",
+                "marks": "start,end,label",
+                "calibration": "user_id,channel,min_raw,max_raw",
+            }[kind]
+
+
+class TestRowLines:
+    """Every row error names the row's line in the file, blank lines counted."""
+
+    @pytest.mark.parametrize(
+        "kind, row, problem",
+        [
+            ("recording", "55,1,2,3,4,x", "channel values must be numbers"),
+            ("marks", "30,40,waggle", "bad mark row '30,40,waggle'"),
+            ("calibration", "u02,0,1.0", "bad calibration row 'u02,0,1.0'"),
+        ],
+    )
+    def test_blank_lines_before_a_bad_row(self, tmp_path, kind, row, problem):
+        path, reader, _ = _written(tmp_path, kind)
+
+        def add_blanks_and_row(lines):
+            lines.insert(1, "")
+            lines += ["  ", row]
+
+        _edit_lines(path, add_blanks_and_row)
+        number = len(path.read_text(encoding="utf-8").splitlines())
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: line {number}: {problem}")):
+            reader(path)
+
+    def test_deleted_frame_row(self, tmp_path):
+        # reading 54 of 55 frames would move every later mark by a frame
+        path, reader, _ = _written(tmp_path, "recording")
+        _edit_lines(path, lambda lines: lines.pop(4 + 6))
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: line 11: expected frame 6")):
+            reader(path)
+
+    @pytest.mark.parametrize("frame", ["60", "06", "5", ""])
+    def test_renumbered_frame_row(self, tmp_path, frame):
+        path, reader, _ = _written(tmp_path, "recording")
+
+        def renumber(lines):
+            lines[10] = frame + lines[10][1:]
+
+        _edit_lines(path, renumber)
+        want = f"{path}: line 11: expected frame 6, got {frame!r}"
+        with pytest.raises(FileFormatError, match=re.escape(want)):
+            reader(path)
+
 
 class TestMissingCalibration:
     def test_directory_without_calibration_is_a_format_error(self, tmp_path):
@@ -152,7 +270,8 @@ class TestFormatErrors:
             "frame,thumb,index,middle,ring,pinky\n0,1,2,3\n",
             encoding="utf-8",
         )
-        with pytest.raises(FileFormatError, match="frame row"):
+        want = f"{path}: line 5: expected 5 channels, got 3"
+        with pytest.raises(FileFormatError, match=re.escape(want)):
             dataio.read_recording(path)
 
     def test_sample_rate_other_than_40_hz(self, tmp_path):
@@ -181,7 +300,7 @@ class TestFormatErrors:
         dataio.write_recording(path, make_recording())
         text = path.read_text(encoding="utf-8").replace("sample_rate_hz,40.0", "sample_rate_hz,9.0")
         path.write_text(text + "30,1,2\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="bad frame row"):
+        with pytest.raises(FileFormatError, match="line 35: expected 5 channels"):
             dataio.read_recording(path)
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FileFormatError, match="r.marks.csv"):
@@ -219,19 +338,22 @@ class TestFormatErrors:
 
 
 def reference_read_recording(path):
-    """The former row loop of ``read_recording``, kept as the oracle: the
-    (5, n) frame matrix, or the ``FileFormatError`` of the first bad row."""
-    lines = dataio._read_lines(path, dataio.RECORDING_MAGIC)
-    body = lines[3:]
+    """The row loop of ``read_recording``, kept as the oracle: the (5, n)
+    frame matrix, or the ``FileFormatError`` of the first bad row."""
+    lines = enumerate(map(str.strip, path.read_text(encoding="utf-8").splitlines()), 1)
+    body = [(number, ln) for number, ln in lines if ln][4:]
     frames = np.empty((5, len(body)))
-    for i, ln in enumerate(body):
+    for i, (number, ln) in enumerate(body):
+        where = f"{path}: line {number}"
         parts = ln.split(",")
         if len(parts) != 6:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}")
+            raise FileFormatError(f"{where}: expected 5 channels, got {len(parts) - 1}")
+        if parts[0] != str(i):
+            raise FileFormatError(f"{where}: expected frame {i}, got {parts[0]!r}")
         try:
             frames[:, i] = [float(p) for p in parts[1:]]
         except ValueError as exc:
-            raise FileFormatError(f"{path}: bad frame row {ln!r}") from exc
+            raise FileFormatError(f"{where}: channel values must be numbers") from exc
     return frames
 
 
@@ -266,6 +388,16 @@ def _write_body(path, rows):
 class TestReaderOracle:
     """The one-pass body parse against the former row loop."""
 
+    def test_valid_rows_take_one_pass(self, tmp_path, monkeypatch):
+        # the row loop, which alone calls np.empty, only names a bad row
+        path, _, _ = _written(tmp_path, "recording")
+        features = tmp_path / "f.csv"
+        row = ",".join(["0.25"] * 100)
+        features.write_text(f"# probe\n{row}\n\n{row}\n", encoding="utf-8")
+        monkeypatch.setattr(dataio.np, "empty", None)
+        assert dataio.read_recording(path).n_frames == 55
+        assert dataio.read_features(features)[0].shape == (2, 100)
+
     @given(
         values=st.lists(st.lists(_TOKEN, min_size=5, max_size=5), min_size=1, max_size=8),
         data=st.data(),
@@ -273,13 +405,16 @@ class TestReaderOracle:
     @settings(max_examples=300, deadline=None)
     def test_equals_row_loop(self, tmp_path_factory, values, data):
         # well-formed rows, then up to two edits: a junk token, a dropped or
-        # an added token, or a token moved to another row (column counts off
-        # by one in two rows, the token total unchanged)
+        # an added token, a token moved to another row (column counts off
+        # by one in two rows, the token total unchanged), or a frame number
+        frames = list(map(str, range(len(values))))
         for _ in range(data.draw(st.integers(0, 2))):
             i = data.draw(st.integers(0, len(values) - 1))
             j = data.draw(st.integers(0, len(values[i])))
-            edit = data.draw(st.sampled_from(["junk", "drop", "add", "move"]))
-            if edit == "add":
+            edit = data.draw(st.sampled_from(["junk", "drop", "add", "move", "frame"]))
+            if edit == "frame":
+                frames[i] = data.draw(_FRAME)
+            elif edit == "add":
                 values[i].insert(j, data.draw(_TOKEN))
             elif j == len(values[i]):
                 continue
@@ -289,7 +424,7 @@ class TestReaderOracle:
                 del values[i][j]
             else:
                 values[data.draw(st.integers(0, len(values) - 1))].append(values[i].pop(j))
-        rows = [",".join([data.draw(_FRAME), *v]) for v in values]
+        rows = [",".join([frame, *v]) for frame, v in zip(frames, values)]
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         _write_body(path, rows)
         try:
@@ -317,7 +452,8 @@ class TestReaderOracle:
         _write_body(path, lines)
         with pytest.raises(FileFormatError) as got:
             dataio.read_recording(path)
-        assert str(got.value) == f"{path}: non-finite value in frame row {lines[i].strip()!r}"
+        # the magic, key and column header lines come first
+        assert str(got.value) == f"{path}: line {i + 5}: NaN or inf among the channel values"
 
 
 def test_nan_frame_fails_train_with_data_error(tmp_path, capsys):
@@ -333,4 +469,4 @@ def test_nan_frame_fails_train_with_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.capgest")]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and repr(lines[10]) in err
+    assert f"{path}: line 11: NaN or inf" in err

@@ -99,6 +99,12 @@ class TestValidation:
         with pytest.raises(DegenerateRange):
             CalibrationRange(10.0, 10.0)
 
+    @pytest.mark.parametrize("bounds", [(405.0, np.inf), (-np.inf, 1007.0), (np.nan, 1007.0)])
+    def test_calibration_rejects_bound_that_is_not_finite(self, bounds):
+        # an infinite max_raw mapped the channel to all zeros
+        with pytest.raises(DegenerateRange, match="both finite"):
+            CalibrationRange(*bounds)
+
 
 class TestNormalize:
     def test_affine_map(self):
