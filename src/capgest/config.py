@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import ClassVar
 
 from .dataio import numbered_lines, read_text
 from .embed import parse_kernel_spec
@@ -29,16 +28,9 @@ class PipelineConfig:
     n_pcs: int = 3
     knn_k: int = 5
     # corrector grid
-    corrector_kernels: tuple[str, ...] = (
-        "pca:20",
-        "pca:9",
-        "poly:5:4",
-        "poly:8:3",
-        "concat(pca:10,poly:5:4)",
-    )
-    # the router's kernel, where a base label gates several groups; a
-    # constant, not a config key
-    group_kernel: ClassVar[str] = "pca:9"
+    corrector_kernels: tuple[str, ...] = ("pca:20",)
+    # no field and no config key: perfbench/spans.py's used_kernel_share reads it
+    group_kernel = None
     min_support: int = 10
     # splits
     user_counts: tuple[int, int, int, int] = (8, 3, 2, 2)
@@ -70,7 +62,8 @@ _INT_LIST_KEYS = {"user_counts"}
 
 def parse_config_text(text: str) -> PipelineConfig:
     """The default config with the file's keys set; a key left out keeps
-    its default, and a key set twice is refused."""
+    its default, and a key set twice is refused.  Each check of
+    :class:`PipelineConfig` reads one key, so its error names that key's line."""
     overrides = {}
     first_line = {}  # the line that set each key
     for lineno, line in zip(*numbered_lines(text, lambda ln: ln.split("#", 1)[0].strip())):
@@ -83,6 +76,8 @@ def parse_config_text(text: str) -> PipelineConfig:
             raise FileFormatError(
                 f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
             )
+        if key not in _INT_KEYS | _STR_LIST_KEYS | _INT_LIST_KEYS:
+            raise FileFormatError(f"line {lineno}: unknown config key {key!r}")
         first_line[key] = lineno
         try:
             if key in _INT_KEYS:
@@ -91,12 +86,13 @@ def parse_config_text(text: str) -> PipelineConfig:
                 overrides[key] = tuple(
                     part.strip() for part in value.split(";") if part.strip()
                 )
-            elif key in _INT_LIST_KEYS:
-                overrides[key] = tuple(int(p) for p in value.split(";"))
             else:
-                raise FileFormatError(f"line {lineno}: unknown config key {key!r}")
+                overrides[key] = tuple(int(p) for p in value.split(";"))
+            PipelineConfig(**{key: overrides[key]})
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+        except FileFormatError as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     return PipelineConfig(**overrides)
 
 

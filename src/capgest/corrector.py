@@ -4,8 +4,11 @@ Errors of the frozen base model are bucketed into (truth, prediction)
 groups.  Each group gets a binary classifier over high-dimensional kernel
 features whose decision threshold is chosen so it never fires on a sample
 the base model got right, on both the training and holdout sweeps.  At
-inference a sample's base label gates the groups that predict it; where it
-gates several, a group classifier routes the sample to one of them.
+inference a sample's base label gates the correctors of the groups that
+predict it, and every gated corrector is scored: the sample takes a
+corrector's truth label only when exactly one of them fires.  Each corrector
+is thresholded on every train candidate of its base label, so no corrector
+fires on a train sample the base model got right, and the rule breaks none.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from .classify import (
     LdaModel,
     binary_kind,
     binary_scores,
-    centroid_fit,
     knn_predict_batch,
 )
-from .embed import FittedKernel, as_rows, kernel_apply, pca_transform
+from .embed import as_rows, kernel_apply, pca_transform
 from .errors import (
     DimensionMismatch,
     FeatureOutOfRange,
@@ -131,61 +133,6 @@ def with_margin(
 
 
 # ---------------------------------------------------------------------------
-# Group classifier
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupClassifier:
-    """Routes a sample whose base label gates several error groups to one of them.
-
-    A nearest-centroid classifier over the group kernel's features, one
-    centroid per discovered group id.  The kernel is a ``pca`` stage, an
-    affine map, so the routing table folds it and each base label's
-    centroids into one matrix and offset (:meth:`fold`), and routing is one
-    matrix product.
-    """
-
-    kernel: FittedKernel
-    centroid: CentroidModel
-
-    @property
-    def group_ids(self) -> tuple[int, ...]:
-        return tuple(self.centroid.classes.tolist())
-
-    def fold(self, group_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The (n_features, g) matrix and the g offsets whose scores
-        ``x @ matrix + offsets`` rank ``group_ids`` as the distances from x's
-        kernel features to their centroids do.
-
-        The kernel is affine, z = x @ M - o, so |z - c|^2 is
-        x @ (-2 M c) + (2 o.c + |c|^2) plus |z|^2, which is the same for
-        every c.  A centroid equal to an earlier one gets an infinite offset:
-        it never wins, as it never wins the distance tie.
-        """
-        C = self.centroid.centroids[np.searchsorted(self.centroid.classes, group_ids)]
-        offsets = 2.0 * (C @ self.kernel.offset) + np.einsum("ij,ij->i", C, C)
-        offsets[[(C[:i] == c).all(axis=1).any() for i, c in enumerate(C)]] = np.inf
-        return -2.0 * (self.kernel.matrix @ C.T), offsets
-
-    def assign(self, features: np.ndarray, fold: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Index of the nearest group of a :meth:`fold` for each raw feature
-        row; a tie goes to the smaller group id."""
-        matrix, offsets = fold
-        scores = features @ matrix
-        scores += offsets
-        return scores.argmin(axis=1)
-
-
-def train_group_classifier(
-    error_features: np.ndarray, group_ids: np.ndarray, kernel: FittedKernel
-) -> GroupClassifier:
-    """Fit the router on the raw (100-feature) rows of training errors and
-    their group ids: one centroid of the kernel's features per id."""
-    feats = kernel_apply(kernel, np.asarray(error_features))
-    return GroupClassifier(kernel=kernel, centroid=centroid_fit(feats, group_ids))
-
-
-# ---------------------------------------------------------------------------
 # Per-group correctors
 # ---------------------------------------------------------------------------
 
@@ -275,37 +222,13 @@ def train_corrector(
 # Corrected inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Route:
-    """How the cascade treats the samples of one base label."""
-
-    group_ids: tuple[int, ...]                     # discovered ids predicting this label, sorted
-    router: tuple[np.ndarray, np.ndarray] | None   # the router's fold over the ids; None for one id
-    correctors: tuple[Corrector | None, ...]       # corrector per id, or None
-
-
-def build_routing_table(
-    discovered_group_ids: Sequence[int],
-    group_classifier: GroupClassifier | None,
-    correctors: Sequence[Corrector],
-) -> dict[int, Route]:
-    """The route of each base label where some corrector can fire: the
-    discovered group ids that predict the label, gated by it.
-
-    A sample goes to the one group its base label gates, or, where that label
-    gates several, to the one the group classifier picks among them.  A group
-    without a corrector keeps the base label.
-    """
-    by_id = {c.group_id: c for c in correctors}
-    routes = {}
-    for label in range(N_LABELS):
-        ids = tuple(g for g in discovered_group_ids if g % N_LABELS == label)
-        routed = tuple(by_id.get(g) for g in ids)
-        if not any(c is not None for c in routed):
-            continue
-        router = group_classifier.fold(ids) if len(ids) > 1 else None
-        routes[label] = Route(ids, router, routed)
-    return routes
+def build_routing_table(correctors: Sequence[Corrector]) -> dict[int, tuple[Corrector, ...]]:
+    """The correctors each base label gates, in ascending group id, for the
+    base labels, in ascending order, that gate one."""
+    gated: dict[int, list[Corrector]] = {}
+    for c in sorted(correctors, key=lambda c: c.group_id):
+        gated.setdefault(int(c.group.predicted), []).append(c)
+    return {label: tuple(gated[label]) for label in sorted(gated)}
 
 
 def feature_rows(
@@ -365,12 +288,12 @@ def corrected_predict(bundle, feature_vector: np.ndarray) -> GestureLabel:
 
 
 def corrected_predict_batch(bundle, features: np.ndarray) -> np.ndarray:
-    """4-step cascade over an (n, 100) feature matrix.
+    """The cascade over an (n, 100) feature matrix.
 
-    Base prediction, group routing gated by that prediction, corrector
-    scoring, and override to the group's truth label when the score clears
-    the zero-FP threshold.  A sample with no route, or routed to a group
-    without a corrector, keeps its base prediction.
+    Base prediction, then every corrector that base label gates is scored,
+    and a sample where exactly one of them clears its zero-FP threshold takes
+    that corrector's truth label.  A sample where none fires, or several do,
+    keeps its base prediction.
     """
     return _cascade(bundle, feature_rows(features, bundle.base_pca.shape[0]))[1]
 
@@ -380,47 +303,39 @@ def _cascade(bundle, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     checked."""
     base = knn_predict_batch(bundle.base_knn, pca_transform(bundle.base_pca, features))
     out = base.copy()
-    for corrector, rows in _routed_rows(bundle, features, base):
-        kernel = bundle.corrector_kernels[corrector.kernel_name]
-        scores = corrector.score(
-            kernel_apply(kernel, features if rows is None else features[rows])
-        )
-        fired = scores >= corrector.threshold
-        out[fired if rows is None else rows[fired]] = int(corrector.group.truth)
-    return base, out
+    applied: dict = {}  # kernel name -> its features of every row
 
+    def kernel_features(name: str) -> np.ndarray:
+        if name not in applied:
+            applied[name] = kernel_apply(bundle.corrector_kernels[name], features)
+        return applied[name]
 
-def _routed_rows(bundle, features: np.ndarray, base: np.ndarray):
-    """Each corrector that some rows are routed to, with the indices
-    of those rows, or None for all rows of a batch of one."""
-    routes = bundle.routing
     if len(base) == 1:
-        # its label's route and its one pick, without the scan and the masks
-        route = routes.get(int(base[0]))
-        if route is None:
-            return
-        pick = 0
-        if len(route.group_ids) > 1:
-            pick = int(bundle.group_classifier.assign(features, route.router)[0])
-        if route.correctors[pick] is not None:
-            yield route.correctors[pick], None
-        return
+        # its label's correctors only, on Python floats, up to a second firing
+        truth = None
+        for c in bundle.routing.get(int(base[0]), ()):
+            if c.score(kernel_features(c.kernel_name)).item() >= c.threshold:
+                if truth is not None:
+                    return base, out
+                truth = int(c.group.truth)
+        if truth is not None:
+            out[0] = truth
+        return base, out
     # skip absent labels before the per-label scan
     present = set(base.tolist())
-    for label, route in routes.items():
+    for label, correctors in bundle.routing.items():
         if label not in present:
             continue
         rows = np.flatnonzero(base == label)
-        if len(route.group_ids) == 1:
-            picks = np.zeros(len(rows), dtype=np.int64)
-        else:
-            picks = bundle.group_classifier.assign(features[rows], route.router)
-        for pick, corrector in enumerate(route.correctors):
-            if corrector is None:
-                continue
-            routed = rows[picks == pick]
-            if len(routed):
-                yield corrector, routed
+        fired = np.zeros(len(rows), dtype=np.int64)
+        truth = np.empty(len(rows), dtype=np.int64)
+        for c in correctors:
+            hit = c.score(kernel_features(c.kernel_name)[rows]) >= c.threshold
+            fired += hit
+            truth[hit] = int(c.group.truth)
+        once = fired == 1
+        out[rows[once]] = truth[once]
+    return base, out
 
 
 def audit_records(correctors: Sequence[Corrector]) -> list[dict]:

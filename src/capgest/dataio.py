@@ -129,16 +129,26 @@ def read_recording(path: Path) -> Recording:
     """Read ``<stem>.csv`` and its ``<stem>.marks.csv``; a missing marks file
     raises FileFormatError naming its path."""
     numbers, lines = _read_table(path, RECORDING_MAGIC, RECORDING_COLUMNS, at=3)
-    header = dict(ln.partition(",")[::2] for ln in lines[1:3])
-    if header.keys() != {"user_id", "sample_rate_hz"}:
-        raise FileFormatError(f"{path}: missing user_id/sample_rate_hz header")
+    header = {}  # key -> (value, line number)
+    for number, ln in zip(numbers[1:3], lines[1:3]):
+        key, _, value = ln.partition(",")
+        if key not in ("user_id", "sample_rate_hz") or key in header:
+            raise FileFormatError(
+                f"{path}: line {number}: expected one user_id and one sample_rate_hz row, "
+                f"got {ln!r}"
+            )
+        header[key] = value, number
     rows = _parse_rows(path, numbers[4:], lines[4:], N_CHANNELS, "channel", framed=True)
     marks = tuple(read_marks(path.with_suffix(".marks.csv")))
+    value, number = header["sample_rate_hz"]
     try:
-        rate = float(header["sample_rate_hz"])
+        rate = float(value)
         if rate != SAMPLE_RATE_HZ:
             raise ValueError(f"sample_rate_hz is {rate!r}, windows need {SAMPLE_RATE_HZ} Hz")
-        return Recording(user_id=header["user_id"], channels=rows.T.copy(), gesture_marks=marks)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: line {number}: {exc}") from exc
+    try:
+        return Recording(user_id=header["user_id"][0], channels=rows.T.copy(), gesture_marks=marks)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -1,8 +1,11 @@
 """End-to-end orchestration: training, evaluation, persistence, latency.
 
 The deployable artifact is a :class:`ModelBundle`: the frozen base model
-(uncentered PCA + KNN) plus the group classifier and the zero-FP error
-correctors, serialized into a checksummed container under the 5 MB budget.
+(uncentered PCA + KNN) plus the zero-FP error correctors and their
+kernels, serialized into a checksummed container under the 5 MB budget.
+A sample's base label gates the correctors of the error groups that predict
+it; every gated corrector is scored, and the sample takes a corrector's
+truth label only when exactly one of them fires.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .corrector import (
     N_LABELS,
     Corrector,
     ErrorGroup,
-    GroupClassifier,
-    Route,
     _cascade,
     build_routing_table,
     corrected_predict,
@@ -43,7 +44,6 @@ from .corrector import (
     discover_groups,
     feature_rows,
     train_corrector,
-    train_group_classifier,
 )
 from .embed import (
     FittedKernel,
@@ -76,7 +76,7 @@ from .signals import (
 )
 
 BUNDLE_MAGIC = b"CGMB"
-BUNDLE_FORMAT_VERSION = 9
+BUNDLE_FORMAT_VERSION = 10
 BUNDLE_SIZE_BUDGET = 5 * 1024 * 1024  # bytes
 _LABEL_VALUES = [int(label) for label in GestureLabel]
 
@@ -88,21 +88,18 @@ class ModelBundle:
     config: PipelineConfig
     base_pca: np.ndarray  # (n_features, n_pcs) uncentered principal components
     base_knn: KnnModel
-    group_classifier: GroupClassifier | None
     correctors: tuple[Corrector, ...]
     corrector_kernels: Mapping[str, FittedKernel]
     discovered_group_ids: tuple[int, ...]
-    # base label -> route, for the labels where some corrector can fire
-    routing: dict[int, Route] = field(init=False, repr=False, compare=False)
+    # base label -> the correctors it gates, for the labels that gate one
+    routing: dict[int, tuple[Corrector, ...]] = field(init=False, repr=False, compare=False)
+    # no field and never stored: perfbench/spans.py's install_layers reads it
+    group_classifier = None
 
     def __post_init__(self) -> None:
         _check_shapes(self)
         # derived from the fields above on every construction, never serialized
-        object.__setattr__(
-            self,
-            "routing",
-            build_routing_table(self.discovered_group_ids, self.group_classifier, self.correctors),
-        )
+        object.__setattr__(self, "routing", build_routing_table(self.correctors))
 
     def predict(self, feature_vector: np.ndarray) -> GestureLabel:
         return corrected_predict(self, feature_vector)
@@ -117,8 +114,7 @@ class ModelBundle:
 
 def _check_shapes(bundle: ModelBundle) -> None:
     """Raise InconsistentBundle unless every model's arrays fit the widths
-    of its input, the group classifier's kernel is a ``pca`` stage (routing
-    folds its affine map), the scalars inference reads have their types,
+    of its input, the scalars inference reads have their types,
     every float and float array is finite and the KNN labels are
     ``GestureLabel`` values.
 
@@ -174,25 +170,6 @@ def _check_shapes(bundle: ModelBundle) -> None:
         raise InconsistentBundle(f"corrector group ids {corrector_ids} are not all discovered")
     if len(set(corrector_ids)) != len(corrector_ids):
         raise InconsistentBundle(f"corrector group ids {corrector_ids} are not distinct")
-    gated = [g % N_LABELS for g in discovered]
-    gc = bundle.group_classifier
-    if (gc is not None) != (len(set(gated)) < len(gated)):
-        raise InconsistentBundle(
-            f"group classifier {'present' if gc else 'missing'}: a bundle has one exactly "
-            f"where a base label gates several of discovered_group_ids {discovered}"
-        )
-    if gc is not None:
-        classes = gc.centroid.classes
-        if classes.dtype.kind not in "iu" or classes.tolist() != list(discovered):
-            raise InconsistentBundle(f"group classifier ids {classes.tolist()} are not discovered")
-        width = output_width("group classifier", gc.kernel)
-        expect("group classifier centroids", gc.centroid.centroids.shape, (len(classes), width))
-        kind = gc.kernel.spec.kind
-        if kind != "pca":
-            raise InconsistentBundle(
-                f"group classifier kernel kind {kind!r} is no pca: routing folds the "
-                "kernel's affine map into the centroid distances"
-            )
 
     widths = {
         name: output_width(f"corrector kernel {name}", k)
@@ -258,9 +235,7 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
     PCA is fit on the train partition; the KNN references come from the
     validation partition (two-stage protocol).  Error groups and the
     correctors are trained on train-partition base-model errors, with the
-    validation partition as the zero-FP holdout sweep.  Where a base label
-    gates several groups, a group classifier over all discovered groups'
-    training errors routes among them.
+    validation partition as the zero-FP holdout sweep.
 
     The corrector grid runs one kernel at a time, in config order, and
     within a kernel one gated base label at a time: apply the kernel
@@ -288,16 +263,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
 
     # one memo shares the PCA basis and any kernel nested in several specs
     memo: dict = {}
-    group_classifier = None
-    gated = [int(g.predicted) for g in groups]
-    if len(set(gated)) < len(gated):
-        # a router only where a base label gates several groups, fitted on
-        # the training errors of every discovered group
-        ids = N_LABELS * y_train + preds_train
-        rows = np.isin(ids, [g.group_id for g in groups])
-        kernel = kernel_fit(parse_kernel_spec(config.group_kernel), x_train, memo)
-        group_classifier = train_group_classifier(x_train[rows], ids[rows], kernel)
-
     names = list(dict.fromkeys(config.corrector_kernels))
 
     # a group's candidates are the rows the base model gave its predicted
@@ -339,7 +304,6 @@ def train_pipeline(config: PipelineConfig, split: DatasetSplit) -> ModelBundle:
         config=config,
         base_pca=base_pca,
         base_knn=base_knn,
-        group_classifier=group_classifier,
         correctors=tuple(correctors),
         corrector_kernels=corrector_kernels,
         discovered_group_ids=tuple(g.group_id for g in groups),
@@ -485,7 +449,7 @@ def cross_validate(
 # Persistence
 # ---------------------------------------------------------------------------
 
-# A format-9 payload is a little-endian u32 header length, the JSON header
+# A format-10 payload is a little-endian u32 header length, the JSON header
 # {"arrays": [[dtype, shape], ...], "state": the tagged bundle}, and then the
 # arrays of that table in order, each zero-padded to start at a multiple of 8
 # bytes.  In the state each dataclass carries its class name under _TAG, and
@@ -495,8 +459,8 @@ def cross_validate(
 _TAG, _ARRAY = "@type", "@array"
 # the only classes loading calls: the bundle's own dataclasses
 _CODEC_TYPES = {cls.__name__: cls for cls in (
-    ModelBundle, PipelineConfig, KnnModel, GroupClassifier, CentroidModel, LdaModel, Corrector,
-    FittedKernel, KernelSpec,
+    ModelBundle, PipelineConfig, KnnModel, CentroidModel, LdaModel, Corrector, FittedKernel,
+    KernelSpec,
 )}
 # int arrays are stored in the narrowest of these that holds them and load as int64
 _INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")

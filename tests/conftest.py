@@ -9,6 +9,10 @@ from capgest.pipeline import train_pipeline
 from capgest.signals import split_by_user
 from capgest.synth import GenConfig, build_sliding_dataset
 
+# a corrector grid of five kernels, wide ones among them, for the tests that
+# need several kernels to test anything: the default grid is pca:20 alone
+FIVE_KERNELS = ("pca:20", "pca:9", "poly:5:4", "poly:8:3", "concat(pca:10,poly:5:4)")
+
 SMALL_GEN = GenConfig(
     n_users=15, gestures_per_user_per_class=20, none_recordings_per_user=6
 )

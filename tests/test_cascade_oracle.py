@@ -1,23 +1,24 @@
-"""The one cascade against the code it replaced, label by label and score by score.
+"""The one cascade against plain-Python references, label by label and score by score.
 
-Every reference here is a former body kept as it was, or, for a kernel, its
-stored map written out, and none of them calls the layer of the product it
-checks:
+Every reference here is a former body kept as it was, a kernel's stored map
+written out, or the firing rule written out, and none of them calls the
+layer of the product it checks:
 
-- ``reference_batch`` is the former ``corrected_predict_batch``, which ran a
-  batch of one through the same label scan, pick masks and per-stage input
-  conversions as a batch.  Its layers are ``kernel_apply`` (each stage
-  ``x @ matrix - offset``, written here), ``GroupClassifier.assign`` (the
-  distance argmin over the router kernel's features, which the router's
-  fold replaced), ``Corrector.score`` (with the former ``centroid_score``),
-  and the former ``knn_predict_batch`` and ``query_topk``, whose chunk loop
-  a single query also ran.
-- ``reference_predict`` is the per-sample cascade before that one: it
-  gates by the bundle's discovered group ids on every call, without the
-  routing table, and routes one row at a time.
+- ``reference_batch`` is the firing rule as the cascade schedules it: the
+  base label of each row gates the correctors of its groups, each gated
+  corrector scores its label's rows of its kernel's features on the whole
+  matrix, and a row takes the truth label of the one corrector that fires
+  on it.  A batch of one stops scoring at its second firing.  Its layers are
+  ``kernel_apply`` (each stage ``x @ matrix - offset``, written here),
+  ``Corrector.score`` (with the former ``centroid_score``), and the former
+  ``knn_predict_batch`` and ``query_topk``, whose chunk loop a single query
+  also ran.
+- ``reference_predict`` is the rule for one sample: it gates by the
+  bundle's correctors on every call, without the routing table, scores
+  every gated corrector and counts the firings.
 
 ``corrected_predict`` and ``corrected_predict_batch`` must give the labels of
-both, and every corrector must score the rows routed to it byte for byte as
+both, and every corrector must score its rows byte for byte as
 ``reference_batch`` scores them: as a batch, and one row at a time.  A base
 label that one row reads from the KNN label map must be the former search
 and vote's, also on the faces of the map's cells.
@@ -37,6 +38,7 @@ from hypothesis.extra.numpy import arrays
 
 from capgest.classify import (
     CentroidModel,
+    LdaModel,
     knn_cell_share,
     knn_fit,
     knn_map_share,
@@ -46,7 +48,6 @@ from capgest.config import PipelineConfig
 from capgest.corrector import (
     N_LABELS,
     Corrector,
-    GroupClassifier,
     corrected_predict,
     corrected_predict_batch,
     discover_groups,
@@ -60,7 +61,6 @@ from capgest.embed import (
     parse_kernel_spec,
     pca_transform,
 )
-from capgest.errors import InconsistentBundle
 from capgest.neighbors import cell_index, query_topk, sq_norms
 from capgest.pipeline import train_pipeline
 from capgest.signals import N_FEATURES, GestureLabel, feature_matrix, label_array
@@ -129,13 +129,6 @@ def reference_kernel_apply(kernel, X):
     return np.hstack([reference_kernel_apply(c, X) for c in kernel.children])
 
 
-def reference_assign(gc, features, group_ids):
-    centroids = gc.centroid.centroids[np.searchsorted(gc.centroid.classes, group_ids)]
-    feats = reference_kernel_apply(gc.kernel, features)
-    diff = feats[:, None, :] - centroids[None, :, :]
-    return np.argmin(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), axis=1)
-
-
 def reference_centroid_score(model, x, positive_class):
     classes = model.classes.tolist()
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -161,60 +154,48 @@ def reference_score(corrector, kernel_features):
 # ---------------------------------------------------------------------------
 
 def reference_batch(bundle, features, log):
-    """The former ``corrected_predict_batch``; appends (group id, score bytes)
-    to ``log`` per corrector call."""
+    """The firing rule over a matrix; appends (group id, score bytes) to
+    ``log`` per corrector call."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     z = reference_pca_transform(bundle.base_pca, features)
-    base = reference_knn_predict_batch(bundle.base_knn, z)
-    out = base.copy()
-    present = set(base.tolist())
-    for label, route in bundle.routing.items():
-        if label not in present:
+    base = reference_knn_predict_batch(bundle.base_knn, z).tolist()
+    correctors = sorted(bundle.correctors, key=lambda c: c.group_id)
+    applied = {}
+    fired = [[] for _ in base]  # the truth labels of the correctors that fire, per row
+    for label in range(N_LABELS):
+        rows = [i for i, b in enumerate(base) if b == label]
+        if not rows:
             continue
-        rows = np.flatnonzero(base == label)
-        if len(route.group_ids) == 1:
-            picks = np.zeros(len(rows), dtype=np.int64)
-        else:
-            picks = reference_assign(bundle.group_classifier, features[rows], route.group_ids)
-        for pick, corrector in enumerate(route.correctors):
-            if corrector is None:
-                continue
-            routed = rows[picks == pick]
-            if not len(routed):
-                continue
-            kernel = bundle.corrector_kernels[corrector.kernel_name]
-            scores = reference_score(corrector, reference_kernel_apply(kernel, features[routed]))
+        for corrector in [c for c in correctors if c.group_id % N_LABELS == label]:
+            name = corrector.kernel_name
+            if name not in applied:
+                applied[name] = reference_kernel_apply(bundle.corrector_kernels[name], features)
+            scores = reference_score(corrector, applied[name][rows])
             log.append((corrector.group.group_id, scores.tobytes()))
-            out[routed[scores >= corrector.threshold]] = int(corrector.group.truth)
-    return out
-
-
-def _reference_pick(gc, features, gated):
-    cols = [int(np.where(gc.centroid.classes == g)[0][0]) for g in gated]
-    diff = features[:, None, :] - gc.centroid.centroids[cols][None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[0]
-    return gated[int(np.argmin(dist))]
+            for i, score in zip(rows, scores.tolist()):
+                if score >= corrector.threshold:
+                    fired[i].append(int(corrector.group.truth))
+            if len(base) == 1 and len(fired[0]) == 2:
+                break
+    return np.array(
+        [truths[0] if len(truths) == 1 else b for truths, b in zip(fired, base)], dtype=np.int64
+    )
 
 
 def reference_predict(bundle, feature_vector):
-    """The per-sample cascade: the base label gates the discovered groups
-    that predict it, and the group classifier picks where it gates several."""
+    """The rule for one sample: the base label gates the correctors of the
+    groups that predict it, every one is scored, and the sample takes the
+    truth label of the one that fires, if exactly one does."""
     fv = np.atleast_2d(np.asarray(feature_vector, dtype=np.float64))
     base = int(reference_knn_predict_batch(bundle.base_knn, reference_pca_transform(bundle.base_pca, fv))[0])
-    correctors = {c.group.group_id: c for c in bundle.correctors}
-    gated = [g for g in bundle.discovered_group_ids if g % N_LABELS == base]
-    if not gated:
-        return GestureLabel(base)
-    chosen = gated[0]
-    if len(gated) > 1:
-        feats = reference_kernel_apply(bundle.group_classifier.kernel, fv)
-        chosen = _reference_pick(bundle.group_classifier, feats, gated)
-    corrector = correctors.get(chosen)
-    if corrector is None:
-        return GestureLabel(base)
-    kernel = bundle.corrector_kernels[corrector.kernel_name]
-    score = float(reference_score(corrector, reference_kernel_apply(kernel, fv))[0])
-    return GestureLabel(corrector.group.truth) if score >= corrector.threshold else GestureLabel(base)
+    truths = []
+    for corrector in bundle.correctors:
+        if corrector.group_id % N_LABELS != base:
+            continue
+        kernel = bundle.corrector_kernels[corrector.kernel_name]
+        if float(reference_score(corrector, reference_kernel_apply(kernel, fv))[0]) >= corrector.threshold:
+            truths.append(int(corrector.group.truth))
+    return GestureLabel(truths[0] if len(truths) == 1 else base)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +261,17 @@ def lattice_rows(max_rows=12, lattices=((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))):
     )
 
 
+def ids(correctors):
+    return [c.group_id for c in correctors]
+
+
 def corrector_less_route(bundle):
-    """``bundle`` without the corrector of the first id of a multi-id route."""
-    label, route = next(
-        (label, r) for label, r in bundle.routing.items() if len(r.group_ids) > 1
-    )
-    dropped = route.group_ids[0]
-    out = replace(
-        bundle, correctors=tuple(c for c in bundle.correctors if c.group.group_id != dropped)
-    )
-    assert out.routing[label].group_ids == route.group_ids
-    assert out.routing[label].correctors[0] is None
-    return out, label
+    """``bundle`` without the first corrector of a label that gates several,
+    that label and the dropped corrector."""
+    label, gated = next((label, cs) for label, cs in bundle.routing.items() if len(cs) > 1)
+    out = replace(bundle, correctors=tuple(c for c in bundle.correctors if c is not gated[0]))
+    assert ids(out.routing[label]) == ids(gated[1:])
+    return out, label, gated[0]
 
 
 @pytest.fixture(scope="session")
@@ -309,7 +289,7 @@ def one_group_bundle(small_bundle, small_split):
 @pytest.fixture(scope="session")
 def kernel_bundle(small_split):
     """Correctors over the poly, concat and knn kernels, which the default
-    small bundle does not choose."""
+    grid does not hold."""
     config = PipelineConfig(
         corrector_kernels=("poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20")
     )
@@ -318,6 +298,9 @@ def kernel_bundle(small_split):
 
 @pytest.fixture(scope="session")
 def variants(small_bundle, kernel_bundle, one_group_bundle):
+    # the keys are test ids: "no group classifier" is the bundle of one
+    # discovered group, and "route without corrector" the trained bundle with
+    # a label that gates one corrector fewer
     return {
         "trained": small_bundle,
         "kernels": kernel_bundle,
@@ -333,9 +316,11 @@ class TestOracle:
     def test_every_eval_window(self, variants, small_split):
         X = eval_rows(small_split)
         trained = variants["trained"]
-        # rows reach a route with one group id, where no router runs
-        single = [label for label, r in trained.routing.items() if len(r.group_ids) == 1]
-        assert single and np.isin(trained.predict_base_batch(X), single).any()
+        # rows reach labels that gate one corrector and labels that gate
+        # several (no row fires two here: TestFiring makes such rows)
+        base = trained.predict_base_batch(X)
+        gates = {label: len(cs) for label, cs in trained.routing.items()}
+        assert {gates.get(label, 0) for label in base.tolist()} >= {1, 2}
         # the kernel bundle scores with poly, concat and knn kernels
         assert {"poly:5:4", "concat(pca:10,poly:5:4)", "knn:5:20"} <= {
             c.kernel_name for c in variants["kernels"].correctors
@@ -346,21 +331,18 @@ class TestOracle:
     def test_one_group_bundle(self, variants, small_split):
         bundle = variants["no group classifier"]
         assert len(bundle.discovered_group_ids) == 1
-        assert bundle.group_classifier is None
-        with pytest.raises(InconsistentBundle, match="group classifier present"):
-            replace(bundle, group_classifier=variants["trained"].group_classifier)
-        # the one group has a corrector, so its label routes to it
-        assert [r.group_ids for r in bundle.routing.values()] == [
-            bundle.discovered_group_ids
-        ]
+        # the one group has a corrector, so its label gates it
+        assert [ids(cs) for cs in bundle.routing.values()] == [list(bundle.discovered_group_ids)]
         assert_matches_reference(bundle, eval_rows(small_split))
 
     def test_routed_group_without_corrector(self, small_bundle, small_split):
-        bundle, label = corrector_less_route(small_bundle)
+        bundle, label, dropped = corrector_less_route(small_bundle)
         X = eval_rows(small_split)
         rows = X[small_bundle.predict_base_batch(X) == label]
-        picks = bundle.group_classifier.assign(rows, bundle.routing[label].router)
-        assert np.any(picks == 0)  # some samples really route to the corrector-less group
+        kernel = small_bundle.corrector_kernels[dropped.kernel_name]
+        # the dropped corrector fires on some of its label's rows, which now
+        # fire one corrector fewer
+        assert (reference_score(dropped, reference_kernel_apply(kernel, rows)) >= dropped.threshold).any()
         assert_matches_reference(bundle, X)
 
     # the cascade rejects values outside the feature range [0, 1]
@@ -745,6 +727,17 @@ def no_corrector_fires(bundle, X):
     return quiet
 
 
+def firings(bundle, X):
+    """The number of correctors that fire on each row of ``X`` among those
+    its base label gates."""
+    base = bundle.predict_base_batch(X)
+    count = np.zeros(len(X), dtype=np.int64)
+    for c in bundle.correctors:
+        scores = reference_score(c, reference_kernel_apply(bundle.corrector_kernels[c.kernel_name], X))
+        count += (scores >= c.threshold) & (base == int(c.group.predicted))
+    return count
+
+
 def assert_quiet_rows_keep_base(bundle, X):
     quiet = no_corrector_fires(bundle, X)
     corrected = corrected_predict_batch(bundle, X)
@@ -765,75 +758,73 @@ class TestKeepsBaseWhenQuiet:
 
 
 # ---------------------------------------------------------------------------
-# The router's fold
+# The firing rule on chosen correctors
 # ---------------------------------------------------------------------------
 
-# the ids of the groups base label 0 gates, truth 1 to 4
-GATED = N_LABELS * np.arange(1, N_LABELS)
-
-
-def router(kernel, pool, picks):
-    """A group classifier over ``kernel`` with the centroids ``pool[picks]``
-    for the first ``len(picks)`` ids of GATED, and those ids; a repeated pick
-    is a copy of a centroid."""
-    ids = GATED[: len(picks)]
-    centroid = CentroidModel(classes=ids, centroids=pool[list(picks)])
-    return GroupClassifier(kernel=kernel, centroid=centroid), tuple(ids.tolist())
-
-
-def centroid_picks(n_pool):
-    return st.lists(st.integers(0, n_pool - 1), min_size=2, max_size=len(GATED))
+# every error group: each base label gates four
+ALL_GROUPS = [g for g in range(N_LABELS**2) if g // N_LABELS != g % N_LABELS]
 
 
 def integers(shape, bound):
     return arrays(np.float64, shape, elements=st.integers(-bound, bound).map(float))
 
 
-class TestRouterFold:
-    """``GroupClassifier.assign`` on the router's fold against
-    ``reference_assign``, the distance argmin over the kernel's features."""
-
-    @given(
-        integers((N_FEATURES, 9), 2),
-        integers(9, 4),
-        integers((3, 9), 3),
-        centroid_picks(3),
-        lattice_rows(lattices=((0.0, 0.5, 1.0),)),
+def with_correctors(bundle, kernel, models, X, data):
+    """``bundle``'s base model with one corrector per model of ``models``
+    (group id -> model) over ``kernel``, each threshold drawn from its
+    scores of the rows of ``X`` and a few constants, so that rows tie with
+    thresholds and fire several correctors."""
+    name = kernel.spec.encode()
+    correctors = []
+    for group_id, model in models.items():
+        corrector = Corrector(group_id, name, model, 0.0, 1, 1, 0, 0)
+        scores = reference_score(corrector, reference_kernel_apply(kernel, X)).tolist()
+        threshold = data.draw(st.sampled_from([*scores, -1e9, 0.0, 1e9]), label=f"threshold {group_id}")
+        correctors.append(replace(corrector, threshold=float(threshold)))
+    return replace(
+        bundle,
+        correctors=tuple(correctors),
+        corrector_kernels={name: kernel},
+        discovered_group_ids=tuple(sorted(models)),
     )
+
+
+class TestFiring:
+    """``corrected_predict`` and ``corrected_predict_batch`` against the
+    references on correctors chosen to fire together and to tie with their
+    thresholds."""
+
+    @given(integers((N_FEATURES, 9), 2), integers(9, 4), integers((len(ALL_GROUPS), 9), 2),
+           integers(len(ALL_GROUPS), 6), lattice_rows(lattices=((0.0, 0.5, 1.0),)), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_exact_arithmetic(self, matrix, offset, pool, picks, X):
-        # integers and halves: both forms compute without rounding, so every
-        # distance tie, copies of one centroid included, goes to the smaller id
+    def test_exact_arithmetic(self, small_bundle, matrix, offset, w, bias, X, data):
+        # integers and halves: every product computes without rounding, so a
+        # score equal to its threshold fires in a batch and in one row alike
         kernel = FittedKernel(spec=KernelSpec("pca", n_pc=9), matrix=matrix, offset=offset)
-        gc, ids = router(kernel, pool, picks)
-        fold = gc.fold(ids)
-        want = reference_assign(gc, X, ids).tolist()
-        assert gc.assign(X, fold).tolist() == want
-        assert [int(gc.assign(x[None], fold)[0]) for x in X] == want
+        models = {g: LdaModel(w=w[i], bias=float(bias[i])) for i, g in enumerate(ALL_GROUPS)}
+        assert_matches_reference(with_correctors(small_bundle, kernel, models, X, data), X)
 
-    @given(
-        arrays(np.float64, (4, 9), elements=st.floats(-3.0, 3.0)),
-        centroid_picks(4),
-        uniform_rows(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_trained_kernel(self, small_bundle, pool, picks, X):
-        # the trained router kernel: the pick is a nearest centroid up to
-        # rounding, never a later copy of one, and the reference's pick
-        # wherever no other centroid is that near
-        gc, ids = router(small_bundle.group_classifier.kernel, pool, picks)
-        C = gc.centroid.centroids
-        z = reference_kernel_apply(gc.kernel, X)
-        d2 = ((z[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        near = d2 <= d2.min(axis=1, keepdims=True) + 1e-9 * (
-            1.0 + (z**2).sum(axis=1, keepdims=True) + (C**2).sum(axis=1).max()
+    def test_several_firings_keep_base(self, small_bundle, small_split):
+        # every threshold below every score: each row fires every corrector
+        # its base label gates, and keeps its base label where that is several
+        bundle = replace(
+            small_bundle,
+            correctors=tuple(replace(c, threshold=-1e9) for c in small_bundle.correctors),
         )
-        want = reference_assign(gc, X, ids)
-        copies = (C[want][:, None, :] == C[None, :, :]).all(axis=2)
-        clear = (copies | ~near).all(axis=1)
-        fold = gc.fold(ids)
-        batch = gc.assign(X, fold)
-        for got in (batch, np.array([gc.assign(x[None], fold)[0] for x in X])):
-            assert near[np.arange(len(X)), got].all()
-            assert not any((C[:g] == C[g]).all(axis=1).any() for g in got)
-            assert np.array_equal(got[clear], want[clear])
+        X = eval_rows(small_split)
+        base = bundle.predict_base_batch(X)
+        gated = {label: [int(c.group.truth) for c in cs] for label, cs in bundle.routing.items()}
+        want = [gated[b][0] if len(gated.get(b, ())) == 1 else b for b in base.tolist()]
+        counts = firings(bundle, X)
+        assert counts.tolist() == [len(gated.get(b, ())) for b in base.tolist()]
+        assert (counts > 1).any() and (counts == 1).any()
+        assert bundle.predict_batch(X).tolist() == want
+        assert_matches_reference(bundle, X)
+
+    @given(uniform_rows(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_trained_kernel(self, small_bundle, X, data):
+        # the trained pca:20 kernel and models, with drawn thresholds
+        kernel, = small_bundle.corrector_kernels.values()
+        models = {c.group_id: c.model for c in small_bundle.correctors}
+        assert_matches_reference(with_correctors(small_bundle, kernel, models, X, data), X)

@@ -16,7 +16,6 @@ from capgest.corrector import (
     format_audit,
     select_threshold_zero_fp,
     train_corrector,
-    train_group_classifier,
     with_margin,
 )
 from capgest.classify import centroid_fit
@@ -301,33 +300,17 @@ def stub_corrector(group_id):
     )
 
 
-class TestGroupClassifier:
-    def test_assign_respects_gate(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(0.3, 0.1, (90, 100))
-        X[:30, :20] += 0.3
-        X[60:, 40:60] += 0.3
-        X = np.clip(X, 0, 1)
-        ids = np.array([21] * 30 + [1] * 30 + [9] * 30)
-        kernel = kernel_fit(parse_kernel_spec("pca:9"), X)
-        gc = train_group_classifier(X, ids, kernel)
-        assert gc.group_ids == (1, 9, 21)
-        # groups 1 (index_bend->shoot) and 21 (none->shoot) are gated by
-        # base label 1, and group 9 (shoot->none) by label 4; group 9 has no
-        # corrector, so label 4 has no route
-        routes = build_routing_table(gc.group_ids, gc, [stub_corrector(g) for g in (1, 21)])
-        assert sorted(routes) == [1]
-        route = routes[1]
-        assert route.group_ids == (1, 21)
-        assert [c.group.group_id for c in route.correctors] == [1, 21]
-        # the router picks only among the label's groups
-        assert not hasattr(route, "centroids")  # folded into the router, not kept
-        picks = gc.assign(X, route.router)
-        assert picks.tolist()[:60] == [1] * 30 + [0] * 30
-        # a label that gates one group routes to it without the router
-        routes = build_routing_table((9, 21), None, [stub_corrector(g) for g in (9, 21)])
-        assert sorted(routes) == [1, 4]
-        assert routes[4].group_ids == (9,) and routes[4].router is None
+class TestRoutingTable:
+    def test_routes_respect_gate(self):
+        # groups 1 (index_bend->shoot) and 21 (none->shoot) are gated by base
+        # label 1, and groups 9 (shoot->none) and 14 by label 4; a discovered
+        # group without a corrector gates nothing, so it is no table input
+        correctors = [stub_corrector(g) for g in (21, 14, 1, 9)]
+        routes = build_routing_table(correctors)
+        assert list(routes) == [1, 4]
+        assert [[c.group_id for c in routes[label]] for label in routes] == [[1, 21], [9, 14]]
+        assert all(c.group.predicted == label for label in routes for c in routes[label])
+        assert build_routing_table([]) == {}
 
 
 class TestCascade:

@@ -309,6 +309,29 @@ class TestFormatErrors:
         with pytest.raises(FileFormatError, match="sample_rate_hz is 9.0"):
             dataio.read_recording(path)
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("sample_rate_hz,40.0", "sample_rate_hz,9.0", 3,
+             "sample_rate_hz is 9.0, windows need 40.0 Hz"),
+            ("sample_rate_hz,40.0", "sample_rate_hz,fast", 3, "could not convert"),
+            ("user_id,u01", "user,u01", 2,
+             "expected one user_id and one sample_rate_hz row, got 'user,u01'"),
+            ("sample_rate_hz,40.0", "user_id,u02", 3,
+             "expected one user_id and one sample_rate_hz row, got 'user_id,u02'"),
+        ],
+        ids=["rate", "rate-text", "no-user-id", "user-id-twice"],
+    )
+    def test_header_rows_name_their_line(self, tmp_path, old, new, line, message):
+        # a blank line first: the number is the file's line, not the row's index
+        path = tmp_path / "r.csv"
+        dataio.write_recording(path, make_recording())
+        dataio.write_marks(tmp_path / "r.marks.csv", ())
+        text = path.read_text(encoding="utf-8").replace(old, new)
+        path.write_text(text.replace("\n", "\n\n", 1), encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: line {line + 1}: {message}")):
+            dataio.read_recording(path)
+
     def test_bad_mark_label(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

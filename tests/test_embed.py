@@ -38,6 +38,7 @@ from capgest.errors import (
 )
 from capgest.signals import feature_matrix
 
+from conftest import FIVE_KERNELS
 from test_acceptance import WHITEN_GRID
 
 RNG = np.random.default_rng(12345)
@@ -185,8 +186,7 @@ class TestKernelSpec:
             parse_kernel_spec(text)
 
     def test_default_and_criterion_7_specs_round_trip(self):
-        config = PipelineConfig()
-        for text in (config.group_kernel, *config.corrector_kernels, *WHITEN_GRID):
+        for text in (*PipelineConfig().corrector_kernels, *FIVE_KERNELS, *WHITEN_GRID):
             assert parse_kernel_spec(text).encode() == text
 
     @pytest.mark.parametrize(
@@ -315,16 +315,11 @@ def kernel_arrays(obj, path="") -> dict[str, np.ndarray]:
     return {}
 
 
-DEFAULT_KERNEL_NAMES = list(
-    dict.fromkeys((PipelineConfig().group_kernel, *PipelineConfig().corrector_kernels))
-)
-
-
 class TestSharedFits:
     def test_memo_fits_equal_independent_fits(self):
         X = small_train(400)
         memo: dict = {}
-        for name in [*DEFAULT_KERNEL_NAMES, "knn:5:20"]:
+        for name in [*FIVE_KERNELS, "knn:5:20"]:
             spec = parse_kernel_spec(name)
             shared = kernel_arrays(kernel_fit(spec, X, memo))
             alone = kernel_arrays(kernel_fit(spec, X))
@@ -365,7 +360,7 @@ class TestSharedFits:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         X = small_train(400)
         memo: dict = {}
-        for name in DEFAULT_KERNEL_NAMES:
+        for name in FIVE_KERNELS:
             kernel_fit(parse_kernel_spec(name), X, memo)
         # one basis, then one whitening per pca stage (20, 9, 5, 8, 10) and
         # per poly expansion (5:4, 8:3); fitting each alone takes 15
@@ -374,7 +369,7 @@ class TestSharedFits:
     def test_memo_holds_kernels_and_basis(self):
         X = small_train(400)
         memo: dict = {}
-        for name in [*DEFAULT_KERNEL_NAMES, "knn:5:20"]:
+        for name in [*FIVE_KERNELS, "knn:5:20"]:
             kernel_fit(parse_kernel_spec(name), X, memo)
         # the configured kernels and every kernel nested in them, and no output
         kernels = {key: value for key, value in memo.items() if key != embed._BASIS}
@@ -395,7 +390,7 @@ class TestSharedFits:
 
         monkeypatch.setattr(embed, "kernel_apply", counting_apply)
         memo: dict = {}
-        for name in DEFAULT_KERNEL_NAMES:
+        for name in FIVE_KERNELS:
             kernel_fit(parse_kernel_spec(name), small_train(400), memo)
         # each poly fit reads its base pca output on the train matrix, once
         # per base; no fit applies the kernel it fits
@@ -566,7 +561,7 @@ class TestSvdWithoutU:
         def widths(svd_sv):
             monkeypatch.setattr(embed, "_svd_sv", svd_sv)
             memo: dict = {}
-            fits = [kernel_fit(parse_kernel_spec(name), X, memo) for name in DEFAULT_KERNEL_NAMES]
+            fits = [kernel_fit(parse_kernel_spec(name), X, memo) for name in FIVE_KERNELS]
             fits += [kernel_fit(parse_kernel_spec(name), X[:1500]) for name in WHITEN_GRID]
             return [kernel_output_width(kernel, X.shape[1]) for kernel in fits]
 
@@ -604,7 +599,7 @@ def _poly_specs(spec: KernelSpec) -> list[KernelSpec]:
 CONFIGURED_POLY = sorted(
     {
         (p.n_pc, p.n_poly)
-        for name in PipelineConfig().corrector_kernels
+        for name in FIVE_KERNELS
         for p in _poly_specs(parse_kernel_spec(name))
     }
 )

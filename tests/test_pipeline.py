@@ -49,7 +49,6 @@ from capgest.classify import (
 from capgest.corrector import (
     THRESHOLD_MARGIN,
     Corrector,
-    GroupClassifier,
     audit_records,
     discover_groups,
     select_threshold_zero_fp,
@@ -57,7 +56,6 @@ from capgest.corrector import (
 from capgest.embed import (
     kernel_apply,
     kernel_fit,
-    kernel_output_width,
     parse_kernel_spec,
     pca_fit,
     pca_transform,
@@ -77,6 +75,8 @@ from capgest.pipeline import (
     train_pipeline,
 )
 from capgest.signals import DatasetSplit, GestureLabel, feature_matrix, label_array, split_by_user
+
+from conftest import FIVE_KERNELS
 
 FAST_CONFIG = PipelineConfig(corrector_kernels=("pca:20", "poly:5:4"))
 
@@ -200,10 +200,7 @@ def reference_train_pipeline(
     strictly more train TP.  A group's candidate features are the kernel
     applied to the rows its base label selects, as the product computes
     them; with ``per_label=False`` they are rows of the kernel applied to
-    both whole partitions, as the product computed them before.  The
-    router's centroids are the means of the group kernel's features over
-    each discovered group's training errors, fitted only where a base label
-    gates several groups."""
+    both whole partitions, as the product computed them before."""
     x_train, y_train = feature_matrix(split.train), label_array(split.train)
     x_val, y_val = feature_matrix(split.validation), label_array(split.validation)
     base_pca = pca_fit(x_train, config.n_pcs)
@@ -213,19 +210,7 @@ def reference_train_pipeline(
     groups = discover_groups(y_train, preds_train, config.min_support)
 
     names = list(dict.fromkeys(config.corrector_kernels))
-    kernels = {
-        name: kernel_fit(parse_kernel_spec(name), x_train)
-        for name in dict.fromkeys((config.group_kernel, *names))
-    }
-    group_classifier = None
-    if len({int(g.predicted) for g in groups}) < len(groups):
-        kernel = kernels[config.group_kernel]
-        ids = len(GestureLabel) * y_train + preds_train
-        discovered = {g.group_id for g in groups}
-        rows = [i for i, gid in enumerate(ids.tolist()) if gid in discovered]
-        group_classifier = GroupClassifier(
-            kernel=kernel, centroid=centroid_fit(kernel_apply(kernel, x_train[rows]), ids[rows])
-        )
+    kernels = {name: kernel_fit(parse_kernel_spec(name), x_train) for name in names}
     if not per_label:
         feats_train = {name: kernel_apply(kernels[name], x_train) for name in names}
         feats_val = {name: kernel_apply(kernels[name], x_val) for name in names}
@@ -274,7 +259,6 @@ def reference_train_pipeline(
         config=config,
         base_pca=base_pca,
         base_knn=base_knn,
-        group_classifier=group_classifier,
         correctors=tuple(correctors),
         corrector_kernels={name: kernels[name] for name in names if name in used},
         discovered_group_ids=tuple(g.group_id for g in groups),
@@ -285,9 +269,8 @@ class TestKernelAtATimeGrid:
     @pytest.mark.parametrize("kernel_order", ["config", "reversed"])
     @pytest.mark.parametrize("seed", range(5))
     def test_bundle_bytes_equal_group_outer_grid(self, small_samples, seed, kernel_order):
-        names = PipelineConfig().corrector_kernels
         config = PipelineConfig(
-            corrector_kernels=names if kernel_order == "config" else names[::-1]
+            corrector_kernels=FIVE_KERNELS if kernel_order == "config" else FIVE_KERNELS[::-1]
         )
         # both kernel orders, so a tie on train TP between kernels must go
         # to the one earlier in the config either way
@@ -312,10 +295,10 @@ class TestKernelAtATimeGrid:
 
         monkeypatch.setattr(pipeline, "knn_predict_batch", no_label_on_validation)
         monkeypatch.setitem(globals(), "knn_predict_batch", no_label_on_validation)
-        bundle = train_pipeline(PipelineConfig(), small_split)
-        assert serialize_bundle(bundle) == serialize_bundle(
-            reference_train_pipeline(PipelineConfig(), small_split)
-        )
+        config = PipelineConfig(corrector_kernels=FIVE_KERNELS)
+        bundle = train_pipeline(config, small_split)
+        want = reference_train_pipeline(config, small_split)
+        assert serialize_bundle(bundle) == serialize_bundle(want)
         gated = [c for c in bundle.correctors if c.group_id % n == label]
         assert gated and all(c.holdout_positives == c.holdout_tp == 0 for c in gated)
 
@@ -339,7 +322,7 @@ class TestPerLabelFeatures:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_predictions_equal_full_matrix_features(self, small_samples, seed):
-        config = PipelineConfig()
+        config = PipelineConfig(corrector_kernels=FIVE_KERNELS)
         split = split_by_user(small_samples, config.user_counts, seed=seed)
         got = train_pipeline(config, split)
         want = reference_train_pipeline(config, split, per_label=False)
@@ -404,8 +387,19 @@ class TestPeakMemory:
         peak = heap_peak(lambda: kernel_apply(kernel, x))
         assert peak < 2.5 * self.unit(small_split)
 
+    def test_batch_copies_no_label_rows(self, small_samples, small_bundle):
+        # in units of the input matrix, all 9,043 windows of the small corpus
+        # (7.2 MB): 0.43 with each kernel applied once to the checked matrix
+        # and its output indexed by each gated label's rows, as with the
+        # router before (the KNN search sets it); 0.54 with each label's
+        # input rows copied and the kernel applied to the copy
+        X = feature_matrix(small_samples)
+        peak = heap_peak(lambda: small_bundle.predict_batch(X))
+        assert peak < 0.48 * X.nbytes
+
     def test_grid_holds_one_kernel_at_a_time(self, small_split):
-        peak = heap_peak(lambda: train_pipeline(PipelineConfig(), small_split))
+        config = PipelineConfig(corrector_kernels=FIVE_KERNELS)
+        peak = heap_peak(lambda: train_pipeline(config, small_split))
         assert peak < 3.0 * self.unit(small_split)
 
 
@@ -555,22 +549,6 @@ def set_cell(where, cell, value):
     return edit
 
 
-def drop_router(state, bundle):
-    # the small bundle has a base label that gates several groups
-    state["group_classifier"] = None
-    return "group classifier missing: a bundle has one exactly where a base label gates several"
-
-
-def other_router_ids(state, bundle):
-    centroid = state["group_classifier"]["centroid"]
-    classes = centroid["classes"] = centroid["classes"].copy()
-    n = len(GestureLabel)
-    classes[0] = next(
-        g for g in range(n * n) if g // n != g % n and g not in bundle.discovered_group_ids
-    )
-    return "group classifier ids"
-
-
 def undiscovered_corrector(state, bundle):
     group_id = bundle.correctors[0].group_id
     state["discovered_group_ids"].remove(group_id)
@@ -599,10 +577,10 @@ class TestBundleConsistency:
     """A bundle whose parts disagree on widths is rejected when it is built."""
 
     def test_wrong_kernel_matrix_width(self, small_bundle):
-        gc = small_bundle.group_classifier
-        bad = replace(gc, kernel=replace(gc.kernel, matrix=gc.kernel.matrix[:-1]))
-        with pytest.raises(InconsistentBundle, match="matrix"):
-            replace(small_bundle, group_classifier=bad)
+        name, kernel = next(iter(small_bundle.corrector_kernels.items()))
+        kernels = {name: replace(kernel, matrix=kernel.matrix[:-1])}
+        with pytest.raises(InconsistentBundle, match=f"kernel {re.escape(name)}: matrix"):
+            replace(small_bundle, corrector_kernels=kernels)
 
     def test_wrong_corrector_kernel_width(self, small_bundle):
         name, kernel = next(iter(small_bundle.corrector_kernels.items()))
@@ -638,28 +616,27 @@ class TestBundleConsistency:
         with pytest.raises(CorruptFile, match=f"kernel {re.escape(name)}: {named}"):
             load_bundle(path)
 
-    def test_wrong_group_centroid_width(self, small_bundle):
-        gc = small_bundle.group_classifier
-        centroid = replace(gc.centroid, centroids=gc.centroid.centroids[:, :-1])
-        with pytest.raises(InconsistentBundle, match="group classifier centroids"):
-            replace(small_bundle, group_classifier=replace(gc, centroid=centroid))
-
-    def test_router_kernel_must_be_pca(self, small_bundle, small_split, tmp_path):
-        # routing folds the router's affine pca map; poly:3:2 gives the 9
-        # features of pca:9, so the centroids pass the width check and the
-        # kind is what refuses the bundle
-        gc = small_bundle.group_classifier
-        poly = kernel_fit(parse_kernel_spec("poly:3:2"), feature_matrix(small_split.train))
-        assert kernel_output_width(poly, 100) == gc.centroid.centroids.shape[1]
-        message = "group classifier kernel kind 'poly' is no pca"
-        with pytest.raises(InconsistentBundle, match=message):
-            replace(small_bundle, group_classifier=replace(gc, kernel=poly))
-        state = bundle_state(small_bundle)
-        state["group_classifier"]["kernel"] = pipeline._encode(poly, lambda array: array)
+    def test_router_state_refused(self, small_bundle, small_split, tmp_path):
+        # a format-9 group classifier in a format-10 file: its class is no
+        # codec type, and its section, even empty, no bundle field
+        assert small_bundle.group_classifier is None
+        assert "group_classifier" not in bundle_state(small_bundle)
+        kernel = kernel_fit(parse_kernel_spec("pca:9"), feature_matrix(small_split.train))
+        centroid = CentroidModel(classes=np.array([1, 21]), centroids=np.zeros((2, 9)))
+        router = {
+            "@type": "GroupClassifier",
+            "kernel": pipeline._encode(kernel, lambda array: array),
+            "centroid": pipeline._encode(centroid, lambda array: array),
+        }
         path = tmp_path / "router.capgest"
-        path.write_bytes(format_4_blob(*format_4_parts(state)))
-        with pytest.raises(CorruptFile, match=message):
-            load_bundle(path)
+        for section, match in (
+            (router, "unknown type tag 'GroupClassifier'"),
+            (None, "unexpected keyword argument 'group_classifier'"),
+        ):
+            state = dict(bundle_state(small_bundle), group_classifier=section)
+            path.write_bytes(format_4_blob(*format_4_parts(state)))
+            with pytest.raises(CorruptFile, match=match):
+                load_bundle(path)
 
     def test_wrong_corrector_width_and_missing_kernel(self, small_bundle):
         c = small_bundle.correctors[0]
@@ -676,7 +653,7 @@ class TestBundleConsistency:
         knn = small_bundle.base_knn
         with pytest.raises(InconsistentBundle, match="base_knn.points"):
             replace(small_bundle, base_knn=type(knn)(points=knn.points[:, :2], labels=knn.labels, k=knn.k))
-        with pytest.raises(InconsistentBundle, match="group classifier"):
+        with pytest.raises(InconsistentBundle, match="corrector kernel pca:20: "):
             replace(small_bundle, base_pca=small_bundle.base_pca[:99])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -689,7 +666,7 @@ class TestBundleConsistency:
 
     def test_load_rejects_inconsistent_state(self, small_bundle, tmp_path):
         state = bundle_state(small_bundle)
-        kernel = state["group_classifier"]["kernel"]
+        kernel = next(iter(state["corrector_kernels"].values()))
         kernel["matrix"] = kernel["matrix"][:, :-1]
         path = tmp_path / "bad.capgest"
         path.write_bytes(format_4_blob(*format_4_parts(state)))
@@ -715,11 +692,6 @@ class TestBundleConsistency:
         ids = small_bundle.discovered_group_ids
         with pytest.raises(InconsistentBundle, match="discovered_group_ids"):
             replace(small_bundle, discovered_group_ids=(*ids[:-1], float(ids[-1])))
-        gc = small_bundle.group_classifier
-        classes = gc.centroid.classes.astype(np.float64)
-        bad = replace(gc, centroid=replace(gc.centroid, classes=classes))
-        with pytest.raises(InconsistentBundle, match="group classifier ids"):
-            replace(small_bundle, group_classifier=bad)
 
     @pytest.mark.parametrize("threshold", ["0.5", 1, np.inf, np.nan, None])
     def test_threshold_must_be_finite_float(self, small_bundle, threshold):
@@ -738,7 +710,7 @@ class TestBundleConsistency:
         for model, match in (
             (None, "model NoneType is no binary classifier"),
             (small_bundle.base_knn, "model KnnModel is no binary classifier"),
-            (small_bundle.group_classifier.centroid, "centroid classes"),  # multiclass
+            (centroid_fit(np.eye(3), np.arange(3)), "centroid classes"),  # multiclass
             (replace(cen.model, classes=np.array([0, 2])), "centroid classes"),
         ):
             with pytest.raises(InconsistentBundle, match=match):
@@ -768,8 +740,6 @@ class TestBundleConsistency:
             set_cell(lambda b: ["base_pca"], (0, 0), np.nan),
             set_cell(lambda b: ["corrector_kernels", b.correctors[0].kernel_name, "matrix"], (1, 1), np.inf),
             set_cell(lambda b: ["correctors", first_lda(b), "model", "w"], 0, np.nan),
-            drop_router,
-            other_router_ids,
             undiscovered_corrector,
             float_group_id,
             corrector_twice,
@@ -777,14 +747,14 @@ class TestBundleConsistency:
         ],
         ids=[
             "knn-label-9", "knn-label-minus-1", "pca-nan", "kernel-inf", "lda-w-nan",
-            "router-missing", "router-ids", "corrector-undiscovered", "float-id",
+            "corrector-undiscovered", "float-id",
             "corrector-twice", "pca-1-d",
         ],
     )
     def test_bundle_that_loads_predicts(self, small_bundle, tmp_path, capsys, edit):
         # once loaded, each of the first five bundles predicted a label that
         # is no GestureLabel, raised a bare numpy error, or had a corrector
-        # whose NaN scores never fire; the next four break the routing rule,
+        # whose NaN scores never fire; the next two break the routing rule,
         # a second corrector of one group replaced the first, and a 1-D
         # base projection made every row a DimensionMismatch
         state = bundle_state(small_bundle)
@@ -999,7 +969,7 @@ class TestPersistence:
         assert hashlib.sha256(after).hexdigest() == hashlib.sha256(blob).hexdigest()
         # the array bytes are fixed by the bundle's shapes; the JSON header
         # varies with the digits of its float thresholds and biases
-        assert len(after) == 322_336
+        assert len(after) == 182_448
 
     def test_concurrent_callers_share_the_label_map(self, default_bundle, default_split):
         # every write to the map stores the one label its cell can have, so
@@ -1061,8 +1031,8 @@ class TestPersistence:
     def test_state_is_tagged_json_data(self, small_bundle):
         state = bundle_state(small_bundle)
         assert list(state) == [
-            "config", "base_pca", "base_knn", "group_classifier", "correctors",
-            "corrector_kernels", "discovered_group_ids",
+            "config", "base_pca", "base_knn", "correctors", "corrector_kernels",
+            "discovered_group_ids",
         ]
         assert isinstance(state["base_pca"], np.ndarray)
         corrector = state["correctors"][0]
@@ -1075,7 +1045,7 @@ class TestPersistence:
             "corrector_classifiers",
         ):
             assert name not in header
-        assert len(pipeline._CODEC_TYPES) == 9
+        assert len(pipeline._CODEC_TYPES) == 8
 
     def test_state_round_trip(self, small_bundle):
         rebuilt = bundle_from_state(bundle_state(small_bundle))
@@ -1112,12 +1082,14 @@ class TestPersistence:
         # group classifier held its id list beside its centroids' classes,
         # and the config the group_kernel key; format 8 wrapped the base
         # projection in a PCA model with four fields inference never read,
-        # and the config held the corrector_classifiers key
-        assert BUNDLE_FORMAT_VERSION == 9
+        # and the config held the corrector_classifiers key; format 9 held a
+        # group classifier (a pca:9 kernel and a centroid per discovered
+        # group) that routed a sample among the groups its base label gates
+        assert BUNDLE_FORMAT_VERSION == 10
         path = tmp_path / "m.capgest"
         save_bundle(small_bundle, path)
         blob = path.read_bytes()
-        for old in (1, 2, 4, 5, 6, 7, 8):
+        for old in (1, 2, 4, 5, 6, 7, 8, 9):
             path.write_bytes(BUNDLE_MAGIC + bytes([old, 0, 0, 0]) + blob[8:])
             with pytest.raises(VersionMismatch, match=f"version {old}"):
                 load_bundle(path)
@@ -1258,8 +1230,8 @@ class TestConfig:
             parse_config_text("n_pcs")
         with pytest.raises(FileFormatError):
             parse_config_text("base_knn_fit = maybe")
-        # the router's kernel and the corrector classifiers are constants;
-        # the config keys of formats 7 and 8 are refused
+        # the config keys of formats 7 and 8, the router's kernel and the
+        # corrector classifiers, are refused
         with pytest.raises(FileFormatError, match="group_kernel"):
             parse_config_text("group_kernel = pca:9")
         with pytest.raises(FileFormatError, match="corrector_classifiers"):
@@ -1276,6 +1248,22 @@ class TestConfig:
     def test_unknown_classifier_or_kernel_rejected(self, text, key):
         with pytest.raises(FileFormatError, match=key):
             parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("knn_k = 3\n# a note\nn_pcs = 0\n", 3, "n_pcs must be >= 1"),
+            ("\nknn_k = 0\n", 2, "knn_k must be >= 1"),
+            ("n_pcs = 3\nuser_counts = 8; 3; 2\n", 2, "user_counts must be four ints"),
+            ("corrector_kernels = pca:200\n", 1, "corrector_kernels: "),
+        ],
+        ids=["n_pcs", "knn_k", "user_counts", "corrector_kernels"],
+    )
+    def test_value_checks_name_their_line(self, tmp_path, text, line, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: line {line}: {message}")):
+            load_config(path)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "c.cfg"
